@@ -599,6 +599,10 @@ def main(argv=None) -> int:
         # bad parameter values are usage errors, like unknown flags
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except OverflowError as exc:
+        # a parameter so large that the result leaves the float range
+        sys.stderr.write(f"error: parameter out of range, the result overflows a float ({exc})\n")
+        return 2
     except (OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

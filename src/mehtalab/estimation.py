@@ -33,6 +33,8 @@ def map_chunks(fn, n: int, seed: int, workers: int = 1, worker_offset: int = 0):
     ``worker_offset`` shifts the substream indices so that two estimators run
     from the same seed can still use disjoint streams.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     jobs = [(w + worker_offset, size) for w, size in enumerate(chunk_sizes(n, workers)) if size > 0]
     if len(jobs) <= 1 or workers == 1:
         return [fn(substream(seed, w), size) for w, size in jobs]
@@ -143,13 +145,3 @@ def mc_estimate(
         reference=reference,
         meta=meta or {},
     )
-
-
-def mean_and_se(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and standard error of the mean."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    mean = float(values.mean())
-    if n < 2:
-        return mean, math.inf
-    return mean, float(values.std(ddof=1) / math.sqrt(n))

@@ -6,8 +6,9 @@ the ratio of consecutive Mehta integrals, the Kac-Rice density of critical
 values of the quadratic field on the sphere, and the end-to-end pipeline that
 rebuilds the integrals from sphere-side Monte Carlo alone.
 
-Gamma functions are evaluated by an in-repo Lanczos approximation so that the
-reference values do not depend on the platform's libm.
+Gamma functions come from the standard library (``math.gamma``,
+``math.lgamma``); the quadrature and Monte Carlo routes never use them, so
+they stay independent checks on the closed form.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from mehtalab.spectral import (
 from mehtalab.symspace import sample_goe_batch
 
 __all__ = [
-    "log_gamma",
-    "gamma_fn",
     "vol_sphere",
     "mehta_closed_form",
     "log_mehta_closed_form",
@@ -48,51 +47,17 @@ __all__ = [
     "reproduce_zm",
 ]
 
-# Lanczos approximation, g = 7, 9 terms; relative error below 1e-13 on the
-# range this package uses ([0.5, 30] and reflection below that).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for positive arguments."""
-    if not x > 0.0:
-        raise ValueError("log_gamma requires a positive argument")
-    if x < 0.5:
-        # reflection keeps the series in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(s)
-
-
-def gamma_fn(x: float) -> float:
-    return math.exp(log_gamma(x))
-
 
 def vol_sphere(m: int) -> float:
     """Volume (surface measure) of the unit m-sphere in R^(m+1)."""
-    return 2.0 * math.pi ** ((m + 1) / 2.0) / gamma_fn((m + 1) / 2.0)
+    return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
 def log_mehta_closed_form(m: int) -> float:
     """log of the Mehta integral value 2^(3m/2) prod_{j<m} Gamma((j+3)/2)."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    return 1.5 * m * math.log(2.0) + math.fsum(log_gamma((j + 3) / 2.0) for j in range(m))
+    return 1.5 * m * math.log(2.0) + math.fsum(math.lgamma((j + 3) / 2.0) for j in range(m))
 
 
 def mehta_closed_form(m: int) -> float:
@@ -115,7 +80,7 @@ def mehta_ratio(m: int) -> float:
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    return 2.0 ** 1.5 * gamma_fn((m + 3) / 2.0)
+    return 2.0 ** 1.5 * math.gamma((m + 3) / 2.0)
 
 
 @lru_cache(maxsize=8)

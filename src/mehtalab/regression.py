@@ -18,7 +18,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from mehtalab.estimation import EstimatorResult, map_chunks
-from mehtalab.spectral import jacobi_eigh
 from mehtalab.symspace import (
     ell_coords_batch,
     omega_coords_batch,
@@ -57,7 +56,7 @@ class DegenerateConditioningError(ValueError):
 
 
 def _min_eig(mat: np.ndarray) -> float:
-    return float(jacobi_eigh(mat)[0][0])
+    return float(np.linalg.eigvalsh(mat)[0])
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ class RegressionResult:
         an error.
         """
         if self._sqrt is None:
-            w, vec = jacobi_eigh(self.residual_cov)
+            w, vec = np.linalg.eigh(self.residual_cov)
             if w[0] < PSD_TOL:
                 raise ValueError(
                     f"residual covariance has eigenvalue {w[0]:.3e} below -1e-10"

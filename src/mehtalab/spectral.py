@@ -1,11 +1,13 @@
-"""Eigenvalue machinery: an in-repo Jacobi eigensolver, point measures on the
-line, Weyl-formula expectations by Monte Carlo and by quadrature, and the
-one-point correlation estimator.
+"""Eigenvalue machinery: batched eigenvalues and determinants, point measures
+on the line, Weyl-formula expectations by Monte Carlo and by quadrature, and
+the one-point correlation estimator.
 
-The eigensolver is cyclic Jacobi.  At the matrix sizes this package targets
-(m <= 64, usually m <= 6) Jacobi is competitive, solid on clustered spectra,
-and keeps the artifact free of an external LAPACK dependency; the test suite
-cross-checks it against reconstruction residuals.
+Eigenvalues come from numpy's LAPACK symmetric solver (``eigvalsh``/``eigh``),
+the same library that already backs ``det``, ``solve`` and ``cholesky`` here.
+Every eigenvalue computation in the package goes through
+:func:`batched_eigvals`, so the solver is chosen in one place.  The
+critical-point finder in ``spherefield`` does not use it to locate points, so
+it stays an independent check on the eigenvalues.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "PointMeasure",
     "DensityEstimate",
     "QuadratureError",
-    "jacobi_eigh",
     "batched_eigvals",
     "eigenvalues",
     "eigh_sym",
@@ -47,102 +48,19 @@ class QuadratureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigensolver
+# Eigenvalues and determinants
 
 
-def jacobi_eigh(a, tol: float = 1e-14, max_sweeps: int = 60):
-    """Eigenvalues (ascending) and eigenvectors of one symmetric matrix.
-
-    Returns (w, V) with a ~= V @ diag(w) @ V.T.  Cyclic sweeps with the
-    numerically stable half-angle rotation; converges quadratically once the
-    off-diagonal mass is small.
-    """
-    a = np.array(a, dtype=float, copy=True)
-    m = a.shape[0]
-    if a.shape != (m, m):
-        raise ValueError("expected a square matrix")
-    v = np.eye(m)
-    if m == 1:
-        return np.array([a[0, 0]]), v
-    scale = max(np.sqrt((a * a).sum()), 1e-300)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(((a * a).sum() - (np.diag(a) ** 2).sum()), 0.0))
-        if off <= tol * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= 1e-36 * scale:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def batched_eigvals(mats: np.ndarray, tol: float = 1e-13, max_sweeps: int = 40) -> np.ndarray:
+def batched_eigvals(mats: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a stack of symmetric matrices, shape (n, m).
 
-    Same cyclic Jacobi rotations as :func:`jacobi_eigh`, applied to the whole
-    stack at once; matrices that have converged drop out of later sweeps.
+    A single (m, m) matrix is treated as a stack of one.  This is the
+    package's one eigenvalue entry point; only the lower triangle is read.
     """
-    a = np.array(mats, dtype=float, copy=True)
+    a = np.asarray(mats, dtype=float)
     if a.ndim == 2:
         a = a[None]
-    n, m = a.shape[0], a.shape[1]
-    if m == 1:
-        return a[:, 0, 0].reshape(n, 1)
-    d = np.arange(m)
-    scale = np.maximum(np.sqrt((a * a).sum(axis=(1, 2))), 1e-300)
-    active = np.arange(n)
-    for _ in range(max_sweeps):
-        sub = a[active]
-        off = (sub * sub).sum(axis=(1, 2)) - (sub[:, d, d] ** 2).sum(axis=1)
-        keep = off > (tol * scale[active]) ** 2
-        active = active[keep]
-        if active.size == 0:
-            break
-        b = a[active]
-        sc = scale[active]
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = b[:, p, q]
-                skip = np.abs(apq) <= 1e-36 * sc
-                safe = np.where(skip, 1.0, apq)
-                theta = (b[:, q, q] - b[:, p, p]) / (2.0 * safe)
-                t = np.sign(theta) / (np.abs(theta) + np.hypot(1.0, theta))
-                t = np.where(theta == 0.0, 1.0, t)
-                t = np.where(skip, 0.0, t)
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rp, rq = b[:, p, :].copy(), b[:, q, :].copy()
-                b[:, p, :] = c[:, None] * rp - s[:, None] * rq
-                b[:, q, :] = s[:, None] * rp + c[:, None] * rq
-                cp, cq = b[:, :, p].copy(), b[:, :, q].copy()
-                b[:, :, p] = c[:, None] * cp - s[:, None] * cq
-                b[:, :, q] = s[:, None] * cp + c[:, None] * cq
-                b[:, p, q] = 0.0
-                b[:, q, p] = 0.0
-        a[active] = b
-    w = a[:, d, d].copy()
-    w.sort(axis=1)
-    return w
+    return np.linalg.eigvalsh(a)
 
 
 def eigenvalues(a: SymMatrix) -> np.ndarray:
@@ -151,8 +69,8 @@ def eigenvalues(a: SymMatrix) -> np.ndarray:
 
 
 def eigh_sym(a: SymMatrix):
-    """Eigenvalues and eigenvectors of a SymMatrix, via the Jacobi solver."""
-    return jacobi_eigh(a.to_full())
+    """Ascending eigenvalues w and orthonormal eigenvectors V, a = V diag(w) V^T."""
+    return np.linalg.eigh(a.to_full())
 
 
 def batched_det(mats: np.ndarray) -> np.ndarray:

@@ -340,7 +340,7 @@ def find_critical_points_batch(
     rounds = 0
     chunk = max(1, 200_000 // k)
     while pending:
-        done = []
+        done = set()
         for lo in range(0, len(pending), chunk):
             idx = pending[lo : lo + chunk]
             ns = len(idx)
@@ -365,8 +365,8 @@ def find_critical_points_batch(
                     )
                     pts[s], vals[s], gns[s] = list(merged[0]), list(merged[1]), list(merged[2])
                 if len(vals[s]) >= expected:
-                    done.append(s)
-        pending = [s for s in pending if s not in set(done)]
+                    done.add(s)
+        pending = [s for s in pending if s not in done]
         if pending:
             rounds += 1
             if rounds > max_extra_rounds:

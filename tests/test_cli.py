@@ -144,6 +144,23 @@ class TestExitCodes:
         assert rc == 2
         assert "admissibility" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("command", [["mehta", "--method", "mc"], ["correlation"]])
+    def test_workers_below_one(self, capsys, command, workers):
+        rc = main(command + ["--n", "2000", "--workers", workers])
+        assert rc == 2
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("config:")]
+        assert err == [f"error: workers must be at least 1, got {workers}"]
+
+    @pytest.mark.parametrize("method", ["closed", "ratio"])
+    def test_overflowing_m(self, capsys, method):
+        rc = main(["mehta", "--method", method, "--m", "400"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: parameter out of range")
+
     def test_missing_file(self, capsys):
         rc = main(["eig", "/nonexistent/matrix.txt"])
         assert rc == 1

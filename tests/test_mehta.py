@@ -8,11 +8,9 @@ from mehtalab.mehta import (
     detmoment_identity_check,
     exp_abs_det_mc,
     exp_det_pointwise_check,
-    gamma_fn,
     kacrice_density,
     kacrice_total_mass,
     kacrice_vs_empirical,
-    log_gamma,
     log_mehta_closed_form,
     mehta_closed_form,
     mehta_closed_form_scaled,
@@ -36,30 +34,26 @@ def abs_moment_normal(sigma, c):
 
 
 class TestGammaFunctions:
-    def test_lanczos_accuracy(self):
-        xs = np.linspace(0.5, 30.0, 1181)
-        for x in xs:
-            ref = math.lgamma(float(x))
-            got = log_gamma(float(x))
-            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
-
     def test_half_integer_values(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma_fn(1.5) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-14)
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
+        # Gamma(1/2) = sqrt(pi), Gamma(3/2) = sqrt(pi)/2, Gamma(5) = 24
+        assert vol_sphere(0) == pytest.approx(2.0, rel=1e-14)
+        assert vol_sphere(2) == pytest.approx(4.0 * math.pi, rel=1e-14)
+        assert mehta_ratio(7) == pytest.approx(24.0 * 2.0**1.5, rel=1e-14)
 
     def test_reflection_branch(self):
-        assert gamma_fn(0.25) == pytest.approx(math.gamma(0.25), rel=1e-13)
+        # Gamma(z) Gamma(1 - z) = pi / sin(pi z), at z = 5/2 and z = 1/2
+        assert mehta_ratio(2) / 2.0**1.5 * math.gamma(-1.5) == pytest.approx(math.pi, rel=1e-13)
+        assert (2.0 * math.sqrt(math.pi) / vol_sphere(0)) ** 2 == pytest.approx(math.pi, rel=1e-14)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            log_gamma(0.0)
+            log_mehta_closed_form(0)
 
     def test_sphere_volumes(self):
         assert vol_sphere(1) == pytest.approx(2.0 * math.pi, rel=1e-14)
         assert vol_sphere(2) == pytest.approx(4.0 * math.pi, rel=1e-14)
         # surface/(m+1) equals pi^((m+1)/2) / Gamma((m+3)/2)
-        assert vol_sphere(2) / 3.0 == pytest.approx(math.pi**1.5 / gamma_fn(2.5), rel=1e-14)
+        assert vol_sphere(2) / 3.0 == pytest.approx(math.pi**1.5 / math.gamma(2.5), rel=1e-14)
         assert vol_sphere(2) / 3.0 == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
 
 
@@ -90,7 +84,7 @@ class TestClosedForm:
 class TestRatioRecursion:
     def test_ratio_values(self):
         assert mehta_ratio(1) == pytest.approx(2.0**1.5, rel=1e-14)
-        assert mehta_ratio(2) == pytest.approx(2.0**1.5 * gamma_fn(2.5), rel=1e-14)
+        assert mehta_ratio(2) == pytest.approx(2.0**1.5 * math.gamma(2.5), rel=1e-14)
 
     def test_recursion_exact(self):
         for m in range(1, 21):
@@ -184,7 +178,7 @@ class TestDetmomentIntegrated:
         r1 = detmoment_identity_check(1, 0.5, 1000, seed=514)
         assert r1.reference == pytest.approx(2.0**1.5, rel=1e-13)
         r2 = detmoment_identity_check(2, 0.5, 1000, seed=515)
-        assert r2.reference == pytest.approx(2.0**1.5 * gamma_fn(2.5), rel=1e-13)
+        assert r2.reference == pytest.approx(2.0**1.5 * math.gamma(2.5), rel=1e-13)
         r3 = detmoment_identity_check(1, 2.0, 1000, seed=516)
         assert r3.reference == pytest.approx(4.0 * 2.0**1.5, rel=1e-13)
 

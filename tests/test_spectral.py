@@ -12,7 +12,6 @@ from mehtalab.spectral import (
     default_degeneracy_tol,
     eigenvalues,
     eigh_sym,
-    jacobi_eigh,
     one_point_correlation,
     spectral_measure,
     weyl_expectation_mc,
@@ -50,17 +49,26 @@ class TestEigensolver:
     def test_reconstruction_residual(self):
         rng = substream(201)
         a = random_sym_full(5, rng)
-        w, v = jacobi_eigh(a)
+        w, v = eigh_sym(SymMatrix.from_full(a))
+        assert np.all(np.diff(w) >= 0.0)
         assert np.max(np.abs(v @ np.diag(w) @ v.T - a)) < 1e-9
         assert np.max(np.abs(v.T @ v - np.eye(5))) < 1e-12
 
-    def test_against_lapack(self):
+    def test_batched_contract(self):
+        # ascending (n, m) rows whose sum and product match the trace and an
+        # independent cofactor determinant
         rng = substream(202)
         for m in (2, 3, 4, 6):
             mats = np.stack([random_sym_full(m, rng) for _ in range(200)])
-            ours = batched_eigvals(mats)
-            ref = np.linalg.eigvalsh(mats)
-            assert np.max(np.abs(ours - ref)) < 1e-10
+            w = batched_eigvals(mats)
+            assert w.shape == (200, m)
+            assert np.all(np.diff(w, axis=1) >= 0.0)
+            for a, row in zip(mats, w):
+                assert abs(row.sum() - np.trace(a)) / (1.0 + abs(np.trace(a))) < 1e-10
+                d_cof = cofactor_det(a)
+                assert abs(np.prod(row) - d_cof) / (1.0 + abs(d_cof)) < 1e-10
+        single = random_sym_full(3, rng)
+        assert batched_eigvals(single).shape == (1, 3)
 
     def test_trace_det_consistency(self):
         rng = substream(203)
