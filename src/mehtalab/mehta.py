@@ -324,7 +324,7 @@ def _kacrice_interval_mc(
     def weights(rng, size):
         lam = batched_eigvals(sample_goe_batch(m, v, size, rng))
         out = np.zeros(size)
-        block = max(1, int(5.0e6 / max(t.size, 1)))
+        block = max(1, int(5.0e6 / max(t.size * lam.shape[1], 1)))
         for lo_i in range(0, size, block):
             sl = slice(lo_i, min(size, lo_i + block))
             dets = np.abs(np.prod(lam[sl, None, :] - t[None, :, None], axis=2))

@@ -386,8 +386,8 @@ def one_point_correlation(
     R = _grid_range(m, v)
     if estimator == "histogram":
         w = default_bin_width(m, v) if bin_width is None else float(bin_width)
-        if w <= 0.0:
-            raise ValueError("bin_width must be positive")
+        if not (w > 0.0 and math.isfinite(w)):
+            raise ValueError("bin_width must be a positive finite number")
         half_bins = int(math.ceil(R / w))
         edges = w * np.arange(-half_bins, half_bins + 1)
         grid = 0.5 * (edges[:-1] + edges[1:])
@@ -430,8 +430,8 @@ def one_point_correlation(
         return DensityEstimate(grid, values, stderr, w, "histogram", int(n), meta)
 
     h = (0.05 * math.sqrt(2.0 * v)) if bandwidth is None else float(bandwidth)
-    if h <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError("bandwidth must be a positive finite number")
     step = max(h / 2.0, R / 4000.0)
     half = int(math.ceil(R / step))
     grid = step * np.arange(-half, half + 1)

@@ -3,9 +3,16 @@
 For a symmetric (m+1) x (m+1) matrix A the field's critical points are the
 unit eigenvectors of A and its critical values (of twice the field) are the
 eigenvalues, each hit by an antipodal pair of points.  This module computes
-the gradient and the Riemannian Hessian, finds all critical points by damped
-Newton iteration with sphere retraction, and builds the discriminant measure,
-which for simple A equals twice the spectral measure.
+the gradient and the Riemannian Hessian, finds all critical points, and builds
+the discriminant measure, which for simple A equals twice the spectral measure.
+
+The finder is deflated Newton: d damped Newton solves with sphere retraction
+per matrix, each started in the orthogonal complement of the points already
+found.  That complement is A-invariant, so every solve lands on a new pair
+x, -x.  No eigenvector feeds the search; the count 2d is certified by
+checking each new point's gradient norm and its overlap with earlier points,
+and the Morse indices come from the Riemannian Hessian, not from the value
+ranks.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ __all__ = [
     "CriticalPointBatch",
     "discriminant_measure",
     "morse_index_spectrum",
-    "default_n_starts",
 ]
 
 
@@ -47,13 +53,17 @@ class DegenerateMatrixError(ValueError):
 
 
 class IncompleteSearchError(RuntimeError):
-    """The start set did not reach every critical point."""
+    """A deflated Newton solve did not certify a new critical point.
+
+    Raised when a solve ends with a gradient norm above the tolerance or on a
+    point that overlaps one already found; ``found`` counts the points
+    certified before it.
+    """
 
     def __init__(self, found: int, expected: int, sample_index: int | None = None):
         where = "" if sample_index is None else f" (sample {sample_index})"
         super().__init__(
-            f"critical point search found {found} of {expected} points{where}; "
-            "increase n_starts"
+            f"critical point search found {found} of {expected} points{where}"
         )
         self.found = found
         self.expected = expected
@@ -173,17 +183,14 @@ def hess_phi(a, x) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def default_n_starts(dim: int) -> int:
-    return 20 * dim * (dim + 1)
-
-
 def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: float, max_iter: int = 80):
-    """Damped Newton with sphere retraction on a flat batch of start points.
+    """Damped Newton with sphere retraction from one start point per matrix.
 
-    ``mats_flat`` is (B, d, d) with one matrix per iterate.  The Newton step
-    solves the stationarity equation projected to the tangent space through a
-    bordered system; steps are capped at length 1/2 and an iterate falls back
-    to a plain projected-gradient step if its linear solve degenerates.
+    ``mats_flat`` is (B, d, d) and ``x`` is (B, d), one start per matrix.  The
+    Newton step solves the stationarity equation projected to the tangent
+    space through a bordered system; steps are capped at length 1/2 and an
+    iterate falls back to a plain projected-gradient step if its linear solve
+    degenerates.
     Returns the final points, gradient norms, and values of twice the field.
     """
     B, d = x.shape
@@ -234,47 +241,6 @@ def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: float, max_iter: i
     return x, np.linalg.norm(grad, axis=1), theta
 
 
-def _dedupe_sample(points, values, gradnorms, tol):
-    """Group converged iterates of one sample into distinct critical points.
-
-    Clusters by critical value first, then separates each value cluster by
-    point alignment: copies of one critical point have inner product near
-    +1 with each other, its antipode near -1, and any distinct critical
-    point that happens to share the value window is near 0 and is peeled
-    off into its own cluster.  Copies agree to roughly 1e-12, far inside
-    the dedup radius sqrt(tol).
-    """
-    if values.size == 0:
-        return [], [], []
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    points = points[order]
-    gradnorms = gradnorms[order]
-    width = max(math.sqrt(tol), 1e-9) * (1.0 + float(np.abs(values).max()))
-    out_pts, out_vals, out_gn = [], [], []
-
-    def emit(pts, vals, gns):
-        side = pts @ pts[0]
-        for sel in (side > 0.5, side < -0.5):
-            if not sel.any():
-                continue
-            best = np.argmin(np.where(sel, gns, np.inf))
-            out_pts.append(pts[best])
-            out_vals.append(float(vals[best]))
-            out_gn.append(float(gns[best]))
-        rest = np.abs(side) <= 0.5
-        if rest.any():
-            emit(pts[rest], vals[rest], gns[rest])
-
-    start = 0
-    n = values.size
-    for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] > width:
-            emit(points[start:i], values[start:i], gradnorms[start:i])
-            start = i
-    return out_pts, out_vals, out_gn
-
-
 @dataclass
 class CriticalPointBatch:
     """Finder output for a stack of matrices, everything sorted by value."""
@@ -300,18 +266,18 @@ def _check_simple(mats: np.ndarray):
 def find_critical_points_batch(
     mats: np.ndarray,
     tol: float | None = 1e-10,
-    n_starts: int | None = None,
     rng: np.random.Generator | int | None = None,
-    max_extra_rounds: int = 6,
 ) -> CriticalPointBatch:
     """Find all 2d critical points for every matrix in a (n, d, d) stack.
 
-    Each matrix must be simple.  Samples that come up short after the first
-    round of starts get fresh rounds (the expected count 2d acts as a
-    completion certificate); a sample still short after ``max_extra_rounds``
-    raises IncompleteSearchError.  ``tol`` bounds the gradient norm at a
-    reported point; None picks 1e-10 scaled by the largest matrix norm, so
-    badly scaled inputs stay solvable.
+    Each matrix must be simple.  Solve k draws one Gaussian start per matrix,
+    projects it onto the orthogonal complement of the k points already found
+    (an A-invariant subspace, so Newton stays inside it) and polishes it; the
+    antipode -x completes the pair.  The count 2d is certified after every
+    solve: a point whose gradient norm exceeds ``tol`` or whose overlap with
+    an earlier point exceeds 1/2 raises IncompleteSearchError.  ``tol`` bounds
+    the gradient norm at a reported point; None picks 1e-10 scaled by the
+    largest matrix norm, so badly scaled inputs stay solvable.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim == 2:
@@ -323,67 +289,37 @@ def find_critical_points_batch(
         tol = 1e-10 * (1.0 + float(np.sqrt((mats * mats).sum(axis=(1, 2)).max())))
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    k = default_n_starts(d) if n_starts is None else int(n_starts)
-    if k < 1:
-        raise ValueError("n_starts must be positive")
     if rng is None:
         rng = substream(0)
     elif isinstance(rng, (int, np.integer)):
         rng = substream(int(rng))
     _check_simple(mats)
 
-    expected = 2 * d
-    pts = [None] * n
-    vals = [None] * n
-    gns = [None] * n
-    pending = list(range(n))
-    rounds = 0
-    chunk = max(1, 200_000 // k)
-    while pending:
-        done = set()
-        for lo in range(0, len(pending), chunk):
-            idx = pending[lo : lo + chunk]
-            ns = len(idx)
-            starts = rng.normal(size=(ns, k, d))
-            starts /= np.linalg.norm(starts, axis=2, keepdims=True)
-            flat_mats = np.repeat(mats[idx], k, axis=0)
-            x, gn, theta = _newton_polish(flat_mats, starts.reshape(ns * k, d), tol)
-            x = x.reshape(ns, k, d)
-            gn = gn.reshape(ns, k)
-            theta = theta.reshape(ns, k)
-            for row, s in enumerate(idx):
-                ok = gn[row] <= tol
-                p, v, g = _dedupe_sample(x[row][ok], theta[row][ok], gn[row][ok], tol)
-                if pts[s] is None:
-                    pts[s], vals[s], gns[s] = p, v, g
-                else:
-                    merged = _dedupe_sample(
-                        np.array(pts[s] + p),
-                        np.array(vals[s] + v),
-                        np.array(gns[s] + g),
-                        tol,
-                    )
-                    pts[s], vals[s], gns[s] = list(merged[0]), list(merged[1]), list(merged[2])
-                if len(vals[s]) >= expected:
-                    done.add(s)
-        pending = [s for s in pending if s not in done]
-        if pending:
-            rounds += 1
-            if rounds > max_extra_rounds:
-                s = pending[0]
-                raise IncompleteSearchError(len(vals[s]), expected, sample_index=s)
+    found = np.empty((n, d, d))
+    vals = np.empty((n, d))
+    gns = np.empty((n, d))
+    for k in range(d):
+        prev = found[:, :k]
+        x = rng.normal(size=(n, d))
+        x -= np.einsum("bk,bki->bi", np.einsum("bki,bi->bk", prev, x), prev)
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x, gn, theta = _newton_polish(mats, x, tol)
+        overlap = np.abs(np.einsum("bki,bi->bk", prev, x)).max(axis=1, initial=0.0)
+        # negated so that a NaN point is never certified
+        bad = np.nonzero(~((gn <= tol) & (overlap <= 0.5)))[0]
+        if bad.size:
+            raise IncompleteSearchError(2 * k, 2 * d, sample_index=int(bad[0]))
+        found[:, k], vals[:, k], gns[:, k] = x, theta, gn
 
-    points = np.empty((n, expected, d))
-    values = np.empty((n, expected))
-    gradnorms = np.empty((n, expected))
-    for s in range(n):
-        if len(vals[s]) != expected:
-            raise IncompleteSearchError(len(vals[s]), expected, sample_index=s)
-        order = np.lexsort((np.array(pts[s])[:, 0], np.array(vals[s])))
-        points[s] = np.array(pts[s])[order]
-        values[s] = np.array(vals[s])[order]
-        gradnorms[s] = np.array(gns[s])[order]
-
+    # by value, then by first coordinate: x with x[0] <= 0 before -x
+    order = np.argsort(vals, axis=1)
+    pairs = np.take_along_axis(found, order[:, :, None], axis=1)
+    pairs *= np.where(pairs[:, :, :1] > 0.0, -1.0, 1.0)
+    points = np.empty((n, 2 * d, d))
+    points[:, 0::2] = pairs
+    points[:, 1::2] = -pairs
+    values = np.repeat(np.take_along_axis(vals, order, axis=1), 2, axis=1)
+    gradnorms = np.repeat(np.take_along_axis(gns, order, axis=1), 2, axis=1)
     morse = _morse_indices(mats, points, values)
     return CriticalPointBatch(points, values, gradnorms, morse)
 
@@ -415,19 +351,14 @@ def _morse_indices(mats, points, values):
 def find_critical_points(
     a: SymMatrix,
     tol: float | None = 1e-10,
-    n_starts: int | None = None,
     rng: np.random.Generator | int | None = None,
-    max_extra_rounds: int = 6,
 ) -> list[CriticalPoint]:
     """All critical points of the field of one matrix, sorted by value.
 
     Returns exactly 2(m+1) points for a simple (m+1) x (m+1) matrix, with x
     and -x listed separately; every returned gradient norm is below tol.
     """
-    batch = find_critical_points_batch(
-        _as_full(a)[None], tol=tol, n_starts=n_starts, rng=rng,
-        max_extra_rounds=max_extra_rounds,
-    )
+    batch = find_critical_points_batch(_as_full(a)[None], tol=tol, rng=rng)
     return [
         CriticalPoint(
             point=batch.points[0, i].copy(),
@@ -444,7 +375,6 @@ def discriminant_measure(
     method: str = "analytic",
     degeneracy_tol: float | None = None,
     tol: float | None = 1e-10,
-    n_starts: int | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> PointMeasure:
     """Counting measure of critical values of twice the field, total mass 2(m+1).
@@ -458,7 +388,7 @@ def discriminant_measure(
     if method == "analytic":
         return spectral_measure(a, degeneracy_tol=degeneracy_tol).scaled(2.0)
     if method == "search":
-        cps = find_critical_points(a, tol=tol, n_starts=n_starts, rng=rng)
+        cps = find_critical_points(a, tol=tol, rng=rng)
         locs = np.array([c.value for c in cps])
         merge_tol = (degeneracy_tol if degeneracy_tol is not None else default_degeneracy_tol(a))
         return PointMeasure(locs, np.ones(locs.size)).merged(merge_tol)
@@ -468,7 +398,6 @@ def discriminant_measure(
 def morse_index_spectrum(
     a: SymMatrix,
     tol: float | None = 1e-10,
-    n_starts: int | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> list[tuple[float, int]]:
     """(critical value, Morse index) for every critical point, sorted by value.
@@ -476,5 +405,5 @@ def morse_index_spectrum(
     For the k-th smallest critical value both antipodal points carry index
     k-1, so the index multiset of a simple matrix is {0, 0, 1, 1, ..., m, m}.
     """
-    cps = find_critical_points(a, tol=tol, n_starts=n_starts, rng=rng)
+    cps = find_critical_points(a, tol=tol, rng=rng)
     return [(c.value, c.morse_index) for c in cps]

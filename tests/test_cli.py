@@ -153,6 +153,17 @@ class TestExitCodes:
                if not line.startswith("config:")]
         assert err == [f"error: workers must be at least 1, got {workers}"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag, extra", [("--bin-width", []),
+                                             ("--bandwidth", ["--estimator", "kernel"])])
+    def test_nonfinite_width(self, capsys, flag, extra, value):
+        rc = main(["correlation", "--n", "2000"] + extra + [flag, value])
+        assert rc == 2
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("config:")]
+        name = flag[2:].replace("-", "_")
+        assert err == [f"error: {name} must be a positive finite number"]
+
     @pytest.mark.parametrize("method", ["closed", "ratio"])
     def test_overflowing_m(self, capsys, method):
         rc = main(["mehta", "--method", method, "--m", "400"])

@@ -9,7 +9,6 @@ from mehtalab.spherefield import (
     DegenerateMatrixError,
     IncompleteSearchError,
     SpherePoint,
-    default_n_starts,
     discriminant_measure,
     find_critical_points,
     find_critical_points_batch,
@@ -174,8 +173,13 @@ class TestFinder:
     def test_incomplete_search_reports_count(self):
         a = random_sym(3, substream(413))
         with pytest.raises(IncompleteSearchError) as info:
-            find_critical_points(a, n_starts=1, rng=414, max_extra_rounds=0)
+            find_critical_points(a, tol=1e-300, rng=414)
         assert info.value.found < info.value.expected == 6
+
+    def test_nan_points_never_certified(self):
+        with pytest.raises(IncompleteSearchError) as info:
+            find_critical_points_batch(np.array([[1.0, 0.0], [0.0, np.nan]]), rng=414)
+        assert info.value.found == 0
 
     def test_orthogonal_equivariance(self):
         rng = substream(415)
@@ -186,22 +190,22 @@ class TestFinder:
         vb = sorted(c.value for c in find_critical_points(b, rng=417))
         assert np.max(np.abs(np.array(va) - np.array(vb))) <= 1e-9
 
-    def test_default_start_count(self):
-        assert default_n_starts(3) == 240
-
     def test_batch_shape_and_values(self):
         mats = sample_goe_batch(3, 1.0, 50, substream(418))
         batch = find_critical_points_batch(mats, rng=419)
         assert batch.values.shape == (50, 6)
         lam = batched_eigvals(mats)
         assert np.max(np.abs(batch.values - np.repeat(lam, 2, axis=1))) < 1e-8
+        # deflation invariant: one orthonormal frame per matrix, antipodes interleaved
+        frame = batch.points[:, 0::2]
+        gram = np.einsum("nki,nli->nkl", frame, frame)
+        assert np.max(np.abs(gram - np.eye(3))) <= 1e-9
+        assert np.array_equal(batch.points[:, 1::2], -frame)
 
     def test_input_validation(self):
         a = random_sym(3, substream(420))
         with pytest.raises(ValueError):
             find_critical_points(a, tol=0.0)
-        with pytest.raises(ValueError):
-            find_critical_points(a, n_starts=0)
 
     def test_near_coincident_values_stay_separate(self):
         # gap above the degeneracy tolerance but inside the value-cluster
