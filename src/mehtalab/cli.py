@@ -3,8 +3,8 @@
 Every subcommand is a reproducible run: it resolves its configuration (flags,
 then MEHTA_* environment variables, then defaults), echoes that configuration
 in the output, and exits 0 only when every pass flag in the emitted artifact
-is true.  JSON output is byte-identical across runs with the same
-configuration, seed, and worker count, except for the wall_time_s fields.
+is true.  JSON output for a fixed configuration and seed is byte-identical
+across runs and worker counts, except for wall_time_s and the echoed workers.
 """
 
 from __future__ import annotations

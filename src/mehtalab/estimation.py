@@ -1,20 +1,25 @@
-"""Seeded, chunked Monte Carlo plumbing shared by the estimator modules.
+"""Seeded, block-streamed Monte Carlo plumbing shared by the estimator modules.
 
-Every estimator in this package draws from counter-based Philox streams, one
-per worker, derived from a single integer seed.  Chunk results are combined
-in worker order with pairwise summation, so a run is bit-reproducible for a
-fixed (seed, workers) pair regardless of scheduling.
+Every estimator cuts its n draws into blocks of ``BLOCK`` draws.  Block b of
+stream s draws from its own counter-based Philox substream, a pure function
+of (seed, s, b) (Salmon et al., SC'11), and reduces to its count, mean and
+M2; blocks merge in block order (Chan, Golub & LeVeque 1983).  So memory is
+a few blocks for any n, variances do not cancel when |mean| >> sd, and the
+bits do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 Z_THRESHOLD = 4.0
+BLOCK = 2**14
 
 
 def substream(seed: int, worker: int = 0) -> np.random.Generator:
@@ -22,25 +27,77 @@ def substream(seed: int, worker: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(worker))
 
 
-def chunk_sizes(n: int, workers: int) -> list[int]:
-    base, extra = divmod(int(n), int(workers))
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean and sum of squared deviations (M2) of a sample, elementwise.
+
+    The sample's values are exp(``shift``) times the stored ones; importance
+    weights keep their largest log weight there so that they cannot overflow.
+    """
+
+    count: int
+    mean: np.ndarray
+    m2: np.ndarray
+    shift: float = 0.0
+
+    @classmethod
+    def of(cls, y, shift: float = 0.0) -> Moments:
+        """Two-pass moments over the first axis of y (one row per draw)."""
+        y = np.asarray(y, dtype=float)
+        mean = y.mean(axis=0)
+        return cls(y.shape[0], mean, np.square(y - mean).sum(axis=0), shift)
+
+    def merge(self, other: Moments) -> Moments:
+        """Moments of the union of two samples (Chan, Golub & LeVeque 1983)."""
+        shift = max(self.shift, other.shift)
+        fa, fb = math.exp(self.shift - shift), math.exp(other.shift - shift)
+        count = self.count + other.count
+        delta = fb * other.mean - fa * self.mean
+        mean = fa * self.mean + delta * (other.count / count)
+        m2 = fa * fa * self.m2 + fb * fb * other.m2 + delta * delta * (self.count * other.count / count)
+        return Moments(count, mean, m2, shift)
+
+    @property
+    def std_error(self):
+        """Standard error of the mean (unbiased variance over count)."""
+        return np.sqrt(self.m2 / max(self.count - 1, 1) / self.count)
+
+    @property
+    def ess(self) -> float:
+        """Kish effective sample size (sum w)^2 / sum w^2 of a weight sample."""
+        mean2 = float(self.mean) ** 2
+        return self.count * mean2 / (mean2 + float(self.m2) / self.count)
 
 
-def map_chunks(fn, n: int, seed: int, workers: int = 1, worker_offset: int = 0):
-    """Evaluate fn(rng, size) once per worker substream, results in worker order.
+def map_chunks(fn, n: int, seed: int, workers: int = 1, stream: int = 0) -> Moments:
+    """Merge in block order the Moments that fn(rng, size) returns for every block of n draws.
 
-    ``worker_offset`` shifts the substream indices so that two estimators run
-    from the same seed can still use disjoint streams.
+    Block b draws from Philox key (seed, stream + 1), which no ``substream``
+    uses, at counter word b.  Threads pull blocks, at most two per worker
+    ahead of the merge, so memory does not grow with n and the result does
+    not depend on ``workers``.  Estimators run from one seed pass different
+    ``stream`` indices to draw disjoint samples.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    jobs = [(w + worker_offset, size) for w, size in enumerate(chunk_sizes(n, workers)) if size > 0]
-    if len(jobs) <= 1 or workers == 1:
-        return [fn(substream(seed, w), size) for w, size in jobs]
+    if n < 1:
+        raise ValueError("n_samples must be positive")
+    n, key = int(n), np.array([seed, stream + 1], dtype=np.uint64)
+
+    def run(block):
+        rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, 0]))
+        return fn(rng, min(BLOCK, n - block * BLOCK))
+
+    def in_order(pool):
+        ahead = deque()
+        for block in range(-(-n // BLOCK)):
+            ahead.append(pool.submit(run, block))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        yield from (future.result() for future in ahead)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, substream(seed, w), size) for w, size in jobs]
-        return [f.result() for f in futures]
+        return functools.reduce(Moments.merge, in_order(pool))
 
 
 @dataclass
@@ -87,13 +144,6 @@ class EstimatorResult:
         return out
 
 
-def _combine_linear(chunks):
-    ns = np.array([c[0] for c in chunks], dtype=float)
-    s1 = np.array([c[1] for c in chunks], dtype=float)
-    s2 = np.array([c[2] for c in chunks], dtype=float)
-    return float(ns.sum()), float(s1.sum()), float(s2.sum())
-
-
 def mc_estimate(
     weight_fn,
     n_samples: int,
@@ -102,46 +152,26 @@ def mc_estimate(
     scale: float = 1.0,
     reference: float | None = None,
     log_weights: bool = False,
-    worker_offset: int = 0,
-    meta: dict | None = None,
+    stream: int = 0,
 ) -> EstimatorResult:
     """Mean and standard error of scale * weight over n_samples draws.
 
-    ``weight_fn(rng, size)`` returns per-sample weights (log-weights when
-    ``log_weights`` is set, which keeps heavy-tailed products from
-    overflowing before they are averaged).
+    ``weight_fn(rng, size)`` returns per-sample weights, or log-weights with
+    ``log_weights`` set, which keeps heavy-tailed products from overflowing
+    before they are averaged and puts their Kish ESS in ``meta["ess"]``.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    def block(rng, size):
+        w = np.asarray(weight_fn(rng, size), dtype=float)
+        shift = float(np.max(w)) if log_weights else 0.0
+        return Moments.of(np.exp(w - shift) if log_weights else w, shift)
 
-    if not log_weights:
-        def chunk(rng, size):
-            w = np.asarray(weight_fn(rng, size), dtype=float)
-            return size, np.sum(w), np.sum(w * w)
-
-        n, s1, s2 = _combine_linear(map_chunks(chunk, n_samples, seed, workers, worker_offset))
-        mean = s1 / n
-        var = max(s2 - n * mean * mean, 0.0) / max(n - 1.0, 1.0)
-    else:
-        def chunk(rng, size):
-            lw = np.asarray(weight_fn(rng, size), dtype=float)
-            mx = float(np.max(lw))
-            r = np.exp(lw - mx)
-            return size, mx, np.sum(r), np.sum(r * r)
-
-        parts = map_chunks(chunk, n_samples, seed, workers, worker_offset)
-        gmax = max(p[1] for p in parts)
-        n = float(sum(p[0] for p in parts))
-        s1 = float(np.sum([math.exp(p[1] - gmax) * p[2] for p in parts]))
-        s2 = float(np.sum([math.exp(2.0 * (p[1] - gmax)) * p[3] for p in parts]))
-        mean = math.exp(gmax) * s1 / n
-        var = math.exp(2.0 * gmax) * max(s2 - s1 * s1 / n, 0.0) / max(n - 1.0, 1.0)
-
+    mom = map_chunks(block, n_samples, seed, workers, stream)
+    unit = scale * math.exp(mom.shift)
     return EstimatorResult(
-        estimate=scale * mean,
-        std_error=scale * math.sqrt(var / n),
+        estimate=unit * float(mom.mean),
+        std_error=unit * float(mom.std_error),
         n_samples=n_samples,
         seed=seed,
         reference=reference,
-        meta=meta or {},
+        meta={"ess": mom.ess} if log_weights else {},
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from mehtalab.estimation import EstimatorResult, map_chunks
+from mehtalab.estimation import EstimatorResult, Moments, map_chunks
 from mehtalab.symspace import (
     ell_coords_batch,
     omega_coords_batch,
@@ -336,27 +336,20 @@ def conditional_hessian_moments(
         return np.stack(stats, axis=1)
 
     if method == "conditional":
-        def chunk(rng, size):
+        def block(rng, size):
             draws = conditional_sample(res, x, rng, size=size)
-            cols = moment_columns(draws, draws - cond_mean[None, :])
-            return size, cols.sum(axis=0), (cols * cols).sum(axis=0)
+            return Moments.of(moment_columns(draws, draws - cond_mean[None, :]))
 
         diag_mean_ref = -t
     else:
-        def chunk(rng, size):
+        def block(rng, size):
             w, hess = hessian_pair_samples(m, v, size, rng, coords="omega")
             resid = hess - w @ res.operator.T
-            cols = moment_columns(resid, resid)
-            return size, cols.sum(axis=0), (cols * cols).sum(axis=0)
+            return Moments.of(moment_columns(resid, resid))
 
         diag_mean_ref = 0.0
 
-    parts = map_chunks(chunk, n_samples, seed, workers)
-    n = float(sum(p[0] for p in parts))
-    s1 = np.sum([p[1] for p in parts], axis=0)
-    s2 = np.sum([p[2] for p in parts], axis=0)
-    means = s1 / n
-    ses = np.sqrt(np.maximum(s2 - n * means * means, 0.0) / max(n - 1.0, 1.0) / n)
+    mom = map_chunks(block, n_samples, seed, workers)
     names = ["diag_mean", "diag_var", "diag_diag_cov", "offdiag_var"]
     refs = [diag_mean_ref, 2.0 * v, 0.0, 2.0 * v]
     out = {}
@@ -364,9 +357,9 @@ def conditional_hessian_moments(
         if m == 1 and name in ("diag_diag_cov", "offdiag_var"):
             continue
         out[name] = EstimatorResult(
-            estimate=float(means[k]),
-            std_error=float(ses[k]),
-            n_samples=int(n),
+            estimate=float(mom.mean[k]),
+            std_error=float(mom.std_error[k]),
+            n_samples=n_samples,
             seed=seed,
             reference=ref,
         )

@@ -12,6 +12,7 @@ it stays an independent check on the eigenvalues.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from mehtalab.estimation import EstimatorResult, map_chunks, mc_estimate
+from mehtalab.estimation import EstimatorResult, Moments, map_chunks, mc_estimate
 from mehtalab.symspace import EnsembleParams, SymMatrix, sample_goe_batch
 
 __all__ = [
@@ -193,8 +194,6 @@ def weyl_expectation_mc(
     """
     if not params.is_goe:
         raise ValueError("Weyl expectations are implemented for the u = 0 ensemble")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
 
     def weights(rng, size):
         mats = sample_goe_batch(params.m, params.v, size, rng)
@@ -378,6 +377,10 @@ def one_point_correlation(
     references that normalize to total mass m differ by that factor.  Standard
     errors treat each matrix as one cluster of m correlated eigenvalues.
     """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    if not (v > 0.0 and math.isfinite(v)):
+        raise ValueError("v must be a positive finite number")
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000 for a density estimate")
     if estimator not in ("histogram", "kernel"):
@@ -393,41 +396,27 @@ def one_point_correlation(
         grid = 0.5 * (edges[:-1] + edges[1:])
         nb = grid.size
 
-        def chunk(rng, size):
+        def block(rng, size):
             lam = batched_eigvals(sample_goe_batch(m, v, size, rng))
             idx = np.floor(lam / w).astype(np.int64) + half_bins
             inside = (idx >= 0) & (idx < nb)
-            counts = np.bincount(idx[inside], minlength=nb).astype(float)
-            pairs = np.zeros(nb)
-            for i in range(m - 1):
-                for j in range(i + 1, m):
-                    same = inside[:, i] & inside[:, j] & (idx[:, i] == idx[:, j])
-                    if same.any():
-                        pairs += np.bincount(idx[same, i], minlength=nb)
-            escaped = int((~inside).sum())
-            s2 = float((lam * lam).sum())
-            s2sq = float(((lam * lam).mean(axis=1) ** 2).sum())
-            return size, counts, pairs, escaped, s2, s2sq
+            # per-matrix bin counts c (one cluster per matrix) from the nonzero (matrix,
+            # bin) cells only, so sum c and sum c^2 are exact; then lam^2 and escapes
+            cells, c = np.unique((np.arange(size)[:, None] * nb + idx)[inside], return_counts=True)
+            s1 = np.bincount(cells % nb, weights=c, minlength=nb)
+            s2 = np.bincount(cells % nb, weights=c * c, minlength=nb)
+            tail = Moments.of(np.column_stack([(lam * lam).mean(axis=1), (~inside).sum(axis=1)]))
+            return Moments(size, np.append(s1 / size, tail.mean), np.append(s2 - s1 * s1 / size, tail.m2))
 
-        parts = map_chunks(chunk, n_samples, seed, workers)
-        n = float(sum(p[0] for p in parts))
-        counts = np.sum([p[1] for p in parts], axis=0)
-        pairs = np.sum([p[2] for p in parts], axis=0)
-        escaped = sum(p[3] for p in parts)
-        # per-matrix bin counts: mean and second moment give a cluster SE
-        ec = counts / n
-        ec2 = (counts + 2.0 * pairs) / n
-        var = np.maximum(ec2 - ec * ec, 0.0) * n / max(n - 1.0, 1.0)
-        values = counts / (n * m * w)
-        stderr = np.sqrt(var / n) / (m * w)
-        m2_mean = float(np.sum([p[4] for p in parts]) / (n * m))
-        m2_var = max(float(np.sum([p[5] for p in parts])) / n - m2_mean**2, 0.0)
+        mom = map_chunks(block, n_samples, seed, workers)
+        se = mom.std_error
         meta = {
-            "escaped": escaped,
-            "moment2": m2_mean,
-            "moment2_se": math.sqrt(m2_var / n),
+            "escaped": round(mom.mean[-1] * n_samples),  # a count, up to float rounding
+            "moment2": float(mom.mean[-2]),
+            "moment2_se": float(se[-2]),
         }
-        return DensityEstimate(grid, values, stderr, w, "histogram", int(n), meta)
+        return DensityEstimate(grid, mom.mean[:nb] / (m * w), se[:nb] / (m * w), w, "histogram",
+                               n_samples, meta)
 
     h = (0.05 * math.sqrt(2.0 * v)) if bandwidth is None else float(bandwidth)
     if not (h > 0.0 and math.isfinite(h)):
@@ -447,7 +436,7 @@ def _kernel_density_at(
     n_samples: int,
     seed: int,
     workers: int = 1,
-    worker_offset: int = 0,
+    stream: int = 0,
 ):
     """Gaussian-kernel estimate of the eigenvalue density at given points.
 
@@ -456,30 +445,20 @@ def _kernel_density_at(
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
     h = float(bandwidth)
-    block = max(1, int(2.0e6 / max(points.size, 1)))
+    # draws per kernel evaluation, so that it holds about 2e6 elements
+    sub = max(1, int(2.0e6 / (points.size * m)))
 
-    def chunk(rng, size):
-        s1 = np.zeros(points.size)
-        s2 = np.zeros(points.size)
-        sc = np.zeros(points.size)
-        done = 0
-        while done < size:
-            k = min(block, size - done)
-            lam = batched_eigvals(sample_goe_batch(m, v, k, rng))
-            u = (points[None, None, :] - lam[:, :, None]) / h
-            ker = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-            y = ker.mean(axis=1) / h
-            s1 += y.sum(axis=0)
-            s2 += (y * y).sum(axis=0)
-            sc += ((u * u - 1.0) * ker).mean(axis=1).sum(axis=0) / h**3
-            done += k
-        return size, s1, s2, sc
+    def part(rng, k):
+        lam = batched_eigvals(sample_goe_batch(m, v, k, rng))
+        u = (points[None, None, :] - lam[:, :, None]) / h
+        ker = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        dens = ker.mean(axis=1) / h
+        curv = ((u * u - 1.0) * ker).mean(axis=1) / h**3
+        return Moments.of(np.hstack([dens, curv]))
 
-    parts = map_chunks(chunk, n_samples, seed, workers, worker_offset)
-    n = float(sum(p[0] for p in parts))
-    s1 = np.sum([p[1] for p in parts], axis=0)
-    s2 = np.sum([p[2] for p in parts], axis=0)
-    sc = np.sum([p[3] for p in parts], axis=0)
-    mean = s1 / n
-    var = np.maximum(s2 - n * mean * mean, 0.0) / max(n - 1.0, 1.0)
-    return mean, np.sqrt(var / n), sc / n
+    def block(rng, size):
+        return functools.reduce(Moments.merge, (part(rng, min(sub, size - lo)) for lo in range(0, size, sub)))
+
+    mom = map_chunks(block, n_samples, seed, workers, stream)
+    se = mom.std_error
+    return mom.mean[:points.size], se[:points.size], mom.mean[points.size:]

@@ -253,7 +253,8 @@ class CriticalPointBatch:
 
 def _check_simple(mats: np.ndarray):
     lam = batched_eigvals(mats)
-    scale = 1e-8 * (1.0 + np.sqrt((mats * mats).sum(axis=(1, 2))))
+    # Frobenius norms by hypot, which squares no entry and so cannot overflow
+    scale = 1e-8 * (1.0 + np.hypot.reduce(mats.reshape(len(mats), -1), axis=1))
     gaps = np.diff(lam, axis=1).min(axis=1)
     bad = np.nonzero(gaps <= scale)[0]
     if bad.size:
@@ -286,7 +287,7 @@ def find_critical_points_batch(
     if d < 2:
         raise ValueError("need at least a 2 x 2 matrix (a sphere of dimension >= 1)")
     if tol is None:
-        tol = 1e-10 * (1.0 + float(np.sqrt((mats * mats).sum(axis=(1, 2)).max())))
+        tol = 1e-10 * (1.0 + float(np.hypot.reduce(mats.reshape(n, -1), axis=1).max()))
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if rng is None:

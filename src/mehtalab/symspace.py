@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from mehtalab.estimation import map_chunks
+from mehtalab.estimation import Moments, map_chunks
 
 __all__ = [
     "SymMatrix",
@@ -347,31 +347,22 @@ def covariance_audit(
 ) -> CovarianceAudit:
     """Audit all p x p second moments of the flat coordinates at 4 SE each."""
 
-    def chunk(rng, size):
-        mats = sample_suv_batch(params, size, rng)
-        coords = ell_coords_batch(mats)
-        sq = coords * coords
-        return (
-            size,
-            np.einsum("na,nb->ab", coords, coords),
-            np.einsum("na,nb->ab", sq, sq),
-        )
+    def block(rng, size):
+        coords = ell_coords_batch(sample_suv_batch(params, size, rng))
+        # one row of products x_a x_b at a time keeps the block at (size, p)
+        rows = [Moments.of(coords[:, a, None] * coords) for a in range(coords.shape[1])]
+        return Moments(size, np.array([r.mean for r in rows]), np.array([r.m2 for r in rows]))
 
-    parts = map_chunks(chunk, n_samples, seed, workers)
-    n = float(sum(p[0] for p in parts))
-    s2 = np.sum([p[1] for p in parts], axis=0)
-    s4 = np.sum([p[2] for p in parts], axis=0)
-    m2 = s2 / n
-    var = np.maximum(s4 - n * m2 * m2, 0.0) / max(n - 1.0, 1.0)
-    se = np.sqrt(var / n)
+    mom = map_chunks(block, n_samples, seed, workers)
+    se = mom.std_error
     ref = covariance_reference(params)
-    z = np.where(se > 0.0, (m2 - ref) / np.where(se > 0.0, se, 1.0), 0.0)
+    z = np.where(se > 0.0, (mom.mean - ref) / np.where(se > 0.0, se, 1.0), 0.0)
     return CovarianceAudit(
         params=params,
-        n_samples=int(n),
+        n_samples=n_samples,
         seed=seed,
         z_matrix=z,
-        second_moments=m2,
+        second_moments=mom.mean,
         reference=ref,
     )
 

@@ -48,6 +48,15 @@ class TestBasicCommands:
         for p in payload["critical_points"]:
             assert set(p) == {"point", "value", "gradient_norm", "morse_index"}
 
+    def test_critpoints_huge_entries(self, tmp_path, capsys):
+        # squaring 1e200 overflows; the degeneracy tolerance must not
+        path = tmp_path / "huge.txt"
+        path.write_text("2\n1e200 0\n0 -1e200\n")
+        rc, payload = run_json(capsys, ["critpoints", str(path)])
+        assert rc == 0
+        assert payload["count"] == 4
+        assert sorted(p["value"] for p in payload["critical_points"]) == [-1e200] * 2 + [1e200] * 2
+
     def test_eig(self, tmp_path, capsys):
         path = tmp_path / "diag.txt"
         path.write_text("3\n3 0 0\n0 1 0\n0 0 2\n")
@@ -163,6 +172,18 @@ class TestExitCodes:
                if not line.startswith("config:")]
         name = flag[2:].replace("-", "_")
         assert err == [f"error: {name} must be a positive finite number"]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--v", "nan", "v must be a positive finite number"),
+        ("--v", "inf", "v must be a positive finite number"),
+        ("--m", "0", "m must be a positive integer"),
+    ])
+    def test_bad_correlation_ensemble(self, capsys, flag, value, message):
+        rc = main(["correlation", "--n", "2000", flag, value])
+        assert rc == 2
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("config:")]
+        assert err == [f"error: {message}"]
 
     @pytest.mark.parametrize("method", ["closed", "ratio"])
     def test_overflowing_m(self, capsys, method):

@@ -1,0 +1,46 @@
+import functools
+import math
+import tracemalloc
+
+import numpy as np
+
+from mehtalab.estimation import Moments, mc_estimate
+
+
+class TestBlockCore:
+    def test_merge_matches_whole_sample(self):
+        rng = np.random.default_rng(7)
+        y = 3.0 + rng.normal(size=(1000, 4))
+        whole = Moments.of(y)
+        merged = functools.reduce(Moments.merge, map(Moments.of, np.split(y, [1, 300, 301, 750])))
+        assert merged.count == 1000
+        assert np.allclose(merged.mean, whole.mean, rtol=1e-13, atol=0.0)
+        assert np.allclose(merged.m2, whole.m2, rtol=1e-12, atol=0.0)
+
+    def test_log_shift_merge(self):
+        # weights exp(lw) far beyond the float range merge through their shifts
+        rng = np.random.default_rng(8)
+        lw = 800.0 + rng.normal(size=500)
+        merged = functools.reduce(Moments.merge, (Moments.of(np.exp(part - part.max()), part.max())
+                                                  for part in np.split(lw, [100, 101, 400])))
+        direct = Moments.of(np.exp(lw - 800.0))
+        scale = math.exp(merged.shift - 800.0)
+        assert math.isclose(float(merged.mean) * scale, float(direct.mean), rel_tol=1e-13)
+        assert math.isclose(float(merged.m2) * scale * scale, float(direct.m2), rel_tol=1e-12)
+        assert math.isclose(merged.ess, float(direct.ess), rel_tol=1e-12)
+
+    def test_no_cancellation_when_mean_dwarfs_sd(self):
+        n = 100000
+        res = mc_estimate(lambda rng, k: 1e9 + rng.normal(size=k), n, seed=3)
+        assert abs(res.std_error * math.sqrt(n) - 1.0) <= 0.1
+
+    def test_memory_does_not_grow_with_n(self):
+        def peak(n):
+            tracemalloc.start()
+            try:
+                mc_estimate(lambda rng, k: rng.normal(size=k), n, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2_000_000) <= 1.25 * peak(200_000)

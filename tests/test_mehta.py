@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from mehtalab.mehta import (
+    ESS_FLOOR,
     detmoment_identity_check,
     exp_abs_det_mc,
     exp_det_pointwise_check,
@@ -20,8 +21,10 @@ from mehtalab.mehta import (
     reproduce_zm,
     vol_sphere,
 )
-from mehtalab.estimation import EstimatorResult
-from mehtalab.spectral import weyl_rhs_quadrature
+from mehtalab.estimation import BLOCK, EstimatorResult
+from mehtalab.regression import conditional_hessian_moments
+from mehtalab.spectral import one_point_correlation, weyl_expectation_mc, weyl_rhs_quadrature
+from mehtalab.symspace import EnsembleParams
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -31,6 +34,10 @@ def abs_moment_normal(sigma, c):
     return sigma * math.sqrt(2.0 / math.pi) * math.exp(-c * c / (2 * sigma * sigma)) + c * math.erf(
         c / (sigma * math.sqrt(2.0))
     )
+
+
+def _density_bits(est):
+    return est.grid.tobytes(), est.values.tobytes(), est.stderr.tobytes(), est.meta
 
 
 class TestGammaFunctions:
@@ -136,6 +143,15 @@ class TestMehtaMC:
         assert math.isfinite(res.estimate)
         assert math.isfinite(res.std_error)
 
+    def test_collapse_flagged_by_ess(self):
+        res = mehta_mc(12, 20000, seed=504)
+        assert res.meta["degraded"] is True
+        assert res.meta["ess"] < ESS_FLOOR * 20000
+        assert res.meta["reason"].startswith("Kish ESS/n = ")
+        res = mehta_mc(3, 20000, seed=504)
+        assert res.meta["degraded"] is False and "reason" not in res.meta
+        assert res.meta["ess"] > 0.1 * 20000
+
     def test_se_sqrt2_decay(self):
         # doubling the sample count shrinks the reported error near 1/sqrt(2)
         ratios = []
@@ -146,9 +162,31 @@ class TestMehtaMC:
         assert 0.6 <= float(np.mean(ratios)) <= 0.8
 
     def test_determinism(self):
-        a = mehta_mc(3, 20000, seed=510, workers=4)
-        b = mehta_mc(3, 20000, seed=510, workers=4)
-        assert a.estimate == b.estimate and a.std_error == b.std_error
+        # every Monte Carlo estimator gives the same bits at any worker count;
+        # n spans three blocks, the last one short
+        n = 2 * BLOCK + 1000
+        runs = {
+            "mehta_mc": lambda w: mehta_mc(3, n, seed=510, workers=w),
+            "exp_abs_det_mc": lambda w: exp_abs_det_mc(2, 0.5, 0.3, n, seed=510, workers=w),
+            "detmoment": lambda w: detmoment_identity_check(2, 0.5, n, seed=510, workers=w),
+            "pointwise": lambda w: exp_det_pointwise_check(1, 0.5, 0.5, n, seed=510, workers=w),
+            "kacrice_density": lambda w: kacrice_density(2, 0.5, 1.0, n, seed=510, workers=w),
+            "kacrice_total_mass": lambda w: kacrice_total_mass(1, 1.0, n, seed=510, workers=w),
+            "kacrice_vs_empirical": lambda w: kacrice_vs_empirical(
+                1, 1.0, -1.0, 1.0, n, seed=510, workers=w).to_dict(),
+            "reproduce_zm": lambda w: reproduce_zm(2, n, seed=510, workers=w),
+            "weyl": lambda w: weyl_expectation_mc(
+                lambda lam: lam.sum(axis=1) ** 2, EnsembleParams(3, 0.0, 1.0), n, seed=510, workers=w),
+            "histogram": lambda w: _density_bits(one_point_correlation(2, 1.0, n, seed=510, workers=w)),
+            "kernel": lambda w: _density_bits(one_point_correlation(
+                1, 1.0, n, "kernel", bandwidth=0.2, seed=510, workers=w)),
+            "hessian_moments": lambda w: conditional_hessian_moments(
+                2, 1.0, n, seed=510, workers=w, method="residual"),
+        }
+        for name, run in runs.items():
+            first = run(1)
+            for workers in (2, 4):
+                assert run(workers) == first, name
 
 
 class TestExpAbsDet:

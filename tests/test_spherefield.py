@@ -223,6 +223,9 @@ class TestFinder:
         a = SymMatrix.from_diagonal([1e8, 2e8, -3e8])
         cps = find_critical_points(a, tol=None, rng=435)
         assert sorted(round(c.value) for c in cps) == [-300000000] * 2 + [100000000] * 2 + [200000000] * 2
+        # entries whose squares overflow a float
+        cps = find_critical_points(SymMatrix.from_diagonal([1e200, -1e200]), tol=None, rng=436)
+        assert sorted(c.value for c in cps) == [-1e200] * 2 + [1e200] * 2
 
 
 class TestDiscriminantMeasure:
