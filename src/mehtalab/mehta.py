@@ -92,8 +92,8 @@ def mehta_quadrature(m: int, tol: float = 1e-6) -> float:
     """
     if m not in (1, 2, 3):
         raise ValueError("mehta_quadrature supports m in {1, 2, 3} (cost grows too fast beyond)")
-    value, err = _vandermonde_gauss_integral(m, 0.5, None, halfwidth=8.0)
-    if err > tol:
+    value, err = _vandermonde_gauss_integral(m, 0.5, None, halfwidth=8.0, atol=0.5 * tol)
+    if not err <= tol:
         raise QuadratureError(f"requested {tol:.1e}, achieved only {err:.1e}", err)
     return value
 

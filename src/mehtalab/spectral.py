@@ -8,13 +8,17 @@ Every eigenvalue computation in the package goes through
 :func:`batched_eigvals`, so the solver is chosen in one place.  The
 critical-point finder in ``spherefield`` does not use it to locate points, so
 it stays an independent check on the eigenvalues.
+
+The quadrature side of the Weyl formula is one adaptive Gauss-Kronrod
+``scipy.integrate.cubature`` call on the unit cube, mapped onto the ordered
+eigenvalue region; it uses no gamma function and no sampling, so it stays an
+independent check on the closed form.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +45,11 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach its target tolerance."""
+    """The ordered-region cubature missed its target tolerance.
+
+    ``achieved`` is the error estimate it reached, NaN when the integrand
+    returned NaN.
+    """
 
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
@@ -202,80 +210,40 @@ def weyl_expectation_mc(
     return mc_estimate(weights, n_samples, seed, workers)
 
 
-def _quad_ladder(level: int, epsabs: float, epsrel: float):
-    # inner integrals run a bit tighter than the one above them
-    return epsabs * (0.1 ** level), epsrel * (0.1 ** level)
+# Relative target of every ordered-region integral: it bounds the work when
+# the caller's tolerance is out of reach, which then reports what it achieved.
+_QUAD_RTOL = 1e-12
 
 
-def _ordered_region_integral(g, m: int, halfwidth: float, epsabs: float, epsrel: float):
-    """Integral of a symmetric integrand over the box [-H, H]^m.
+def _vandermonde_gauss_integral(m: int, v: float, f, halfwidth: float, atol: float = 0.0):
+    """Integral of f * |Vandermonde| * prod exp(-l^2 / 4v) over [-H, H]^m.
 
-    Restricts to the ordered region l1 < ... < lm, multiplies by m!, and runs
-    one adaptive Gauss-Kronrod pass per axis.  Returns (value, error_bound).
-    ``g`` receives the ordered eigenvalues as scalars.
+    The integrand is symmetric, so this is m! times the integral over the
+    ordered region l1 < ... < lm, which the unit cube maps onto by
+    l_m = -H + 2H s_m and l_k = -H + (l_{k+1} + H) s_k.  One adaptive
+    Gauss-Kronrod cubature runs on the cube with absolute target ``atol``.
+    ``f`` receives (N, m) arrays of ascending eigenvalue rows.  Returns
+    (value, error_estimate).
     """
     H = halfwidth
-    inner_err = [0.0]
+    i, j = np.triu_indices(m, 1)
 
-    def track(err):
-        inner_err[0] = max(inner_err[0], err)
+    def integrand(s):
+        lam = np.empty_like(s)
+        jac = np.ones(len(s))
+        top = np.full(len(s), H)
+        for k in range(m - 1, -1, -1):
+            width = top + H
+            lam[:, k] = top = -H + width * s[:, k]
+            jac *= width
+        vandermonde = np.prod(lam[:, j] - lam[:, i], axis=1)
+        w = jac * vandermonde * np.exp(-(lam * lam).sum(axis=1) / (4.0 * v))
+        return w if f is None else w * f(lam)
 
-    if m == 1:
-        val, err = integrate.quad(g, -H, H, epsabs=epsabs, epsrel=epsrel, limit=300)
-        return val, err
-    if m == 2:
-        ea1, er1 = _quad_ladder(1, epsabs, epsrel)
-
-        def outer(l2):
-            v, e = integrate.quad(g, -H, l2, args=(l2,), epsabs=ea1, epsrel=er1, limit=300)
-            track(e)
-            return v
-
-        val, err = integrate.quad(outer, -H, H, epsabs=epsabs, epsrel=epsrel, limit=300)
-        return 2.0 * val, 2.0 * (err + 2.0 * H * inner_err[0])
-    if m == 3:
-        ea1, er1 = _quad_ladder(1, epsabs, epsrel)
-        ea2, er2 = _quad_ladder(2, epsabs, epsrel)
-        mid_err = [0.0]
-
-        def mid(l2, l3):
-            v, e = integrate.quad(g, -H, l2, args=(l2, l3), epsabs=ea2, epsrel=er2, limit=300)
-            inner_err[0] = max(inner_err[0], e)
-            return v
-
-        def outer(l3):
-            v, e = integrate.quad(mid, -H, l3, args=(l3,), epsabs=ea1, epsrel=er1, limit=300)
-            mid_err[0] = max(mid_err[0], e)
-            return v
-
-        val, err = integrate.quad(outer, -H, H, epsabs=epsabs, epsrel=epsrel, limit=300)
-        bound = err + 2.0 * H * (mid_err[0] + 2.0 * H * inner_err[0])
-        return 6.0 * val, 6.0 * bound
-    raise ValueError("ordered-region quadrature supports m in {1, 2, 3}")
-
-
-def _vandermonde_gauss_integral(m: int, v: float, f=None, halfwidth: float | None = None,
-                                epsabs: float = 1e-9, epsrel: float = 1e-9):
-    """Integral of f * |Vandermonde| * prod exp(-l^2 / 4v) over R^m (truncated)."""
-    H = halfwidth if halfwidth is not None else 8.0 * math.sqrt(2.0 * v)
-    inv4v = 1.0 / (4.0 * v)
-
-    def g(*lam):
-        w = 1.0
-        for i in range(len(lam)):
-            for j in range(i + 1, len(lam)):
-                w *= lam[j] - lam[i]
-            w *= math.exp(-lam[i] * lam[i] * inv4v)
-        if f is not None:
-            w *= f(np.array([lam], dtype=float))[0]
-        return w
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            return _ordered_region_integral(g, m, H, epsabs, epsrel)
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(f"quadrature did not converge: {exc}", math.inf) from exc
+    scale = math.factorial(m)
+    res = integrate.cubature(integrand, np.zeros(m), np.ones(m), atol=atol / scale,
+                             rtol=_QUAD_RTOL)
+    return scale * float(res.estimate), scale * float(res.error)
 
 
 _WEYL_NORM_CACHE: dict = {}
@@ -289,7 +257,8 @@ def weyl_rhs_quadrature(f, m: int, v: float, box_halfwidth: float | None = None,
     Vandermonde-Gaussian density and normalize by the same quadrature run on
     the constant 1, which keeps the routine independent of any closed-form
     normalization.  Supports m in {1, 2, 3}; raises QuadratureError with the
-    achieved error bound when the target tolerance is missed.
+    achieved error estimate when the target tolerance is missed or the
+    integrand returns NaN.
     """
     if m not in (1, 2, 3):
         raise ValueError("weyl_rhs_quadrature supports m in {1, 2, 3} (cost grows too fast beyond)")
@@ -300,10 +269,10 @@ def weyl_rhs_quadrature(f, m: int, v: float, box_halfwidth: float | None = None,
     if key not in _WEYL_NORM_CACHE:
         _WEYL_NORM_CACHE[key] = _vandermonde_gauss_integral(m, v, None, H)
     den, den_err = _WEYL_NORM_CACHE[key]
-    num, num_err = _vandermonde_gauss_integral(m, v, f, H)
+    num, num_err = _vandermonde_gauss_integral(m, v, f, H, atol=0.5 * tol * den)
     value = num / den
     achieved = num_err / den + abs(value) * den_err / den
-    if achieved > tol:
+    if not achieved <= tol:
         raise QuadratureError(
             f"requested tolerance {tol:.1e}, achieved only {achieved:.1e}", achieved
         )

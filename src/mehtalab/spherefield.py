@@ -202,7 +202,8 @@ def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: float, max_iter: i
         ax = np.einsum("bij,bj->bi", aa, xa)
         theta = np.einsum("bi,bi->b", xa, ax)
         grad = ax - theta[:, None] * xa
-        gn = np.linalg.norm(grad, axis=1)
+        # hypot squares no component, so gradients near 1e200 do not overflow
+        gn = np.hypot.reduce(grad, axis=1)
         live = gn > tol
         active = active[live]
         if active.size == 0:
@@ -238,7 +239,7 @@ def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: float, max_iter: i
     ax = np.einsum("bij,bj->bi", mats_flat, x)
     theta = np.einsum("bi,bi->b", x, ax)
     grad = ax - theta[:, None] * x
-    return x, np.linalg.norm(grad, axis=1), theta
+    return x, np.hypot.reduce(grad, axis=1), theta
 
 
 @dataclass

@@ -203,11 +203,11 @@ class TestExpAbsDet:
         assert res.passed, f"z = {res.z_score:.2f}"
 
     def test_m2_against_weyl_quadrature(self):
-        ref = weyl_rhs_quadrature(
-            lambda lam: np.abs(np.prod(lam, axis=1)), 2, 0.5
-        )
-        res = exp_abs_det_mc(2, 0.5, 0.0, 200000, seed=513, reference=ref)
-        assert res.passed, f"z = {res.z_score:.2f}"
+        # c = 1 puts the integrand's kinks inside the ordered region, off the origin
+        for v, c, seed in ((0.5, 0.0, 513), (1.0, 1.0, 534)):
+            ref = weyl_rhs_quadrature(lambda lam: np.abs(np.prod(lam - c, axis=1)), 2, v)
+            res = exp_abs_det_mc(2, v, c, 200000, seed=seed, reference=ref)
+            assert res.passed, f"v = {v}, c = {c}: z = {res.z_score:.2f}"
 
 
 class TestDetmomentIntegrated:

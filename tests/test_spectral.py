@@ -185,6 +185,16 @@ class TestWeylQuadrature:
         val = weyl_rhs_quadrature(lambda lam: (lam**2).mean(axis=1), 2, 0.5)
         assert abs(val - 1.5) <= 1e-6
 
+    def test_abs_shift_m1_exact(self):
+        # E|l - c| for l ~ N(0, 2v): a kink at c, away from the origin
+        for v, c in ((0.5, 1.0), (2.0, -1.5)):
+            s = math.sqrt(2.0 * v)
+            exact = s * math.sqrt(2.0 / math.pi) * math.exp(-c * c / (2 * s * s)) + c * math.erf(
+                c / (s * math.sqrt(2.0))
+            )
+            val = weyl_rhs_quadrature(lambda lam: np.abs(lam[:, 0] - c), 1, v)
+            assert abs(val - exact) <= 1e-13
+
     def test_mc_agreement(self):
         # the Monte Carlo side against the quadrature side, m in {1, 2}
         for m, seed in ((1, 209), (2, 210)):
@@ -207,6 +217,11 @@ class TestWeylQuadrature:
         with pytest.raises(QuadratureError) as info:
             weyl_rhs_quadrature(lambda lam: (lam**2).mean(axis=1), 2, 0.5, tol=1e-30)
         assert 0.0 < info.value.achieved < 1e-6
+
+    def test_nan_integrand_raises(self):
+        for m in (1, 2):
+            with pytest.raises(QuadratureError):
+                weyl_rhs_quadrature(lambda lam: np.full(lam.shape[0], np.nan), m, 0.5)
 
 
 def rho2_analytic(x, v):

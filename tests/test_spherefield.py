@@ -219,6 +219,7 @@ class TestFinder:
         vals = np.sort([c.value for c in cps])
         assert np.max(np.abs(vals - np.repeat(w, 2))) < 1e-8
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_badly_scaled_matrix_with_default_tolerance(self):
         a = SymMatrix.from_diagonal([1e8, 2e8, -3e8])
         cps = find_critical_points(a, tol=None, rng=435)
