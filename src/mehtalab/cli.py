@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,69 +27,21 @@ ENV_PREFIX = "MEHTA_"
 QUADRATURE_GATE = {1: 2e-6, 2: 2e-6, 3: 1e-4}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved parameters of one CLI run, echoed in every output."""
-
-    command: str
-    m: int
-    v: float
-    u: float
-    c: float
-    a: float
-    b: float
-    n_samples: int
-    seed: int
-    workers: int
-    out: str | None
-    format: str
-
-    @classmethod
-    def from_args(cls, args, command: str) -> "RunConfig":
-        return cls(
-            command=command,
-            m=args.m,
-            v=args.v,
-            u=args.u,
-            c=args.c,
-            a=args.a,
-            b=args.b,
-            n_samples=args.n,
-            seed=args.seed,
-            workers=args.workers,
-            out=args.out,
-            format=args.format,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "m": self.m,
-            "v": self.v,
-            "u": self.u,
-            "c": self.c,
-            "a": self.a,
-            "b": self.b,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "workers": self.workers,
-            "out": self.out,
-            "format": self.format,
-        }
-
-
-DEFAULTS = {
-    "m": 2,
-    "v": 1.0,
-    "u": 0.0,
-    "c": 0.0,
-    "a": -1.0,
-    "b": 1.0,
-    "n": 100000,
-    "seed": 0,
-    "workers": 1,
-    "format": "json",
-}
+# (flag, type, default, extra argparse keywords) of the options every
+# subcommand takes and echoes; --n is echoed as n_samples
+COMMON_OPTIONS = (
+    ("m", int, 2, {}),
+    ("v", float, 1.0, {}),
+    ("u", float, 0.0, {}),
+    ("c", float, 0.0, {}),
+    ("a", float, -1.0, {}),
+    ("b", float, 1.0, {}),
+    ("n", int, 100000, {"help": "sample count"}),
+    ("seed", int, 0, {}),
+    ("workers", int, 1, {}),
+    ("out", str, None, {}),
+    ("format", str, "json", {"choices": ("json", "csv")}),
+)
 
 
 def _env(name: str, cast, fallback):
@@ -104,23 +55,14 @@ def _env(name: str, cast, fallback):
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--m", type=int, default=_env("m", int, DEFAULTS["m"]))
-    p.add_argument("--v", type=float, default=_env("v", float, DEFAULTS["v"]))
-    p.add_argument("--u", type=float, default=_env("u", float, DEFAULTS["u"]))
-    p.add_argument("--c", type=float, default=_env("c", float, DEFAULTS["c"]))
-    p.add_argument("--a", type=float, default=_env("a", float, DEFAULTS["a"]))
-    p.add_argument("--b", type=float, default=_env("b", float, DEFAULTS["b"]))
-    p.add_argument("--n", type=int, default=_env("n", int, DEFAULTS["n"]),
-                   help="sample count")
-    p.add_argument("--seed", type=int, default=_env("seed", int, DEFAULTS["seed"]))
-    p.add_argument("--workers", type=int, default=_env("workers", int, DEFAULTS["workers"]))
-    p.add_argument("--out", type=str, default=_env("out", str, None))
-    p.add_argument("--format", choices=("json", "csv"),
-                   default=_env("format", str, DEFAULTS["format"]))
+    for flag, cast, default, extra in COMMON_OPTIONS:
+        p.add_argument(f"--{flag}", type=cast, default=_env(flag, cast, default), **extra)
 
 
 def _config_dict(args, command: str) -> dict:
-    return RunConfig.from_args(args, command).to_dict()
+    """The resolved common options of a run, echoed in every output."""
+    config = {"n_samples" if flag == "n" else flag: getattr(args, flag) for flag, *_ in COMMON_OPTIONS}
+    return {"command": command, **config}
 
 
 def _emit(args, payload: dict) -> None:

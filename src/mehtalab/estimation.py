@@ -158,7 +158,8 @@ def mc_estimate(
 
     ``weight_fn(rng, size)`` returns per-sample weights, or log-weights with
     ``log_weights`` set, which keeps heavy-tailed products from overflowing
-    before they are averaged and puts their Kish ESS in ``meta["ess"]``.
+    before they are averaged and puts their Kish ESS in ``meta["ess"]`` and
+    the largest weight's share of their sum in ``meta["max_weight_share"]``.
     """
     def block(rng, size):
         w = np.asarray(weight_fn(rng, size), dtype=float)
@@ -167,11 +168,15 @@ def mc_estimate(
 
     mom = map_chunks(block, n_samples, seed, workers, stream)
     unit = scale * math.exp(mom.shift)
+    meta = {}
+    if log_weights:
+        # the merged shift is the largest log weight, so that weight is stored as exp(0) = 1
+        meta = {"ess": mom.ess, "max_weight_share": 1.0 / (mom.count * float(mom.mean))}
     return EstimatorResult(
         estimate=unit * float(mom.mean),
         std_error=unit * float(mom.std_error),
         n_samples=n_samples,
         seed=seed,
         reference=reference,
-        meta={"ess": mom.ess} if log_weights else {},
+        meta=meta,
     )

@@ -17,7 +17,6 @@ independent check on the closed form.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -325,11 +324,6 @@ def default_bin_width(n: int, v: float) -> float:
     return float(np.clip(0.05 * math.sqrt(2.0 * v) * math.sqrt(n), 0.01, 0.2))
 
 
-def _grid_range(n: int, v: float) -> float:
-    # semicircle support edge plus a generous entry-scale margin
-    return math.sqrt(2.0 * v) * (2.0 * math.sqrt(n) + 6.0)
-
-
 def one_point_correlation(
     m: int,
     v: float,
@@ -355,46 +349,79 @@ def one_point_correlation(
     if estimator not in ("histogram", "kernel"):
         raise ValueError("estimator must be 'histogram' or 'kernel'")
 
-    R = _grid_range(m, v)
+    # grids reach the semicircle support edge plus a generous entry-scale margin
+    R = math.sqrt(2.0 * v) * (2.0 * math.sqrt(m) + 6.0)
     if estimator == "histogram":
-        w = default_bin_width(m, v) if bin_width is None else float(bin_width)
-        if not (w > 0.0 and math.isfinite(w)):
+        # the box kernel: weight 1 on the bin each eigenvalue falls in
+        width = default_bin_width(m, v) if bin_width is None else float(bin_width)
+        if not (width > 0.0 and math.isfinite(width)):
             raise ValueError("bin_width must be a positive finite number")
-        half_bins = int(math.ceil(R / w))
-        edges = w * np.arange(-half_bins, half_bins + 1)
+        half = int(math.ceil(R / width))
+        edges = width * np.arange(-half, half + 1)
         grid = 0.5 * (edges[:-1] + edges[1:])
-        nb = grid.size
 
-        def block(rng, size):
-            lam = batched_eigvals(sample_goe_batch(m, v, size, rng))
-            idx = np.floor(lam / w).astype(np.int64) + half_bins
-            inside = (idx >= 0) & (idx < nb)
-            # per-matrix bin counts c (one cluster per matrix) from the nonzero (matrix,
-            # bin) cells only, so sum c and sum c^2 are exact; then lam^2 and escapes
-            cells, c = np.unique((np.arange(size)[:, None] * nb + idx)[inside], return_counts=True)
-            s1 = np.bincount(cells % nb, weights=c, minlength=nb)
-            s2 = np.bincount(cells % nb, weights=c * c, minlength=nb)
-            tail = Moments.of(np.column_stack([(lam * lam).mean(axis=1), (~inside).sum(axis=1)]))
-            return Moments(size, np.append(s1 / size, tail.mean), np.append(s2 - s1 * s1 / size, tail.m2))
+        def place(lam):
+            cells = np.floor(lam / width).astype(np.int64)[..., None] + half
+            return cells, np.ones(cells.shape)
+    else:
+        # a Gaussian cut off at 8h, past which a term is below 1e-14 / h: each
+        # eigenvalue weighs on the grid points within 8h of it.  int32 cells
+        # suffice, as a block's keys stay below BLOCK * (8001 + 2) < 2**31
+        width = 0.05 * math.sqrt(2.0 * v) if bandwidth is None else float(bandwidth)
+        if not (width > 0.0 and math.isfinite(width)):
+            raise ValueError("bandwidth must be a positive finite number")
+        step = max(width / 2.0, R / 4000.0)
+        half = int(math.ceil(R / step))
+        grid = step * np.arange(-half, half + 1)
+        reach = np.arange(2 * math.ceil(8.0 * width / step) + 1, dtype=np.int32)
 
-        mom = map_chunks(block, n_samples, seed, workers)
-        se = mom.std_error
-        meta = {
-            "escaped": round(mom.mean[-1] * n_samples),  # a count, up to float rounding
-            "moment2": float(mom.mean[-2]),
-            "moment2_se": float(se[-2]),
-        }
-        return DensityEstimate(grid, mom.mean[:nb] / (m * w), se[:nb] / (m * w), w, "histogram",
-                               n_samples, meta)
+        def place(lam):
+            cells = np.ceil((lam - 8.0 * width) / step).astype(np.int32)[..., None] + reach
+            u = (step * cells - lam[..., None]) / width
+            return cells + half, np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
 
-    h = (0.05 * math.sqrt(2.0 * v)) if bandwidth is None else float(bandwidth)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError("bandwidth must be a positive finite number")
-    step = max(h / 2.0, R / 4000.0)
-    half = int(math.ceil(R / step))
-    grid = step * np.arange(-half, half + 1)
-    vals, ses, _ = _kernel_density_at(m, v, grid, h, n_samples, seed, workers)
-    return DensityEstimate(grid, vals, ses, h, "kernel", n_samples, {})
+    def block(rng, size):
+        lam = batched_eigvals(sample_goe_batch(m, v, size, rng))
+        return _cell_moments(lam, *place(lam), grid.size)
+
+    mom = map_chunks(block, n_samples, seed, workers)
+    se = mom.std_error
+    meta = {
+        "escaped": round(mom.mean[-1] * n_samples),  # a count, up to float rounding
+        "moment2": float(mom.mean[-2]),
+        "moment2_se": float(se[-2]),
+    }
+    return DensityEstimate(grid, mom.mean[:grid.size] / (m * width), se[:grid.size] / (m * width),
+                           width, estimator, n_samples, meta)
+
+
+def _cell_moments(lam, cells, weights, ncells):
+    """Block moments of the per-matrix weight sums on ``ncells`` grid cells.
+
+    Eigenvalue lam[i, j] puts weights[i, j, :] on the ascending cells[i, j, :];
+    both arrays are overwritten.  Squares are taken after the per-matrix sums,
+    so cluster standard errors are exact.  The mean of lam^2 and the count of
+    eigenvalues with no cell on the grid follow the cells.
+    """
+    size, span = lam.shape[0], ncells + 2
+    escaped = ((cells[..., -1] < 0) | (cells[..., 0] >= ncells)).sum(axis=1)
+    # off-grid cells go to a spare cell at either end of their matrix's row
+    np.clip(cells, -1, ncells, out=cells)
+    cells += np.arange(1, size * span, span)[:, None, None]
+    keys, weights = cells.reshape(-1), weights.reshape(-1)
+    # permuted in place, so that a block holds one copy of its cells and weights
+    order = np.argsort(keys, kind="stable")
+    keys[:] = keys[order]
+    weights[:] = weights[order]
+    del order
+    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    c = np.add.reduceat(weights, start)
+    keys = keys[start] % span
+    s1 = np.bincount(keys, weights=c, minlength=span)[1:-1]
+    c *= c
+    s2 = np.bincount(keys, weights=c, minlength=span)[1:-1]
+    tail = Moments.of(np.column_stack([(lam * lam).mean(axis=1), escaped]))
+    return Moments(size, np.append(s1 / size, tail.mean), np.append(s2 - s1 * s1 / size, tail.m2))
 
 
 def _kernel_density_at(
@@ -407,26 +434,21 @@ def _kernel_density_at(
     workers: int = 1,
     stream: int = 0,
 ):
-    """Gaussian-kernel estimate of the eigenvalue density at given points.
+    """Dense Gaussian-kernel estimate of the eigenvalue density at given points.
 
     Returns (values, cluster standard errors, curvature estimate), the last
     being the KDE second derivative used for bias bounds.
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
     h = float(bandwidth)
-    # draws per kernel evaluation, so that it holds about 2e6 elements
-    sub = max(1, int(2.0e6 / (points.size * m)))
 
-    def part(rng, k):
-        lam = batched_eigvals(sample_goe_batch(m, v, k, rng))
+    def block(rng, size):
+        lam = batched_eigvals(sample_goe_batch(m, v, size, rng))
         u = (points[None, None, :] - lam[:, :, None]) / h
         ker = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
         dens = ker.mean(axis=1) / h
         curv = ((u * u - 1.0) * ker).mean(axis=1) / h**3
         return Moments.of(np.hstack([dens, curv]))
-
-    def block(rng, size):
-        return functools.reduce(Moments.merge, (part(rng, min(sub, size - lo)) for lo in range(0, size, sub)))
 
     mom = map_chunks(block, n_samples, seed, workers, stream)
     se = mom.std_error

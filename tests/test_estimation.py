@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 
 from mehtalab.estimation import Moments, mc_estimate
+from mehtalab.spectral import one_point_correlation
 
 
 class TestBlockCore:
@@ -35,12 +36,23 @@ class TestBlockCore:
         assert abs(res.std_error * math.sqrt(n) - 1.0) <= 0.1
 
     def test_memory_does_not_grow_with_n(self):
-        def peak(n):
-            tracemalloc.start()
-            try:
-                mc_estimate(lambda rng, k: rng.normal(size=k), n, seed=5)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def run(n):
+            mc_estimate(lambda rng, k: rng.normal(size=k), n, seed=5)
 
-        assert peak(2_000_000) <= 1.25 * peak(200_000)
+        assert _traced_peak(run, 2_000_000) <= 1.25 * _traced_peak(run, 200_000)
+
+    def test_kernel_density_memory_does_not_grow_with_n(self):
+        def run(n):
+            one_point_correlation(2, 0.5, n, estimator="kernel", seed=5)
+
+        assert _traced_peak(run, 2_000_000) <= 1.25 * _traced_peak(run, 200_000)
+
+
+def _traced_peak(run, n):
+    """Peak traced allocation, in bytes, of run(n)."""
+    tracemalloc.start()
+    try:
+        run(n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -148,9 +148,11 @@ class TestMehtaMC:
         assert res.meta["degraded"] is True
         assert res.meta["ess"] < ESS_FLOOR * 20000
         assert res.meta["reason"].startswith("Kish ESS/n = ")
+        assert res.meta["max_weight_share"] > 0.1
         res = mehta_mc(3, 20000, seed=504)
         assert res.meta["degraded"] is False and "reason" not in res.meta
         assert res.meta["ess"] > 0.1 * 20000
+        assert res.meta["max_weight_share"] < 0.01
 
     def test_se_sqrt2_decay(self):
         # doubling the sample count shrinks the reported error near 1/sqrt(2)

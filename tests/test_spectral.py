@@ -16,6 +16,8 @@ from mehtalab.spectral import (
     spectral_measure,
     weyl_expectation_mc,
     weyl_rhs_quadrature,
+    _cell_moments,
+    _kernel_density_at,
 )
 from mehtalab.symspace import EnsembleParams, SymMatrix
 
@@ -238,6 +240,41 @@ class TestOnePointCorrelation:
         est = one_point_correlation(1, 0.5, 500000, estimator="kernel", bandwidth=0.05, seed=211)
         ref = np.exp(-est.grid**2 / 2.0) / math.sqrt(2.0 * math.pi)
         assert np.max(np.abs(est.values - ref)) < 0.01
+
+    def test_truncated_kernel_matches_dense(self):
+        # the grid kernel, cut off at 8h, against the dense evaluator at 20
+        # grid points; both draw from stream 0, so they see the same matrices
+        for m, v, seed in ((1, 0.5, 218), (3, 1.0, 219)):
+            est = one_point_correlation(m, v, 40000, estimator="kernel", seed=seed)
+            bulk = np.flatnonzero(est.values > 0.01)
+            idx = bulk[np.linspace(0, bulk.size - 1, 20).astype(int)]
+            vals, ses, _ = _kernel_density_at(m, v, est.grid[idx], est.width, 40000, seed)
+            assert np.max(np.abs(vals - est.values[idx])) <= 1e-12
+            np.testing.assert_allclose(ses, est.stderr[idx], rtol=1e-10, atol=0.0)
+
+    def test_cell_moments_against_loop(self):
+        # windows that start off the grid, straddle either end or miss it
+        rng = np.random.default_rng(221)
+        size, m, k, ncells = 300, 3, 5, 20
+        lam = rng.normal(size=(size, m))
+        cells = np.sort(rng.integers(-8, ncells + 3, size=(size, m)), axis=1)[..., None] + np.arange(k)
+        weights = rng.random(cells.shape)
+        sums, escaped = np.zeros((size, ncells)), np.zeros(size)
+        for i, j in np.ndindex(size, m):
+            on = (cells[i, j] >= 0) & (cells[i, j] < ncells)
+            np.add.at(sums[i], cells[i, j][on], weights[i, j][on])
+            escaped[i] += not on.any()
+        mom = _cell_moments(lam, cells.copy(), weights.copy(), ncells)
+        ref = np.column_stack([sums, (lam * lam).mean(axis=1), escaped])
+        assert mom.count == size and escaped.sum() > 0
+        np.testing.assert_allclose(mom.mean, ref.mean(axis=0), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(mom.m2, ((ref - ref.mean(axis=0)) ** 2).sum(axis=0), rtol=1e-12, atol=1e-12)
+
+    def test_kernel_meta_equals_histogram(self):
+        # both estimators reduce the same draws through one path
+        kernel = one_point_correlation(2, 0.5, 40000, estimator="kernel", seed=220)
+        histogram = one_point_correlation(2, 0.5, 40000, seed=220)
+        assert kernel.meta == histogram.meta
 
     def test_m2_matches_analytic_density(self):
         # closed-form oracle, pointwise at 4 SE (bins with enough mass to
