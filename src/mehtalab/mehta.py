@@ -26,8 +26,9 @@ from mehtalab.spectral import (
     _vandermonde_gauss_integral,
     batched_det,
     batched_eigvals,
+    tridiagonal_det,
 )
-from mehtalab.symspace import sample_goe_batch
+from mehtalab.symspace import sample_goe_batch, sample_goe_tridiagonal
 
 __all__ = [
     "vol_sphere",
@@ -451,6 +452,12 @@ def reproduce_zm(
     consecutive integrals; cumulative products from the exact one-dimensional
     value sqrt(2 pi) then give every integral up to m_max + 1, with errors
     propagated through the product.
+
+    The determinant depends on the spectrum only, so each draw is a
+    tridiagonal matrix with the GOE spectrum and its shifted determinant comes
+    from the three-term recurrence: no m x m array and no LU.  The dense GOE +
+    LU routes (``exp_abs_det_mc``, ``detmoment_identity_check``) are its
+    independent witness.
     """
     if m_max < 1:
         raise ValueError("m_max must be a positive integer")
@@ -461,9 +468,9 @@ def reproduce_zm(
     rel_var = 0.0
     for m in range(1, m_max + 1):
         def weights(rng, size, _m=m):
-            mats = sample_goe_batch(_m, v, size, rng)
+            diag, off_sq = sample_goe_tridiagonal(_m, v, size, rng)
             shifts = rng.normal(scale=math.sqrt(2.0 * v), size=size)
-            return _abs_det_shifted(mats, shifts)
+            return np.abs(tridiagonal_det(diag, off_sq, shifts))
 
         est = mc_estimate(
             weights, n_samples, seed, workers,

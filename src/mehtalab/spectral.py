@@ -34,6 +34,7 @@ __all__ = [
     "eigenvalues",
     "eigh_sym",
     "batched_det",
+    "tridiagonal_det",
     "det",
     "spectral_measure",
     "default_degeneracy_tol",
@@ -96,6 +97,19 @@ def batched_det(mats: np.ndarray) -> np.ndarray:
             + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
         )
     return np.linalg.det(a)
+
+
+def tridiagonal_det(diag: np.ndarray, off_sq: np.ndarray, shift) -> np.ndarray:
+    """Signed det(T - s I) of a stack of symmetric tridiagonal matrices.
+
+    T has diagonal ``diag`` (n, m) and squared off-diagonals ``off_sq``
+    (n, m - 1); ``shift`` is a scalar or one shift per matrix.  The three-term
+    recurrence f_k = (a_k - s) f_{k-1} - b_{k-1}^2 f_{k-2} needs no LU.
+    """
+    f_prev, f = 1.0, diag[:, 0] - shift
+    for k in range(1, diag.shape[1]):
+        f_prev, f = f, (diag[:, k] - shift) * f - off_sq[:, k - 1] * f_prev
+    return f
 
 
 def det(a: SymMatrix) -> float:
@@ -374,11 +388,17 @@ def one_point_correlation(
         half = int(math.ceil(R / step))
         grid = step * np.arange(-half, half + 1)
         reach = np.arange(2 * math.ceil(8.0 * width / step) + 1, dtype=np.int32)
+        reach_u = reach * (step / width)
 
         def place(lam):
-            cells = np.ceil((lam - 8.0 * width) / step).astype(np.int32)[..., None] + reach
-            u = (step * cells - lam[..., None]) / width
-            return cells + half, np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+            # u and the weights share one array, built and transformed in place
+            first = np.ceil((lam - 8.0 * width) / step).astype(np.int32)
+            u = ((step * first - lam) / width)[..., None] + reach_u
+            u *= u
+            u *= -0.5
+            np.exp(u, out=u)
+            u *= 1.0 / math.sqrt(2.0 * math.pi)
+            return first[..., None] + (reach + half), u
 
     def block(rng, size):
         lam = batched_eigvals(sample_goe_batch(m, v, size, rng))

@@ -33,6 +33,7 @@ __all__ = [
     "inner_product",
     "sample_goe",
     "sample_goe_batch",
+    "sample_goe_tridiagonal",
     "sample_suv",
     "sample_suv_batch",
     "goe_log_density",
@@ -243,6 +244,26 @@ def sample_goe_batch(m: int, v: float, n: int, rng: np.random.Generator) -> np.n
         a[:, iu, ju] = off
         a[:, ju, iu] = off
     return a
+
+
+def sample_goe_tridiagonal(m: int, v: float, n: int, rng: np.random.Generator):
+    """n tridiagonal matrices with the GOE(m, v) spectrum, without the matrices.
+
+    Householder reduction of a GOE(m, v) draw leaves a symmetric tridiagonal
+    matrix with independent N(0, 2v) diagonal entries and squared
+    off-diagonals v chi^2_{m-1}, ..., v chi^2_1 (Dumitriu and Edelman, J. Math.
+    Phys. 43, 2002).  Returns the diagonals, shape (n, m), and the squared
+    off-diagonals, shape (n, m - 1).  The diagonal block is drawn first, as in
+    ``sample_goe_batch``, so at m = 1 both draw the same numbers.
+    """
+    if not v > 0.0:
+        raise ValueError("v must be positive")
+    diag = rng.normal(scale=math.sqrt(2.0 * v), size=(n, m))
+    off_sq = np.empty((n, m - 1))
+    for k in range(m - 1):
+        off_sq[:, k] = rng.chisquare(m - 1 - k, size=n)
+    off_sq *= v
+    return diag, off_sq
 
 
 def sample_goe(params: EnsembleParams, rng: np.random.Generator) -> SymMatrix:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from mehtalab.cli import main, render_report
+from mehtalab.cli import main, render_report, run_report
 from mehtalab.symspace import read_matrices
 
 DIAG_FIXTURE = "2\n1 0\n0 2\n"
@@ -193,6 +193,12 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith("error: parameter out of range")
 
+    def test_malformed_env_value(self, monkeypatch, capsys):
+        monkeypatch.setenv("MEHTA_N", "abc")
+        assert main(["mehta"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid MEHTA_N='abc': invalid literal for int() with base 10: 'abc'"]
+
     def test_missing_file(self, capsys):
         rc = main(["eig", "/nonexistent/matrix.txt"])
         assert rc == 1
@@ -233,6 +239,16 @@ class TestReportAndRender:
         assert any("kacrice" in n for n in names)
         assert any("reproduce-zm" in n for n in names)
         assert any("regression-suite" in n for n in names)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rows_do_not_share_draws(self, seed):
+        # criteria that draw the same variates on one key would repeat or
+        # rescale each other's z-score
+        names = ("detmoment-integrated m=1 v=0.5", "detmoment-integrated m=2 v=0.5",
+                 "detmoment-integrated m=1 v=2.0", "reproduce-zm m=2")
+        z = {r["name"]: r["z"] for r in run_report(2000, seed, 1)["criteria"]}
+        values = [z[name] for name in names]
+        assert len(set(values)) == len(names), values
 
     def test_render_pass_and_fail(self, tmp_path, capsys):
         report = {

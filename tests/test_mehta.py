@@ -21,10 +21,17 @@ from mehtalab.mehta import (
     reproduce_zm,
     vol_sphere,
 )
-from mehtalab.estimation import BLOCK, EstimatorResult
+from mehtalab import mehta
+from mehtalab.estimation import BLOCK, EstimatorResult, mc_estimate
 from mehtalab.regression import conditional_hessian_moments
-from mehtalab.spectral import one_point_correlation, weyl_expectation_mc, weyl_rhs_quadrature
-from mehtalab.symspace import EnsembleParams
+from mehtalab.spectral import (
+    batched_det,
+    one_point_correlation,
+    tridiagonal_det,
+    weyl_expectation_mc,
+    weyl_rhs_quadrature,
+)
+from mehtalab.symspace import EnsembleParams, sample_goe_batch, sample_goe_tridiagonal
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -341,6 +348,45 @@ class TestReproduce:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             reproduce_zm(0, 1000)
+
+    def test_builds_no_matrix_and_calls_no_lu(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense route called")
+
+        for name in ("sample_goe_batch", "batched_det", "batched_eigvals"):
+            monkeypatch.setattr(mehta, name, forbidden)
+        monkeypatch.setattr(np.linalg, "det", forbidden)
+        assert len(reproduce_zm(5, 2000, seed=534)) == 5
+
+    def test_first_row_equals_dense_m1(self):
+        # at m = 1 the tridiagonal sampler draws what the dense one draws, and
+        # the recurrence is the 1 x 1 determinant, so the bits agree
+        n = 2 * BLOCK + 1000
+
+        def dense(rng, size):
+            mats = sample_goe_batch(1, 1.0, size, rng)
+            shifts = rng.normal(scale=math.sqrt(2.0), size=size)
+            return np.abs(batched_det(mats - shifts[:, None, None]))
+
+        ref = mc_estimate(dense, n, 535, scale=math.sqrt(4.0 * math.pi) / 2.0)
+        row = reproduce_zm(1, n, seed=535)[0]
+        assert (row.meta["ratio"], row.meta["ratio_se"]) == (ref.estimate, ref.std_error)
+
+    def test_tridiagonal_route_matches_dense(self):
+        # E|det(A - I)| by the dense GOE + LU route and by tridiagonal spectra
+        # on another stream, m = 3..6
+        c, n, seed = 1.0, 200000, 601
+
+        def tridiagonal(m):
+            def weights(rng, size):
+                return np.abs(tridiagonal_det(*sample_goe_tridiagonal(m, 1.0, size, rng), c))
+            return mc_estimate(weights, n, seed, stream=1)
+
+        for m in range(3, 7):
+            dense = exp_abs_det_mc(m, 1.0, c, n, seed=seed)
+            tri = tridiagonal(m)
+            z = (dense.estimate - tri.estimate) / math.hypot(dense.std_error, tri.std_error)
+            assert abs(z) <= 4.0, (m, z)
 
 
 class TestEstimatorResult:

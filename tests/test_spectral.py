@@ -14,12 +14,13 @@ from mehtalab.spectral import (
     eigh_sym,
     one_point_correlation,
     spectral_measure,
+    tridiagonal_det,
     weyl_expectation_mc,
     weyl_rhs_quadrature,
     _cell_moments,
     _kernel_density_at,
 )
-from mehtalab.symspace import EnsembleParams, SymMatrix
+from mehtalab.symspace import EnsembleParams, SymMatrix, sample_goe_tridiagonal
 
 
 def random_sym_full(m, rng):
@@ -99,6 +100,33 @@ class TestEigensolver:
         w, v = eigh_sym(a)
         assert np.allclose(w, [-1.0, 2.0])
         assert np.allclose(np.abs(v), np.eye(2)[:, ::-1])
+
+
+class TestTridiagonalDet:
+    def test_recurrence_matches_lu(self):
+        # the recurrence against LU on the explicitly assembled T - sI, same
+        # draws; the scale is the product of the row sums of |T - sI|, which
+        # bounds |det| and keeps near-zero determinants from making this flaky
+        rng = substream(205)
+        for m in range(1, 7):
+            diag, off_sq = sample_goe_tridiagonal(m, 0.5, 2000, rng)
+            shifts = rng.normal(size=2000)
+            t = np.zeros((2000, m, m))
+            d = np.arange(m)
+            t[:, d, d] = diag - shifts[:, None]
+            b = np.sqrt(off_sq)
+            t[:, d[:-1], d[1:]] = b
+            t[:, d[1:], d[:-1]] = b
+            d_lu = np.linalg.det(t)
+            scale = np.maximum(np.abs(d_lu), np.prod(np.abs(t).sum(axis=2), axis=1))
+            rel = np.abs(tridiagonal_det(diag, off_sq, shifts) - d_lu) / scale
+            assert rel.max() <= 1e-11, m
+
+    def test_scalar_shift(self):
+        diag = np.array([[1.0, 2.0, 3.0]])
+        off_sq = np.array([[4.0, 9.0]])
+        # det [[1-s, 2, 0], [2, 2-s, 3], [0, 3, 3-s]] at s = 1
+        assert tridiagonal_det(diag, off_sq, 1.0)[0] == pytest.approx(-8.0, abs=1e-14)
 
 
 class TestPointMeasure:

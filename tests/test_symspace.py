@@ -21,6 +21,7 @@ from mehtalab.symspace import (
     read_matrix,
     sample_goe,
     sample_goe_batch,
+    sample_goe_tridiagonal,
     sample_suv_batch,
     write_matrix,
 )
@@ -119,6 +120,8 @@ class TestGoeSampler:
         with pytest.raises(ValueError):
             sample_goe_batch(3, -1.0, 10, substream(0))
         with pytest.raises(ValueError):
+            sample_goe_tridiagonal(3, 0.0, 10, substream(0))
+        with pytest.raises(ValueError):
             sample_goe(EnsembleParams(3, 1.0, 1.0), substream(0))  # u != 0
 
     def test_single_sample_is_symmetric(self):
@@ -131,6 +134,48 @@ class TestGoeSampler:
         assert np.array_equal(a, b)
         c = sample_goe_batch(3, 1.0, 5, substream(107, 3))
         assert not np.array_equal(a, c)
+
+
+def assemble_tridiagonal(diag, off_sq):
+    """Dense stack of the symmetric tridiagonal matrices, for checks only."""
+    n, m = diag.shape
+    t = np.zeros((n, m, m))
+    d = np.arange(m)
+    t[:, d, d] = diag
+    b = np.sqrt(off_sq)
+    t[:, d[:-1], d[1:]] = b
+    t[:, d[1:], d[:-1]] = b
+    return t
+
+
+class TestTridiagonalSampler:
+    def test_shapes_and_m1_draws(self):
+        for m in (1, 2, 5):
+            diag, off_sq = sample_goe_tridiagonal(m, 0.5, 7, substream(108))
+            assert diag.shape == (7, m) and off_sq.shape == (7, m - 1)
+            assert np.all(off_sq >= 0.0)
+        # the diagonal block comes first, so m = 1 draws what the dense sampler draws
+        diag, _ = sample_goe_tridiagonal(1, 0.5, 1000, substream(109))
+        assert np.array_equal(diag, sample_goe_batch(1, 0.5, 1000, substream(109))[:, :, 0])
+
+    def test_off_diagonal_means(self):
+        # E[b_k^2] = v (m - k)
+        m, v, n = 4, 0.5, 100000
+        _, off_sq = sample_goe_tridiagonal(m, v, n, substream(110))
+        se = off_sq.std(axis=0, ddof=1) / math.sqrt(n)
+        z = (off_sq.mean(axis=0) - v * np.arange(m - 1, 0, -1)) / se
+        assert np.max(np.abs(z)) <= 4.0
+
+    def test_spectrum_matches_dense_goe(self):
+        # spectral statistics of the assembled matrices against dense GOE
+        # draws from an independent stream
+        m, v, n = 4, 0.5, 100000
+        lam_t = np.linalg.eigvalsh(assemble_tridiagonal(*sample_goe_tridiagonal(m, v, n, substream(111))))
+        lam_d = np.linalg.eigvalsh(sample_goe_batch(m, v, n, substream(111, 1)))
+        for stat in (lambda lam: (lam**4).sum(axis=1), lambda lam: lam[:, -1]):
+            x, y = stat(lam_t), stat(lam_d)
+            se = math.hypot(x.std(ddof=1), y.std(ddof=1)) / math.sqrt(n)
+            assert abs(x.mean() - y.mean()) <= 4.0 * se
 
 
 class TestSuvSampler:
