@@ -67,20 +67,14 @@ def _config_dict(args, command: str) -> dict:
 
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with symspace._opened(args.out or sys.stdout, "w") as fh:
+        fh.write(text)
 
 
 def _emit_csv(args, writer) -> None:
     """writer(fh) dumps csv rows; config echo goes to stderr to keep the schema."""
-    if args.out:
-        with open(args.out, "w") as fh:
-            writer(fh)
-    else:
-        writer(sys.stdout)
+    with symspace._opened(args.out or sys.stdout, "w") as fh:
+        writer(fh)
     sys.stderr.write("config: " + json.dumps(_config_dict(args, args.command), sort_keys=True) + "\n")
 
 
@@ -91,15 +85,10 @@ def _emit_csv(args, writer) -> None:
 def cmd_sample(args) -> int:
     params = symspace.EnsembleParams(args.m, args.u, args.v)
     rng = substream(args.seed)
-    target = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with symspace._opened(args.out or sys.stdout, "w") as target:
         for _ in range(args.n):
-            mat = symspace.sample_suv(params, rng)
-            symspace.write_matrix(mat, target)
+            symspace.write_matrix(symspace.sample_suv(params, rng), target)
             target.write("\n")
-    finally:
-        if args.out:
-            target.close()
     return 0
 
 

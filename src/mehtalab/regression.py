@@ -242,8 +242,8 @@ def hessian_regression_pair(m: int, v: float, coords: str = "ell") -> JointGauss
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if not v > 0.0:
-        raise ValueError("v must be positive")
+    if not (v > 0.0 and np.isfinite(v)):
+        raise ValueError("v must be a positive finite number")
     if coords not in ("ell", "omega"):
         raise ValueError("coords must be 'ell' or 'omega'")
     dx = m + 1

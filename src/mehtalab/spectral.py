@@ -24,7 +24,7 @@ import numpy as np
 from scipy import integrate
 
 from mehtalab.estimation import EstimatorResult, Moments, map_chunks, mc_estimate
-from mehtalab.symspace import EnsembleParams, SymMatrix, sample_goe_batch
+from mehtalab.symspace import EnsembleParams, SymMatrix, _opened, sample_goe_batch
 
 __all__ = [
     "PointMeasure",
@@ -184,21 +184,14 @@ def spectral_measure(a: SymMatrix, degeneracy_tol: float | None = None) -> Point
     """Eigenvalue measure with multiplicities: one atom per eigenvalue cluster.
 
     Clusters are maximal runs of the sorted eigenvalues with gaps below the
-    tolerance; each atom carries the cluster size, so total mass is m.
+    tolerance (``PointMeasure.merged``); each atom carries the cluster size,
+    so total mass is m.
     """
     if degeneracy_tol is None:
         degeneracy_tol = default_degeneracy_tol(a)
     if degeneracy_tol < 0.0:
         raise ValueError("degeneracy_tol must be nonnegative")
-    lam = eigenvalues(a)
-    locs, wts = [], []
-    start = 0
-    for i in range(1, a.m + 1):
-        if i == a.m or lam[i] - lam[i - 1] >= max(degeneracy_tol, 5e-324):
-            locs.append(float(lam[start:i].mean()))
-            wts.append(float(i - start))
-            start = i
-    return PointMeasure(np.array(locs), np.array(wts))
+    return PointMeasure(eigenvalues(a), np.ones(a.m)).merged(max(degeneracy_tol, 5e-324))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +219,9 @@ def weyl_expectation_mc(
 # Relative target of every ordered-region integral: it bounds the work when
 # the caller's tolerance is out of reach, which then reports what it achieved.
 _QUAD_RTOL = 1e-12
+# Cap on the cubature's region subdivisions, so that a tolerance out of reach
+# fails in seconds; the kinked |prod(l - 1)| integrand at m = 2 needs about 400.
+_QUAD_MAX_SUBDIVISIONS = 2000
 
 
 def _vandermonde_gauss_integral(m: int, v: float, f, halfwidth: float, atol: float = 0.0):
@@ -255,7 +251,7 @@ def _vandermonde_gauss_integral(m: int, v: float, f, halfwidth: float, atol: flo
 
     scale = math.factorial(m)
     res = integrate.cubature(integrand, np.zeros(m), np.ones(m), atol=atol / scale,
-                             rtol=_QUAD_RTOL)
+                             rtol=_QUAD_RTOL, max_subdivisions=_QUAD_MAX_SUBDIVISIONS)
     return scale * float(res.estimate), scale * float(res.error)
 
 
@@ -321,17 +317,10 @@ class DensityEstimate:
 
 
 def _write_csv(path_or_file, header, rows):
-    if hasattr(path_or_file, "write"):
-        fh, close = path_or_file, False
-    else:
-        fh, close = open(path_or_file, "w"), True
-    try:
+    with _opened(path_or_file, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def default_bin_width(n: int, v: float) -> float:

@@ -141,12 +141,41 @@ def phi(a, x) -> float:
     return 0.5 * float(xv @ af @ xv)
 
 
+def _gradients(mats, x):
+    """Sphere gradients Ax - (Ax, x) x and values (Ax, x) of stacks of matrices and points."""
+    ax = np.einsum("...ij,...j->...i", mats, x)
+    theta = np.einsum("...i,...i->...", x, ax)
+    return ax - theta[..., None] * x, theta
+
+
+def _tangent_bases(x):
+    """Householder tangent bases of a stack of unit points, shape (..., d, d-1).
+
+    Columns 2..d of the reflection that maps the first coordinate vector to x;
+    the coordinate basis where x is that vector already.
+    """
+    d = x.shape[-1]
+    u = np.eye(d)[0] - x
+    nsq = np.einsum("...i,...i->...", u, u)
+    flat = nsq < 1e-28
+    scale = 2.0 / np.where(flat, 1.0, nsq)
+    h = np.eye(d) - scale[..., None, None] * (u[..., :, None] * u[..., None, :])
+    h[flat] = np.eye(d)
+    return h[..., 1:]
+
+
+def _tangent_hessians(mats, x, theta):
+    """Q^T A Q - theta I for stacks of matrices, points and values, Q the tangent basis."""
+    q = _tangent_bases(x)
+    h = np.einsum("...ji,...jk,...kl->...il", q, mats, q)
+    diag = np.arange(h.shape[-1])
+    h[..., diag, diag] -= theta[..., None]
+    return h
+
+
 def grad_phi(a, x) -> np.ndarray:
     """Sphere gradient Ax - (Ax, x) x, a vector tangent at x."""
-    af = _as_full(a)
-    xv = _as_unit(x)
-    ax = af @ xv
-    return ax - (ax @ xv) * xv
+    return _gradients(_as_full(a), _as_unit(x))[0]
 
 
 def tangent_basis(x) -> np.ndarray:
@@ -156,16 +185,7 @@ def tangent_basis(x) -> np.ndarray:
     vector to x.  Falls back to the coordinate basis when x is that vector
     already.
     """
-    xv = _as_unit(x)
-    d = xv.size
-    e = np.zeros(d)
-    e[0] = 1.0
-    u = e - xv
-    nsq = float(u @ u)
-    if nsq < 1e-28:
-        return np.eye(d)[:, 1:]
-    h = np.eye(d) - (2.0 / nsq) * np.outer(u, u)
-    return h[:, 1:]
+    return _tangent_bases(_as_unit(x))
 
 
 def hess_phi(a, x) -> np.ndarray:
@@ -173,13 +193,11 @@ def hess_phi(a, x) -> np.ndarray:
 
     Equal to Q^T A Q - (Ax, x) I with Q the tangent basis; at the north pole
     this is exactly the trailing block of A minus a_00 times the identity.
+    The finder's Morse indices come from the same code.
     """
     af = _as_full(a)
     xv = _as_unit(x)
-    q = tangent_basis(xv)
-    theta = float(xv @ af @ xv)
-    h = q.T @ af @ q
-    h[np.arange(h.shape[0]), np.arange(h.shape[0])] -= theta
+    h = _tangent_hessians(af, xv, _gradients(af, xv)[1])
     return 0.5 * (h + h.T)
 
 
@@ -199,9 +217,7 @@ def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: float, max_iter: i
     for _ in range(max_iter):
         xa = x[active]
         aa = mats_flat[active]
-        ax = np.einsum("bij,bj->bi", aa, xa)
-        theta = np.einsum("bi,bi->b", xa, ax)
-        grad = ax - theta[:, None] * xa
+        grad, theta = _gradients(aa, xa)
         # hypot squares no component, so gradients near 1e200 do not overflow
         gn = np.hypot.reduce(grad, axis=1)
         live = gn > tol
@@ -236,9 +252,7 @@ def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: float, max_iter: i
         xn = xa + step
         xn /= np.linalg.norm(xn, axis=1, keepdims=True)
         x[active] = xn
-    ax = np.einsum("bij,bj->bi", mats_flat, x)
-    theta = np.einsum("bi,bi->b", x, ax)
-    grad = ax - theta[:, None] * x
+    grad, theta = _gradients(mats_flat, x)
     return x, np.hypot.reduce(grad, axis=1), theta
 
 
@@ -329,25 +343,8 @@ def find_critical_points_batch(
 def _morse_indices(mats, points, values):
     """Negative-eigenvalue counts of the tangent Hessian at each point."""
     n, c, d = points.shape
-    flat_pts = points.reshape(n * c, d)
-    flat_vals = values.reshape(n * c)
-    flat_mats = np.repeat(mats, c, axis=0)
-    # batched Householder tangent bases
-    e = np.zeros(d)
-    e[0] = 1.0
-    u = e[None, :] - flat_pts
-    nsq = np.einsum("bi,bi->b", u, u)
-    degenerate = nsq < 1e-28
-    safe = np.where(degenerate, 1.0, nsq)
-    h = np.eye(d)[None] - (2.0 / safe)[:, None, None] * np.einsum("bi,bj->bij", u, u)
-    if degenerate.any():
-        h[degenerate] = np.eye(d)
-    q = h[:, :, 1:]
-    hess = np.einsum("bji,bjk,bkl->bil", q, flat_mats, q)
-    diag = np.arange(d - 1)
-    hess[:, diag, diag] -= flat_vals[:, None]
-    lam = batched_eigvals(hess)
-    return (lam < 0.0).sum(axis=1).reshape(n, c)
+    hess = _tangent_hessians(mats[:, None], points, values)
+    return (batched_eigvals(hess.reshape(n * c, d - 1, d - 1)) < 0.0).sum(axis=1).reshape(n, c)
 
 
 def find_critical_points(

@@ -13,6 +13,7 @@ diagonal-diagonal covariance and is admissible iff v > 0 and m*u + 2v > 0.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -215,8 +216,12 @@ class EnsembleParams:
     def __post_init__(self):
         if int(self.m) < 1 or self.m != int(self.m):
             raise ValueError("m must be a positive integer")
-        if not (self.v > 0.0):
-            raise ValueError(f"admissibility requires v > 0, got v={self.v}")
+        if not (self.v > 0.0 and math.isfinite(self.v)):
+            raise ValueError(
+                f"v must be a positive finite number (admissibility requires v > 0), got v={self.v}"
+            )
+        if not math.isfinite(self.u):
+            raise ValueError(f"u must be a finite number, got u={self.u}")
         if not (self.m * self.u + 2.0 * self.v > 0.0):
             raise ValueError(
                 f"admissibility requires m*u + 2v > 0, got {self.m * self.u + 2.0 * self.v}"
@@ -233,8 +238,8 @@ def sample_goe_batch(m: int, v: float, n: int, rng: np.random.Generator) -> np.n
     Draw order is fixed (diagonal block first, then off-diagonal block) so a
     given stream state always produces the same matrices.
     """
-    if not v > 0.0:
-        raise ValueError("v must be positive")
+    if not (v > 0.0 and math.isfinite(v)):
+        raise ValueError("v must be a positive finite number")
     a = np.zeros((n, m, m))
     d = np.arange(m)
     a[:, d, d] = rng.normal(scale=math.sqrt(2.0 * v), size=(n, m))
@@ -256,8 +261,8 @@ def sample_goe_tridiagonal(m: int, v: float, n: int, rng: np.random.Generator):
     off-diagonals, shape (n, m - 1).  The diagonal block is drawn first, as in
     ``sample_goe_batch``, so at m = 1 both draw the same numbers.
     """
-    if not v > 0.0:
-        raise ValueError("v must be positive")
+    if not (v > 0.0 and math.isfinite(v)):
+        raise ValueError("v must be a positive finite number")
     diag = rng.normal(scale=math.sqrt(2.0 * v), size=(n, m))
     off_sq = np.empty((n, m - 1))
     for k in range(m - 1):
@@ -276,32 +281,17 @@ def sample_goe(params: EnsembleParams, rng: np.random.Generator) -> SymMatrix:
 def sample_suv_batch(params: EnsembleParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws from the (u, v) ensemble as full matrices, shape (n, m, m).
 
-    For u >= 0 this is GOE(m, v) plus an independent N(0, u) multiple of the
-    identity.  For u < 0 the identity-shift description breaks down, so the
-    diagonal block is drawn from its exact covariance u*J + 2v*I through the
-    spectral split of J (eigenvalue m*u + 2v on the constant vector, 2v on
-    its orthocomplement), which is positive definite exactly on the admissible
-    range.
+    One construction for every admissible u: a GOE(m, v) draw whose diagonal
+    g, covariance 2v I, becomes g + (sqrt((m u + 2v) / 2v) - 1) mean(g), with
+    covariance 2v I + u J.  The factor is real exactly on the admissible range
+    and exactly 0 at u = 0, so there the draw is the GOE draw bit for bit; the
+    off-diagonal entries are the GOE draw's for every u.
     """
     m, u, v = params.m, params.u, params.v
-    if u >= 0.0:
-        a = sample_goe_batch(m, v, n, rng)
-        shift = rng.normal(scale=math.sqrt(u), size=n)
-        d = np.arange(m)
-        a[:, d, d] += shift[:, None]
-        return a
-
-    a = np.zeros((n, m, m))
-    g = rng.normal(size=(n, m))
-    gbar = g.mean(axis=1, keepdims=True)
-    diag = math.sqrt(2.0 * v) * (g - gbar) + math.sqrt(m * u + 2.0 * v) * gbar
+    a = sample_goe_batch(m, v, n, rng)
     d = np.arange(m)
-    a[:, d, d] = diag
-    if m > 1:
-        iu, ju = np.triu_indices(m, 1)
-        off = rng.normal(scale=math.sqrt(v), size=(n, iu.size))
-        a[:, iu, ju] = off
-        a[:, ju, iu] = off
+    g = a[:, d, d]
+    a[:, d, d] = g + (math.sqrt((m * u + 2.0 * v) / (2.0 * v)) - 1.0) * g.mean(axis=1, keepdims=True)
     return a
 
 
@@ -388,22 +378,22 @@ def covariance_audit(
     )
 
 
+@contextlib.contextmanager
+def _opened(path_or_file, mode: str = "r"):
+    """The file itself when given an open one, else the path opened in ``mode`` and closed after."""
+    if hasattr(path_or_file, "write" if "w" in mode else "read"):
+        yield path_or_file
+    else:
+        with open(path_or_file, mode) as fh:
+            yield fh
+
+
 def write_matrix(a: SymMatrix, path_or_file) -> None:
     """Write the plain-text interchange format: first line m, then m rows."""
-    if hasattr(path_or_file, "write"):
-        fh = path_or_file
-        close = False
-    else:
-        fh = open(path_or_file, "w")
-        close = True
-    try:
+    with _opened(path_or_file, "w") as fh:
         fh.write(f"{a.m}\n")
-        full = a.to_full()
-        for row in full:
+        for row in a.to_full():
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def _read_one(lines, pos) -> tuple[SymMatrix, int]:
@@ -431,22 +421,16 @@ def _read_one(lines, pos) -> tuple[SymMatrix, int]:
 
 def read_matrix(path_or_file) -> SymMatrix:
     """Read one matrix in the interchange format; rejects asymmetry above 1e-9."""
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        with open(path_or_file) as fh:
-            text = fh.read()
+    with _opened(path_or_file) as fh:
+        text = fh.read()
     mat, _ = _read_one(text.splitlines(), 0)
     return mat
 
 
 def read_matrices(path_or_file) -> list[SymMatrix]:
     """Read every matrix block in a file."""
-    if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-    else:
-        with open(path_or_file) as fh:
-            text = fh.read()
+    with _opened(path_or_file) as fh:
+        text = fh.read()
     lines = text.splitlines()
     out = []
     pos = 0

@@ -199,6 +199,24 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "error: invalid MEHTA_N='abc': invalid literal for int() with base 10: 'abc'"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["check-covariance", "--v", "inf"], "v must be a positive finite number"),
+        (["check-covariance", "--u", "inf"], "u must be a finite number"),
+        (["sample", "--v", "inf"], "v must be a positive finite number"),
+        (["detmoment", "--v", "inf"], "v must be a positive finite number"),
+        (["kacrice", "--v", "inf"], "v must be a positive finite number"),
+        (["regress-demo", "--v", "inf"], "v must be a positive finite number"),
+        (["detmoment", "--mode", "pointwise", "--c", "nan"], "c must be a finite number"),
+        (["detmoment", "--mode", "pointwise", "--c", "inf"], "c must be a finite number"),
+    ])
+    def test_nonfinite_ensemble_parameter(self, capsys, argv, message):
+        rc = main(argv + ["--n", "2000"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
+
     def test_missing_file(self, capsys):
         rc = main(["eig", "/nonexistent/matrix.txt"])
         assert rc == 1

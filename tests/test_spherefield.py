@@ -202,6 +202,17 @@ class TestFinder:
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-9
         assert np.array_equal(batch.points[:, 1::2], -frame)
 
+    def test_morse_indices_are_hess_phi_counts(self):
+        # the finder's Morse index at each point is the negative-eigenvalue
+        # count of the single-point Hessian there
+        for d, seed in ((3, 436), (4, 437)):
+            mats = sample_goe_batch(d, 1.0, 5, substream(seed))
+            batch = find_critical_points_batch(mats, rng=seed)
+            for k in range(5):
+                for i in range(2 * d):
+                    hess = hess_phi(mats[k], batch.points[k, i])
+                    assert batch.morse_indices[k, i] == int((np.linalg.eigvalsh(hess) < 0.0).sum())
+
     def test_input_validation(self):
         a = random_sym(3, substream(420))
         with pytest.raises(ValueError):

@@ -217,6 +217,18 @@ class TestSuvSampler:
         assert abs(z) <= 4.0
 
 
+    def test_u_zero_is_the_goe_draw(self):
+        # one construction for every u: at u = 0 it is the GOE draw bit for
+        # bit, and its off-diagonal block is the GOE draw's for every u
+        goe = sample_goe_batch(4, 0.7, 1000, substream(113))
+        assert np.array_equal(sample_suv_batch(EnsembleParams(4, 0.0, 0.7), 1000, substream(113)), goe)
+        iu, ju = np.triu_indices(4, 1)
+        for u in (-0.3, 1.0):
+            mats = sample_suv_batch(EnsembleParams(4, u, 0.7), 1000, substream(113))
+            assert np.array_equal(mats[:, iu, ju], goe[:, iu, ju])
+            assert np.array_equal(mats[:, ju, iu], goe[:, ju, iu])
+
+
 class TestOrthogonalInvariance:
     def test_conjugated_coordinates_match(self):
         rng = substream(113)
