@@ -542,6 +542,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        for flag in ("n", "curve_points"):
+            # a count below 1 would run nothing and report it as a pass
+            if getattr(args, flag, 1) < 1:
+                name = flag.replace("_", "-")
+                raise ValueError(f"--{name} must be a positive integer, got {getattr(args, flag)}")
         return args.fn(args)
     except ValueError as exc:
         # bad parameter values are usage errors, like unknown flags

@@ -26,7 +26,7 @@ from mehtalab.spectral import (
     _vandermonde_gauss_integral,
     batched_det,
     batched_eigvals,
-    tridiagonal_det,
+    tridiagonal_pivots,
 )
 from mehtalab.symspace import sample_goe_batch, sample_goe_tridiagonal
 
@@ -112,7 +112,7 @@ def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int = 1) -> Estimat
     integrand is even under l -> -l, so the antithetic pair of each draw has
     the identical weight and the estimator is plain Monte Carlo over the
     drawn points.  ``meta`` holds the Kish ESS and flags ``degraded`` when
-    ESS/n is below ``ESS_FLOOR``; the 4-SE verdict ignores the flag.
+    ESS/n is below ``ESS_FLOOR`` or n is 1; the 4-SE verdict ignores the flag.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -136,8 +136,10 @@ def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int = 1) -> Estimat
         log_weights=True,
     )
     share = res.meta["ess"] / n_samples
-    res.meta["degraded"] = share < ESS_FLOOR
-    if res.meta["degraded"]:
+    res.meta["degraded"] = n_samples < 2 or share < ESS_FLOOR
+    if n_samples < 2:
+        res.meta["reason"] = "one draw has no standard error"
+    elif res.meta["degraded"]:
         res.meta["reason"] = f"Kish ESS/n = {share:.3g} is below {ESS_FLOOR:g}: the proposal has collapsed"
     return res
 
@@ -332,11 +334,12 @@ def _kacrice_interval_mc(
 
     def weights(rng, size):
         lam = batched_eigvals(sample_goe_batch(m, v, size, rng))
-        # |det(A - t I)| at every node, one eigenvalue factor at a time
-        dets = np.ones((size, t.size))
-        for k in range(m):
-            dets *= np.abs(lam[:, k, None] - t)
-        return dets @ node_w
+        # det(A - t I) at every node, one eigenvalue factor at a time, in place
+        dets = lam[:, 0, None] - t
+        diff = np.empty_like(dets)
+        for k in range(1, m):
+            dets *= np.subtract(lam[:, k, None], t, out=diff)
+        return np.abs(dets, out=dets) @ node_w
 
     return mc_estimate(weights, n_samples, seed, workers, stream=stream)
 
@@ -403,9 +406,10 @@ def kacrice_vs_empirical(
     empirical: eigenvalues of an (m+1)-dimensional GOE(v) draw counted in the
     interval and doubled (each eigenvalue is an antipodal pair of critical
     points).  kacrice: the Gaussian-weighted quadrature of the Monte Carlo
-    Kac-Rice density.  spectral: the empirical count again, on an independent
-    stream, so that its z-scores compare two samples of the same statistic.
-    Pass requires all pairwise z-scores within 4.
+    Kac-Rice density.  spectral: the Sturm count 2 (neg(b) - neg(a)), neg(s)
+    the negative pivots of T - s I on tridiagonal draws: no eigensolver and
+    another sampler, which the empirical count witnesses.  Pass requires all
+    pairwise z-scores within 4.
     """
     if not b > a:
         raise ValueError("need a < b")
@@ -417,8 +421,12 @@ def kacrice_vs_empirical(
 
     empirical = mc_estimate(counts, n_samples, seed, workers)
 
+    def sturm_counts(rng, size):
+        piv = tridiagonal_pivots(*sample_goe_tridiagonal(d, v, size, rng), np.tile([a, b], (size, 1)))
+        return 2.0 * np.diff((piv < 0.0).sum(axis=0))[:, 0]
+
     kacrice = _kacrice_interval_mc(m, v, a, b, n_samples, seed, workers, stream=1)
-    spectral = mc_estimate(counts, n_samples, seed, workers, stream=2)
+    spectral = mc_estimate(sturm_counts, n_samples, seed, workers, stream=2)
 
     return KacRiceComparison(
         interval=(a, b),
@@ -444,10 +452,10 @@ def reproduce_zm(
     propagated through the product.
 
     The determinant depends on the spectrum only, so each draw is a
-    tridiagonal matrix with the GOE spectrum and its shifted determinant comes
-    from the three-term recurrence: no m x m array and no LU.  The dense GOE +
-    LU routes (``exp_abs_det_mc``, ``detmoment_identity_check``) are its
-    independent witness.
+    tridiagonal matrix with the GOE spectrum and its shifted determinant is
+    the product of its pivots (``tridiagonal_pivots``): no m x m array and no
+    LU.  The dense GOE + LU routes (``exp_abs_det_mc``,
+    ``detmoment_identity_check``) are its independent witness.
     """
     if m_max < 1:
         raise ValueError("m_max must be a positive integer")
@@ -460,7 +468,7 @@ def reproduce_zm(
         def weights(rng, size, _m=m):
             diag, off_sq = sample_goe_tridiagonal(_m, v, size, rng)
             shifts = rng.normal(scale=math.sqrt(2.0 * v), size=size)
-            return np.abs(tridiagonal_det(diag, off_sq, shifts))
+            return np.abs(tridiagonal_pivots(diag, off_sq, shifts).prod(axis=0))
 
         est = mc_estimate(
             weights, n_samples, seed, workers,

@@ -34,7 +34,7 @@ __all__ = [
     "eigenvalues",
     "eigh_sym",
     "batched_det",
-    "tridiagonal_det",
+    "tridiagonal_pivots",
     "det",
     "spectral_measure",
     "default_degeneracy_tol",
@@ -99,17 +99,23 @@ def batched_det(mats: np.ndarray) -> np.ndarray:
     return np.linalg.det(a)
 
 
-def tridiagonal_det(diag: np.ndarray, off_sq: np.ndarray, shift) -> np.ndarray:
-    """Signed det(T - s I) of a stack of symmetric tridiagonal matrices.
+def tridiagonal_pivots(diag: np.ndarray, off_sq: np.ndarray, shifts) -> np.ndarray:
+    """LDL^T pivots d_1 = a_1 - s, d_k = (a_k - s) - b_{k-1}^2 / d_{k-1} of T - s I.
 
-    T has diagonal ``diag`` (n, m) and squared off-diagonals ``off_sq``
-    (n, m - 1); ``shift`` is a scalar or one shift per matrix.  The three-term
-    recurrence f_k = (a_k - s) f_{k-1} - b_{k-1}^2 f_{k-2} needs no LU.
+    T has diagonal ``diag`` (n, m) and squared off-diagonals ``off_sq`` (n, m - 1);
+    ``shifts`` is (n,) or (n, K) and the pivots (m,) + shifts.shape.  Their product
+    is det(T - s I); by Sylvester's law of inertia the negative ones count the
+    eigenvalues below s.  A zero divisor becomes tiny * max(1, max b^2) (dstebz).
     """
-    f_prev, f = 1.0, diag[:, 0] - shift
-    for k in range(1, diag.shape[1]):
-        f_prev, f = f, (diag[:, k] - shift) * f - off_sq[:, k - 1] * f_prev
-    return f
+    s = np.asarray(shifts, dtype=float).T  # (K, n), so diag[:, k] broadcasts
+    pivmin = np.finfo(float).tiny * max(1.0, off_sq.max(initial=0.0))
+    piv = np.empty((diag.shape[1],) + s.shape)
+    np.subtract(diag[:, 0], s, out=piv[0])
+    for k in range(1, len(piv)):
+        piv[k - 1][piv[k - 1] == 0.0] = pivmin
+        np.subtract(diag[:, k], s, out=piv[k])
+        piv[k] -= off_sq[:, k - 1] / piv[k - 1]
+    return piv.swapaxes(1, -1)
 
 
 def det(a: SymMatrix) -> float:

@@ -334,10 +334,11 @@ def find_critical_points_batch(
     points = np.empty((n, 2 * d, d))
     points[:, 0::2] = pairs
     points[:, 1::2] = -pairs
-    values = np.repeat(np.take_along_axis(vals, order, axis=1), 2, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
     gradnorms = np.repeat(np.take_along_axis(gns, order, axis=1), 2, axis=1)
-    morse = _morse_indices(mats, points, values)
-    return CriticalPointBatch(points, values, gradnorms, morse)
+    # x and -x have the same tangent Hessian spectrum, so one of each pair does
+    morse = np.repeat(_morse_indices(mats, pairs, vals), 2, axis=1)
+    return CriticalPointBatch(points, np.repeat(vals, 2, axis=1), gradnorms, morse)
 
 
 def _morse_indices(mats, points, values):

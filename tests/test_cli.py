@@ -221,6 +221,29 @@ class TestExitCodes:
         rc = main(["eig", "/nonexistent/matrix.txt"])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["kacrice", "--curve", "--curve-points", "0"], "curve-points", "0"),
+        (["kacrice", "--curve", "--curve-points", "-3"], "curve-points", "-3"),
+        (["sample", "--n", "0"], "n", "0"),
+        (["sample", "--n", "-1"], "n", "-1"),
+        (["report", "--n", "0"], "n", "0"),
+    ])
+    def test_nonpositive_count(self, tmp_path, capsys, argv, flag, value):
+        out_file = tmp_path / "out.txt"
+        rc = main(argv + ["--out", str(out_file)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == "" and not out_file.exists()
+        assert err.splitlines() == [f"error: --{flag} must be a positive integer, got {value}"]
+
+    def test_mehta_mc_one_draw_is_degraded(self, capsys):
+        # one draw reads std_error 0: the row fails its z and says why
+        rc, payload = run_json(capsys, ["mehta", "--method", "mc", "--m", "3", "--n", "1"])
+        assert rc == 1
+        assert payload["std_error"] == 0.0 and payload["z_score"] is None
+        assert payload["meta"]["degraded"] is True
+        assert payload["meta"]["reason"] == "one draw has no standard error"
+
 
 class TestEnvOverrides:
     def test_seed_env(self, monkeypatch, capsys):

@@ -26,8 +26,9 @@ from mehtalab.estimation import BLOCK, EstimatorResult, mc_estimate
 from mehtalab.regression import conditional_hessian_moments
 from mehtalab.spectral import (
     batched_det,
+    batched_eigvals,
     one_point_correlation,
-    tridiagonal_det,
+    tridiagonal_pivots,
     weyl_expectation_mc,
     weyl_rhs_quadrature,
 )
@@ -149,6 +150,12 @@ class TestMehtaMC:
         res = mehta_mc(12, 5000, seed=504)
         assert math.isfinite(res.estimate)
         assert math.isfinite(res.std_error)
+
+    def test_one_draw_is_degraded(self):
+        res = mehta_mc(3, 1, seed=537)
+        assert res.std_error == 0.0 and not res.passed
+        assert res.meta["degraded"] is True
+        assert res.meta["reason"] == "one draw has no standard error"
 
     def test_collapse_flagged_by_ess(self):
         res = mehta_mc(12, 20000, seed=504)
@@ -325,6 +332,22 @@ class TestKacRiceVsEmpirical:
         with pytest.raises(ValueError):
             kacrice_vs_empirical(1, 1.0, 2.0, 1.0, 1000, seed=0)
 
+    def test_spectral_route_calls_no_eigensolver(self, monkeypatch):
+        # one eigvalsh per block for the empirical (d = 2) and Kac-Rice (d = 1)
+        # routes; the Sturm route on stream 2 adds none
+        calls = []
+
+        def counting(mats):
+            calls.append(mats.shape)
+            return batched_eigvals(mats)
+
+        monkeypatch.setattr(mehta, "batched_eigvals", counting)
+        n = 2 * BLOCK + 1000
+        res = kacrice_vs_empirical(1, 1.0, -1.0, 1.0, n, seed=536)
+        blocks = [BLOCK, BLOCK, 1000]
+        assert sorted(calls) == sorted([(k, d, d) for k in blocks for d in (1, 2)])
+        assert res.passed
+
     def test_interval_outside_truncation_box(self):
         res = kacrice_vs_empirical(1, 1.0, 50.0, 60.0, 2000, seed=533)
         assert res.empirical.estimate == 0.0
@@ -379,7 +402,8 @@ class TestReproduce:
 
         def tridiagonal(m):
             def weights(rng, size):
-                return np.abs(tridiagonal_det(*sample_goe_tridiagonal(m, 1.0, size, rng), c))
+                diag, off_sq = sample_goe_tridiagonal(m, 1.0, size, rng)
+                return np.abs(tridiagonal_pivots(diag, off_sq, np.full(size, c)).prod(axis=0))
             return mc_estimate(weights, n, seed, stream=1)
 
         for m in range(3, 7):
