@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every subcommand is a reproducible run: it resolves its configuration (flags,
-then MEHTA_* environment variables, then defaults), echoes that configuration
-in the output, and exits 0 only when every pass flag in the emitted artifact
-is true.  JSON output for a fixed configuration and seed is byte-identical
-across runs and worker counts, except for wall_time_s and the echoed workers.
+Every subcommand is a reproducible run: it accepts only the options it reads,
+resolves them (flags, then MEHTA_* environment variables, then defaults),
+echoes them in the output, and exits 0 only when the emitted artifact's pass
+or all_pass flag is true (an artifact without one passes).  JSON output for a
+fixed configuration and seed is byte-identical across runs and worker counts,
+except for wall_time_s and the echoed workers.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ ENV_PREFIX = "MEHTA_"
 QUADRATURE_GATE = {1: 2e-6, 2: 2e-6, 3: 1e-4}
 
 
-# (flag, type, default, extra argparse keywords) of the options every
-# subcommand takes and echoes; --n is echoed as n_samples
+# (flag, type, default, extra argparse keywords) of the options subcommands
+# share; each subcommand takes the ones it reads and echoes them, --n as n_samples
 COMMON_OPTIONS = (
     ("m", int, 2, {}),
     ("v", float, 1.0, {}),
@@ -54,32 +55,30 @@ def _env(name: str, cast, fallback):
         raise ValueError(f"invalid {ENV_PREFIX}{name.upper()}={raw!r}: {exc}") from None
 
 
-def _add_common(p: argparse.ArgumentParser):
-    for flag, cast, default, extra in COMMON_OPTIONS:
-        p.add_argument(f"--{flag}", type=cast, default=_env(flag, cast, default), **extra)
+def _emit(args, body: dict, wall_time_s: float) -> int:
+    """Write a run's artifact: JSON, or the body's (header, rows) under --format csv.
 
-
-def _config_dict(args, command: str) -> dict:
-    """The resolved common options of a run, echoed in every output."""
-    config = {"n_samples" if flag == "n" else flag: getattr(args, flag) for flag, *_ in COMMON_OPTIONS}
-    return {"command": command, **config}
-
-
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with symspace._opened(args.out or sys.stdout, "w") as fh:
-        fh.write(text)
-
-
-def _emit_csv(args, writer) -> None:
-    """writer(fh) dumps csv rows; config echo goes to stderr to keep the schema."""
-    with symspace._opened(args.out or sys.stdout, "w") as fh:
-        writer(fh)
-    sys.stderr.write("config: " + json.dumps(_config_dict(args, args.command), sort_keys=True) + "\n")
+    Returns the exit code, 0 exactly when the artifact's pass flag is true.
+    """
+    config = {"command": args.command,
+              **{"n_samples" if flag == "n" else flag: getattr(args, flag) for flag in args.options}}
+    table = body.pop("csv", None)
+    if getattr(args, "format", "json") == "csv":
+        if table is None:
+            raise ValueError(f"--format csv: {body['op']} has no CSV form")
+        spectral._write_csv(args.out or sys.stdout, *table)
+        # the config echo goes to stderr to keep the csv schema
+        sys.stderr.write("config: " + json.dumps(config, sort_keys=True) + "\n")
+    else:
+        payload = {**body, "config": config, "wall_time_s": wall_time_s}
+        with symspace._opened(args.out or sys.stdout, "w") as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return 0 if body.get("pass", body.get("all_pass", True)) else 1
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its artifact's body, with an optional "csv" entry
+# (header, rows); sample and render write their own text and return the exit code
 
 
 def cmd_sample(args) -> int:
@@ -92,47 +91,24 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_check_covariance(args) -> int:
-    t0 = time.perf_counter()
+def cmd_check_covariance(args) -> dict:
     params = symspace.EnsembleParams(args.m, args.u, args.v)
     audit = symspace.covariance_audit(params, args.n, seed=args.seed, workers=args.workers)
-    payload = {
-        "op": "check-covariance",
-        "config": _config_dict(args, "check-covariance"),
-        "result": audit.to_dict(),
-        "pass": audit.passed,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    _emit(args, payload)
-    return 0 if audit.passed else 1
+    return {"op": "check-covariance", "result": audit.to_dict(), "pass": audit.passed}
 
 
-def cmd_eig(args) -> int:
-    mat = symspace.read_matrix(args.matrix)
-    lam = spectral.eigenvalues(mat)
-    payload = {
-        "op": "eig",
-        "config": _config_dict(args, "eig"),
-        "eigenvalues": lam.tolist(),
-    }
-    _emit(args, payload)
-    return 0
+def cmd_eig(args) -> dict:
+    lam = spectral.eigenvalues(symspace.read_matrix(args.matrix))
+    return {"op": "eig", "eigenvalues": lam.tolist()}
 
 
-def cmd_critpoints(args) -> int:
-    mat = symspace.read_matrix(args.matrix)
-    points = spherefield.find_critical_points(mat, rng=args.seed)
-    payload = {
-        "op": "critpoints",
-        "config": _config_dict(args, "critpoints"),
-        "critical_points": [p.to_dict() for p in points],
-        "count": len(points),
-    }
-    _emit(args, payload)
-    return 0
+def cmd_critpoints(args) -> dict:
+    points = spherefield.find_critical_points(symspace.read_matrix(args.matrix), rng=args.seed)
+    return {"op": "critpoints", "critical_points": [p.to_dict() for p in points],
+            "count": len(points)}
 
 
-def cmd_correlation(args) -> int:
+def cmd_correlation(args) -> dict:
     est = spectral.one_point_correlation(
         args.m,
         args.v,
@@ -143,126 +119,68 @@ def cmd_correlation(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    if args.format == "csv":
-        _emit_csv(args, est.to_csv)
-    else:
-        payload = {
-            "op": "correlation",
-            "config": _config_dict(args, "correlation"),
-            "grid": est.grid.tolist(),
-            "rho": est.values.tolist(),
-            "stderr": est.stderr.tolist(),
-            "width": est.width,
-            "kind": est.kind,
-            "integral": est.integral(),
-        }
-        _emit(args, payload)
-    return 0
+    return {
+        "op": "correlation",
+        "grid": est.grid.tolist(),
+        "rho": est.values.tolist(),
+        "stderr": est.stderr.tolist(),
+        "width": est.width,
+        "kind": est.kind,
+        "integral": est.integral(),
+        "csv": ("x,rho,stderr", zip(est.grid, est.values, est.stderr)),
+    }
 
 
-def cmd_mehta(args) -> int:
-    t0 = time.perf_counter()
-    if args.method == "closed":
-        value = mehta.mehta_closed_form(args.m)
+def cmd_mehta(args) -> dict:
+    if args.method in ("closed", "ratio"):
+        value = (mehta.mehta_closed_form if args.method == "closed" else mehta.mehta_ratio)(args.m)
         body = {"estimate": value, "reference": value, "pass": True}
-        ok = True
-    elif args.method == "ratio":
-        value = mehta.mehta_ratio(args.m)
-        body = {"estimate": value, "reference": value, "pass": True}
-        ok = True
     elif args.method == "quadrature":
         value = mehta.mehta_quadrature(args.m)
         ref = mehta.mehta_closed_form(args.m)
-        ok = abs(value - ref) <= QUADRATURE_GATE[args.m]
-        body = {"estimate": value, "reference": ref, "pass": ok}
+        body = {"estimate": value, "reference": ref, "pass": abs(value - ref) <= QUADRATURE_GATE[args.m]}
     elif args.method == "mc":
-        res = mehta.mehta_mc(args.m, args.n, seed=args.seed, workers=args.workers)
-        body = res.to_dict()
-        ok = res.passed
+        body = mehta.mehta_mc(args.m, args.n, seed=args.seed, workers=args.workers).to_dict()
     else:  # reproduce
         rows = mehta.reproduce_zm(args.m, args.n, seed=args.seed, workers=args.workers)
-        ok = all(r.passed for r in rows)
-        if args.format == "csv":
-            def writer(fh):
-                fh.write("m,estimate,std_error,reference,z_score,pass\n")
-                for r in rows:
-                    fh.write(
-                        f"{r.meta['m']},{r.estimate:.17g},{r.std_error:.17g},"
-                        f"{r.reference:.17g},{r.z_score:.17g},{str(r.passed).lower()}\n"
-                    )
-
-            _emit_csv(args, writer)
-            return 0 if ok else 1
-        body = {"table": [r.to_dict() for r in rows], "pass": ok}
-    payload = {
-        "op": f"mehta-{args.method}",
-        "config": _config_dict(args, "mehta"),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    payload.update(body)
-    _emit(args, payload)
-    return 0 if ok else 1
+        body = {
+            "table": [r.to_dict() for r in rows],
+            "pass": all(r.passed for r in rows),
+            "csv": ("m,estimate,std_error,reference,z_score,pass",
+                    [(r.meta["m"], r.estimate, r.std_error, r.reference, r.z_score,
+                      str(r.passed).lower()) for r in rows]),
+        }
+    return {"op": f"mehta-{args.method}", **body}
 
 
-def cmd_detmoment(args) -> int:
-    t0 = time.perf_counter()
+def cmd_detmoment(args) -> dict:
     if args.mode == "integrated":
         res = mehta.detmoment_identity_check(args.m, args.v, args.n, seed=args.seed, workers=args.workers)
     else:
         res = mehta.exp_det_pointwise_check(args.m, args.v, args.c, args.n, seed=args.seed, workers=args.workers)
-    payload = {
-        "op": f"detmoment-{args.mode}",
-        "config": _config_dict(args, "detmoment"),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    payload.update(res.to_dict())
-    _emit(args, payload)
-    return 0 if res.passed else 1
+    return {"op": f"detmoment-{args.mode}", **res.to_dict()}
 
 
-def cmd_kacrice(args) -> int:
-    t0 = time.perf_counter()
+def cmd_kacrice(args) -> dict:
     if args.curve:
         L = 4.0 * math.sqrt(args.v * (args.m + 1))
-        grid = np.linspace(-L, L, args.curve_points)
         rows = []
-        for t in grid:
+        for t in np.linspace(-L, L, args.curve_points):
             res = mehta.kacrice_density(
                 args.m, float(t), args.v, args.n, seed=args.seed, workers=args.workers
             )
             rows.append((float(t), res.estimate, res.std_error))
-        if args.format == "csv":
-            def writer(fh):
-                fh.write("t,rho,stderr\n")
-                for row in rows:
-                    fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-            _emit_csv(args, writer)
-        else:
-            payload = {
-                "op": "kacrice-curve",
-                "config": _config_dict(args, "kacrice"),
-                "curve": [{"t": r[0], "rho": r[1], "stderr": r[2]} for r in rows],
-                "wall_time_s": time.perf_counter() - t0,
-            }
-            _emit(args, payload)
-        return 0
-    a = -math.inf if args.full_line else args.a
-    b = math.inf if args.full_line else args.b
+        return {"op": "kacrice-curve", "curve": [{"t": t, "rho": rho, "stderr": se} for t, rho, se in rows],
+                "csv": ("t,rho,stderr", rows)}
+    if args.full_line:
+        args.a = args.b = None  # all of R; the echoed config shows the unbounded ends as null
+    a = -math.inf if args.a is None else args.a
+    b = math.inf if args.b is None else args.b
     res = mehta.kacrice_vs_empirical(args.m, args.v, a, b, args.n, seed=args.seed, workers=args.workers)
-    payload = {
-        "op": "kacrice-interval",
-        "config": _config_dict(args, "kacrice"),
-        "comparison": res.to_dict(),
-        "pass": res.passed,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    _emit(args, payload)
-    return 0 if res.passed else 1
+    return {"op": "kacrice-interval", "comparison": res.to_dict(), "pass": res.passed}
 
 
-def cmd_regress_demo(args) -> int:
-    t0 = time.perf_counter()
+def cmd_regress_demo(args) -> dict:
     pair = regression.hessian_regression_pair(args.m, args.v, coords="ell")
     res = regression.regress(pair)
     emp_w, emp_h = regression.hessian_pair_samples(args.m, args.v, args.n, substream(args.seed))
@@ -271,21 +189,15 @@ def cmd_regress_demo(args) -> int:
         args.m, args.v, args.n, seed=args.seed, workers=args.workers, method="residual"
     )
     max_z = max(abs(r.z_score) for r in moments.values())
-    cross_dev = float(np.max(np.abs(emp.cross - pair.cross)))
-    ok = max_z <= 4.0
-    payload = {
+    return {
         "op": "regress-demo",
-        "config": _config_dict(args, "regress-demo"),
         "regression": res.to_dict(),
         "analytic_cross": pair.cross.tolist(),
-        "empirical_cross_max_dev": cross_dev,
+        "empirical_cross_max_dev": float(np.max(np.abs(emp.cross - pair.cross))),
         "moment_checks": {k: r.to_dict() for k, r in moments.items()},
         "max_abs_z": max_z,
-        "pass": ok,
-        "wall_time_s": time.perf_counter() - t0,
+        "pass": max_z <= 4.0,
     }
-    _emit(args, payload)
-    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +327,8 @@ def run_report(n: int, seed: int, workers: int) -> dict:
     return {"criteria": rows, "all_pass": all(r["pass"] for r in rows)}
 
 
-def cmd_report(args) -> int:
-    t0 = time.perf_counter()
-    report = run_report(args.n, args.seed, args.workers)
-    payload = {
-        "op": "report",
-        "config": _config_dict(args, "report"),
-        "criteria": report["criteria"],
-        "all_pass": report["all_pass"],
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    _emit(args, payload)
-    return 0 if report["all_pass"] else 1
+def cmd_report(args) -> dict:
+    return {"op": "report", **run_report(args.n, args.seed, args.workers)}
 
 
 def render_report(payload: dict) -> tuple[str, bool]:
@@ -463,69 +365,73 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line, like every other usage error
+        self.exit(2, f"error: {message}\n")
+
+
+def _subcommand(sub, name: str, fn, summary: str, options: tuple) -> argparse.ArgumentParser:
+    """A subparser that takes the named common options and echoes them as its config."""
+    p = sub.add_parser(name, help=summary)
+    table = {flag: rest for flag, *rest in COMMON_OPTIONS}
+    for flag in options:
+        cast, default, extra = table[flag]
+        p.add_argument(f"--{flag}", type=cast, default=_env(flag, cast, default), **extra)
+    p.set_defaults(fn=fn, options=options)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mehtalab",
         description="Reproducible estimators and checks for GOE spectral statistics, "
         "sphere critical points, and the Mehta integral.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="emit ensemble draws in the matrix text format")
-    _add_common(p)
-    p.set_defaults(fn=cmd_sample)
+    _subcommand(sub, "sample", cmd_sample, "emit ensemble draws in the matrix text format",
+                ("m", "u", "v", "n", "seed", "out"))
 
-    p = sub.add_parser("check-covariance", help="audit every second moment of a sampler")
-    _add_common(p)
-    p.set_defaults(fn=cmd_check_covariance)
+    _subcommand(sub, "check-covariance", cmd_check_covariance, "audit every second moment of a sampler",
+                ("m", "u", "v", "n", "seed", "workers", "out"))
 
-    p = sub.add_parser("eig", help="print eigenvalues of a matrix file")
+    p = _subcommand(sub, "eig", cmd_eig, "print eigenvalues of a matrix file", ("out",))
     p.add_argument("matrix")
-    _add_common(p)
-    p.set_defaults(fn=cmd_eig)
 
-    p = sub.add_parser("critpoints", help="critical points of the sphere field of a matrix file")
+    p = _subcommand(sub, "critpoints", cmd_critpoints, "critical points of the sphere field of a matrix file",
+                    ("seed", "out"))
     p.add_argument("matrix")
-    _add_common(p)
-    p.set_defaults(fn=cmd_critpoints)
 
-    p = sub.add_parser("correlation", help="one-point correlation density estimate")
-    _add_common(p)
+    p = _subcommand(sub, "correlation", cmd_correlation, "one-point correlation density estimate",
+                    ("m", "v", "n", "seed", "workers", "out", "format"))
     p.add_argument("--estimator", choices=("histogram", "kernel"), default="histogram")
     p.add_argument("--bin-width", type=float, default=None)
     p.add_argument("--bandwidth", type=float, default=None)
-    p.set_defaults(fn=cmd_correlation)
 
-    p = sub.add_parser("mehta", help="Mehta integral: closed form, mc, quadrature, reproduce")
-    _add_common(p)
+    p = _subcommand(sub, "mehta", cmd_mehta, "Mehta integral: closed form, mc, quadrature, reproduce",
+                    ("m", "n", "seed", "workers", "out", "format"))
     p.add_argument("--method", choices=("closed", "ratio", "mc", "quadrature", "reproduce"),
                    default="closed")
-    p.set_defaults(fn=cmd_mehta)
 
-    p = sub.add_parser("detmoment", help="determinant-moment identity, integrated or pointwise")
-    _add_common(p)
+    p = _subcommand(sub, "detmoment", cmd_detmoment, "determinant-moment identity, integrated or pointwise",
+                    ("m", "v", "c", "n", "seed", "workers", "out"))
     p.add_argument("--mode", choices=("integrated", "pointwise"), default="integrated")
-    p.set_defaults(fn=cmd_detmoment)
 
-    p = sub.add_parser("kacrice", help="Kac-Rice density curve or interval comparison")
-    _add_common(p)
+    p = _subcommand(sub, "kacrice", cmd_kacrice, "Kac-Rice density curve or interval comparison",
+                    ("m", "v", "a", "b", "n", "seed", "workers", "out", "format"))
     p.add_argument("--full-line", action="store_true", help="compare on all of R")
     p.add_argument("--curve", action="store_true", help="emit a density curve instead")
     p.add_argument("--curve-points", type=int, default=33)
-    p.set_defaults(fn=cmd_kacrice)
 
-    p = sub.add_parser("regress-demo", help="sphere Hessian regression, analytic vs empirical")
-    _add_common(p)
-    p.set_defaults(fn=cmd_regress_demo)
+    _subcommand(sub, "regress-demo", cmd_regress_demo, "sphere Hessian regression, analytic vs empirical",
+                ("m", "v", "n", "seed", "workers", "out"))
 
-    p = sub.add_parser("report", help="run the full acceptance suite and write one JSON report")
-    _add_common(p)
-    p.set_defaults(fn=cmd_report)
+    _subcommand(sub, "report", cmd_report, "run the full acceptance suite and write one JSON report",
+                ("n", "seed", "workers", "out"))
 
-    p = sub.add_parser("render", help="human-readable table from a report file")
+    p = _subcommand(sub, "render", cmd_render, "human-readable table from a report file", ())
     p.add_argument("report")
-    _add_common(p)
-    p.set_defaults(fn=cmd_render)
 
     return parser
 
@@ -538,7 +444,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:
-        args = parser.parse_args(argv)
+        args, unread = parser.parse_known_args(argv)
+        if unread:
+            parser.error(f"{args.command} does not take {' '.join(unread)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -547,7 +455,11 @@ def main(argv=None) -> int:
             if getattr(args, flag, 1) < 1:
                 name = flag.replace("_", "-")
                 raise ValueError(f"--{name} must be a positive integer, got {getattr(args, flag)}")
-        return args.fn(args)
+        t0 = time.perf_counter()
+        body = args.fn(args)
+        if isinstance(body, int):
+            return body
+        return _emit(args, body, time.perf_counter() - t0)
     except ValueError as exc:
         # bad parameter values are usage errors, like unknown flags
         sys.stderr.write(f"error: {exc}\n")

@@ -22,6 +22,11 @@ Z_THRESHOLD = 4.0
 BLOCK = 2**14
 
 
+def _finite_or_none(x: float | None) -> float | None:
+    """x, or None (JSON null) when it is missing or not finite."""
+    return None if x is None or not math.isfinite(x) else x
+
+
 def substream(seed: int, worker: int = 0) -> np.random.Generator:
     """Independent generator for (seed, worker); streams never collide."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(worker))
@@ -136,7 +141,7 @@ class EstimatorResult:
             "n_samples": self.n_samples,
             "seed": self.seed,
             "reference": self.reference,
-            "z_score": None if self.z_score is None or not math.isfinite(self.z_score) else self.z_score,
+            "z_score": _finite_or_none(self.z_score),
             "pass": self.passed,
         }
         if self.meta:

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from mehtalab.estimation import EstimatorResult, mc_estimate
+from mehtalab.estimation import EstimatorResult, _finite_or_none, mc_estimate
 from mehtalab.spectral import (
     QuadratureError,
     _kernel_density_at,
@@ -381,13 +381,13 @@ class KacRiceComparison:
 
     def to_dict(self) -> dict:
         return {
-            "interval": [self.interval[0], self.interval[1]],
+            "interval": [_finite_or_none(end) for end in self.interval],
             "empirical": self.empirical.to_dict(),
             "kacrice": self.kacrice.to_dict(),
             "spectral": self.spectral.to_dict(),
-            "z_empirical_kacrice": self.z_empirical_kacrice,
-            "z_empirical_spectral": self.z_empirical_spectral,
-            "z_kacrice_spectral": self.z_kacrice_spectral,
+            "z_empirical_kacrice": _finite_or_none(self.z_empirical_kacrice),
+            "z_empirical_spectral": _finite_or_none(self.z_empirical_spectral),
+            "z_kacrice_spectral": _finite_or_none(self.z_kacrice_spectral),
             "pass": self.passed,
         }
 

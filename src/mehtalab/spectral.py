@@ -264,13 +264,12 @@ def _vandermonde_gauss_integral(m: int, v: float, f, halfwidth: float, atol: flo
 _WEYL_NORM_CACHE: dict = {}
 
 
-def weyl_rhs_quadrature(f, m: int, v: float, box_halfwidth: float | None = None,
-                        tol: float = 1e-6) -> float:
+def weyl_rhs_quadrature(f, m: int, v: float, tol: float = 1e-6) -> float:
     """Deterministic E[f] over GOE(m, v) by eigenvalue-density quadrature.
 
     This is the brute-force side of the Weyl formula: integrate f against the
-    Vandermonde-Gaussian density and normalize by the same quadrature run on
-    the constant 1, which keeps the routine independent of any closed-form
+    Vandermonde-Gaussian density over the box |lambda_i| <= 8 sqrt(2v) and
+    normalize by the same quadrature run on the constant 1, which keeps the routine independent of any closed-form
     normalization.  Supports m in {1, 2, 3}; raises QuadratureError with the
     achieved error estimate when the target tolerance is missed or the
     integrand returns NaN.
@@ -279,8 +278,8 @@ def weyl_rhs_quadrature(f, m: int, v: float, box_halfwidth: float | None = None,
         raise ValueError("weyl_rhs_quadrature supports m in {1, 2, 3} (cost grows too fast beyond)")
     if not v > 0.0:
         raise ValueError("v must be positive")
-    H = box_halfwidth if box_halfwidth is not None else 8.0 * math.sqrt(2.0 * v)
-    key = (m, float(v), float(H))
+    H = 8.0 * math.sqrt(2.0 * v)
+    key = (m, float(v))
     if key not in _WEYL_NORM_CACHE:
         _WEYL_NORM_CACHE[key] = _vandermonde_gauss_integral(m, v, None, H)
     den, den_err = _WEYL_NORM_CACHE[key]
@@ -323,10 +322,11 @@ class DensityEstimate:
 
 
 def _write_csv(path_or_file, header, rows):
+    """Numbers at full precision, strings as they are."""
     with _opened(path_or_file, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            fh.write(",".join(x if isinstance(x, str) else f"{x:.17g}" for x in row) + "\n")
 
 
 def default_bin_width(n: int, v: float) -> float:
@@ -379,6 +379,10 @@ def one_point_correlation(
         width = 0.05 * math.sqrt(2.0 * v) if bandwidth is None else float(bandwidth)
         if not (width > 0.0 and math.isfinite(width)):
             raise ValueError("bandwidth must be a positive finite number")
+        if width < R / 4000.0:
+            # the grid cannot resolve a kernel narrower than its step; far below
+            # it no grid point is within 8h of an eigenvalue and every value is 0
+            raise ValueError(f"bandwidth {width:g} is below the grid step {R / 4000.0:g}")
         step = max(width / 2.0, R / 4000.0)
         half = int(math.ceil(R / step))
         grid = step * np.arange(-half, half + 1)

@@ -167,7 +167,7 @@ def _tangent_bases(x):
 def _tangent_hessians(mats, x, theta):
     """Q^T A Q - theta I for stacks of matrices, points and values, Q the tangent basis."""
     q = _tangent_bases(x)
-    h = np.einsum("...ji,...jk,...kl->...il", q, mats, q)
+    h = q.swapaxes(-1, -2) @ mats @ q
     diag = np.arange(h.shape[-1])
     h[..., diag, diag] -= theta[..., None]
     return h

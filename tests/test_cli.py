@@ -1,19 +1,28 @@
+import argparse
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mehtalab.cli import main, render_report, run_report
+from mehtalab.cli import build_parser, main, render_report, run_report
 from mehtalab.symspace import read_matrices
 
 DIAG_FIXTURE = "2\n1 0\n0 2\n"
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def run_json(capsys, argv):
+    """Exit code and artifact of a run; the artifact must be strict (RFC 8259) JSON."""
     rc = main(argv)
     out = capsys.readouterr().out
-    return rc, json.loads(out)
+    return rc, json.loads(out, parse_constant=_reject_constant)
 
 
 class TestBasicCommands:
@@ -63,6 +72,9 @@ class TestBasicCommands:
         rc, payload = run_json(capsys, ["eig", str(path)])
         assert rc == 0
         assert np.allclose(payload["eigenvalues"], [1.0, 2.0, 3.0])
+        # the echo holds exactly the options eig reads; every artifact is timed
+        assert payload["config"] == {"command": "eig", "out": None}
+        assert payload["wall_time_s"] >= 0.0
 
     def test_sample_roundtrip(self, tmp_path):
         out = tmp_path / "mats.txt"
@@ -98,6 +110,14 @@ class TestBasicCommands:
         )
         assert rc == 0
         assert payload["comparison"]["pass"] is True
+
+    def test_kacrice_full_line(self, capsys):
+        # the unbounded ends are null, in the comparison and in the echo
+        rc, payload = run_json(capsys, ["kacrice", "--m", "1", "--full-line", "--n", "2000"])
+        assert rc == 0
+        assert payload["comparison"]["interval"] == [None, None]
+        assert payload["config"]["a"] is None and payload["config"]["b"] is None
+        assert payload["comparison"]["empirical"]["estimate"] == 4.0
 
     def test_regress_demo(self, capsys):
         rc, payload = run_json(
@@ -236,6 +256,25 @@ class TestExitCodes:
         assert out == "" and not out_file.exists()
         assert err.splitlines() == [f"error: --{flag} must be a positive integer, got {value}"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eig", "m.txt", "--seed", "1"], "eig does not take --seed 1"),
+        (["render", "r.json", "--out", "x"], "render does not take --out x"),
+        (["sample", "--workers", "2"], "sample does not take --workers 2"),
+        (["report", "--m", "3"], "report does not take --m 3"),
+        (["mehta", "--method", "mc", "--format", "csv", "--n", "2000"],
+         "--format csv: mehta-mc has no CSV form"),
+        (["kacrice", "--format", "csv", "--n", "2000"], "--format csv: kacrice-interval has no CSV form"),
+        # no grid point within 8h of an eigenvalue would read every density value 0
+        (["correlation", "--estimator", "kernel", "--bandwidth", "1e-9", "--n", "1000"],
+         "bandwidth 1e-09 is below the grid step 0.00312132"),
+    ])
+    def test_rejected(self, capsys, argv, message):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_mehta_mc_one_draw_is_degraded(self, capsys):
         # one draw reads std_error 0: the row fails its z and says why
         rc, payload = run_json(capsys, ["mehta", "--method", "mc", "--m", "3", "--n", "1"])
@@ -350,3 +389,32 @@ class TestDeterminism:
         a = json.loads(out1.read_text())
         b = json.loads(out2.read_text())
         assert a["estimate"] != b["estimate"]
+
+
+def _readme_section(title):
+    text = README.read_text()
+    start = text.index(f"## {title}\n")
+    return text[start:text.index("\n## ", start + 1)]
+
+
+def _accepted_options(parser):
+    """Subcommand -> the flags and (upper-cased) positionals it accepts."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.option_strings[-1] if a.option_strings else a.dest.upper()
+               for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        for name, p in sub.choices.items()
+    }
+
+
+class TestReadme:
+    def test_examples_parse(self):
+        lines = [line.split("#")[0] for line in _readme_section("Command line").splitlines()
+                 if line.startswith("mehtalab ")]
+        assert len(lines) >= 10
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
+
+    def test_option_table_matches_parser(self):
+        rows = re.findall(r"^\| `([a-z-]+)` \| `([^`]*)` \|$", _readme_section("Command line"), re.M)
+        assert {name: set(opts.split()) for name, opts in rows} == _accepted_options(build_parser())
