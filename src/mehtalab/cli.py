@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from mehtalab import mehta, regression, spectral, spherefield, symspace
-from mehtalab.estimation import substream
+from mehtalab.estimation import Moments, _finite_or_none, map_chunks, substream
 
 ENV_PREFIX = "MEHTA_"
 
@@ -62,6 +62,8 @@ def _emit(args, body: dict, wall_time_s: float) -> int:
     """
     config = {"command": args.command,
               **{"n_samples" if flag == "n" else flag: getattr(args, flag) for flag in args.options}}
+    # strict JSON: a non-finite value, such as an unbounded kacrice end, is echoed as null
+    config.update((k, _finite_or_none(v)) for k, v in config.items() if isinstance(v, float))
     table = body.pop("csv", None)
     if getattr(args, "format", "json") == "csv":
         if table is None:
@@ -172,31 +174,35 @@ def cmd_kacrice(args) -> dict:
             rows.append((float(t), res.estimate, res.std_error))
         return {"op": "kacrice-curve", "curve": [{"t": t, "rho": rho, "stderr": se} for t, rho, se in rows],
                 "csv": ("t,rho,stderr", rows)}
-    if args.full_line:
-        args.a = args.b = None  # all of R; the echoed config shows the unbounded ends as null
-    a = -math.inf if args.a is None else args.a
-    b = math.inf if args.b is None else args.b
-    res = mehta.kacrice_vs_empirical(args.m, args.v, a, b, args.n, seed=args.seed, workers=args.workers)
+    res = mehta.kacrice_vs_empirical(args.m, args.v, args.a, args.b, args.n, seed=args.seed,
+                                     workers=args.workers)
     return {"op": "kacrice-interval", "comparison": res.to_dict(), "pass": res.passed}
 
 
 def cmd_regress_demo(args) -> dict:
     pair = regression.hessian_regression_pair(args.m, args.v, coords="ell")
     res = regression.regress(pair)
-    emp_w, emp_h = regression.hessian_pair_samples(args.m, args.v, args.n, substream(args.seed))
-    emp = regression.empirical_correlator(emp_w, emp_h)
     moments = regression.conditional_hessian_moments(
         args.m, args.v, args.n, seed=args.seed, workers=args.workers, method="residual"
     )
-    max_z = max(abs(r.z_score) for r in moments.values())
+
+    def block(rng, size):
+        w, h = regression.hessian_pair_samples(args.m, args.v, size, rng)
+        return Moments.of(np.hstack([w, h, (h[:, :, None] * w[:, None, :]).reshape(size, -1)]))
+
+    # the sample cross covariance on its own stream: (E[hw] - E[h]E[w]) n / (n - 1)
+    mean = map_chunks(block, args.n, args.seed, args.workers, stream=1).mean
+    dx, dy = pair.x.dim, pair.y.dim
+    cross = mean[dx + dy:].reshape(dy, dx) - np.outer(mean[dx:dx + dy], mean[:dx])
+    cross *= args.n / (args.n - 1)
     return {
         "op": "regress-demo",
         "regression": res.to_dict(),
         "analytic_cross": pair.cross.tolist(),
-        "empirical_cross_max_dev": float(np.max(np.abs(emp.cross - pair.cross))),
+        "empirical_cross_max_dev": float(np.max(np.abs(cross - pair.cross))),
         "moment_checks": {k: r.to_dict() for k, r in moments.items()},
-        "max_abs_z": max_z,
-        "pass": max_z <= 4.0,
+        "max_abs_z": max(abs(r.z_score) for r in moments.values()),
+        "pass": all(r.passed for r in moments.values()),
     }
 
 
@@ -213,7 +219,7 @@ def _row(name, estimate, reference, z, ok, t0, detail=None):
         "name": name,
         "estimate": None if estimate is None else float(estimate),
         "reference": None if reference is None else float(reference),
-        "z": None if z is None or not math.isfinite(z) else float(z),
+        "z": _finite_or_none(z),
         "pass": bool(ok),
         "wall_time_s": time.perf_counter() - t0,
     }
@@ -314,7 +320,7 @@ def run_report(n: int, seed: int, workers: int) -> dict:
             m, v, _scaled(n, 200000, 2000), seed=seed, workers=workers, method="residual"
         )
         worst_z = max(abs(r.z_score) for r in moments.values())
-        ok = worst_z <= 4.0
+        ok = all(r.passed for r in moments.values())
         pair = regression.hessian_regression_pair(m, v, coords="omega")
         res = regression.regress(pair)
         explained = pair.cross @ np.linalg.solve(pair.x.cov, pair.cross.T)
@@ -420,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "kacrice", cmd_kacrice, "Kac-Rice density curve or interval comparison",
                     ("m", "v", "a", "b", "n", "seed", "workers", "out", "format"))
-    p.add_argument("--full-line", action="store_true", help="compare on all of R")
     p.add_argument("--curve", action="store_true", help="emit a density curve instead")
     p.add_argument("--curve-points", type=int, default=33)
 

@@ -19,7 +19,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from mehtalab.estimation import EstimatorResult, _finite_or_none, mc_estimate
+from mehtalab.estimation import (
+    ESS_FLOOR,
+    Z_THRESHOLD,
+    EstimatorResult,
+    _finite_or_none,
+    mc_estimate,
+    z_scores,
+)
 from mehtalab.spectral import (
     QuadratureError,
     _kernel_density_at,
@@ -31,6 +38,7 @@ from mehtalab.spectral import (
 from mehtalab.symspace import sample_goe_batch, sample_goe_tridiagonal
 
 __all__ = [
+    "ESS_FLOOR",
     "vol_sphere",
     "mehta_closed_form",
     "log_mehta_closed_form",
@@ -99,11 +107,6 @@ def mehta_quadrature(m: int, tol: float = 1e-6) -> float:
     return value
 
 
-# Kish ESS per draw below which mehta_mc's standard error rests on a few
-# dominant weights; with 1e6 draws ESS/n is 0.05 at m = 4, 0.005 at m = 5.
-ESS_FLOOR = 1e-3
-
-
 def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int = 1) -> EstimatorResult:
     """Importance-sampled Mehta integral: iid standard Gaussian eigenvalues.
 
@@ -112,7 +115,7 @@ def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int = 1) -> Estimat
     integrand is even under l -> -l, so the antithetic pair of each draw has
     the identical weight and the estimator is plain Monte Carlo over the
     drawn points.  ``meta`` holds the Kish ESS and flags ``degraded`` when
-    ESS/n is below ``ESS_FLOOR`` or n is 1; the 4-SE verdict ignores the flag.
+    ESS/n is below ``ESS_FLOOR``; the 4-SE verdict ignores the flag.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -126,7 +129,7 @@ def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int = 1) -> Estimat
                     lw += np.log(np.abs(lam[:, i] - lam[:, j]))
         return lw
 
-    res = mc_estimate(
+    return mc_estimate(
         log_weights,
         n_samples,
         seed,
@@ -135,13 +138,6 @@ def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int = 1) -> Estimat
         reference=mehta_closed_form(m),
         log_weights=True,
     )
-    share = res.meta["ess"] / n_samples
-    res.meta["degraded"] = n_samples < 2 or share < ESS_FLOOR
-    if n_samples < 2:
-        res.meta["reason"] = "one draw has no standard error"
-    elif res.meta["degraded"]:
-        res.meta["reason"] = f"Kish ESS/n = {share:.3g} is below {ESS_FLOOR:g}: the proposal has collapsed"
-    return res
 
 
 def _abs_det_shifted(mats: np.ndarray, shifts: np.ndarray | float) -> np.ndarray:
@@ -353,11 +349,7 @@ def kacrice_total_mass(
 
 
 def _pair_z(x: EstimatorResult, y: EstimatorResult) -> float:
-    se = math.hypot(x.std_error, y.std_error)
-    diff = x.estimate - y.estimate
-    if se == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return diff / se
+    return float(z_scores(x.estimate, y.estimate, math.hypot(x.std_error, y.std_error)))
 
 
 @dataclass
@@ -374,10 +366,8 @@ class KacRiceComparison:
 
     @property
     def passed(self) -> bool:
-        return all(
-            abs(z) <= 4.0
-            for z in (self.z_empirical_kacrice, self.z_empirical_spectral, self.z_kacrice_spectral)
-        )
+        zs = (self.z_empirical_kacrice, self.z_empirical_spectral, self.z_kacrice_spectral)
+        return all(abs(z) <= Z_THRESHOLD for z in zs)
 
     def to_dict(self) -> dict:
         return {

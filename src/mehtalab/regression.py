@@ -85,9 +85,8 @@ class GaussianVector:
     def degeneracy_threshold(self) -> float:
         return 1e-10 * float(np.trace(self.cov)) / max(self.dim, 1)
 
-    def nondegenerate(self, threshold: float | None = None) -> bool:
-        thr = self.degeneracy_threshold() if threshold is None else threshold
-        return _min_eig(self.cov) > thr
+    def nondegenerate(self) -> bool:
+        return _min_eig(self.cov) > self.degeneracy_threshold()
 
 
 @dataclass(frozen=True)
@@ -188,13 +187,13 @@ def empirical_correlator(xs: np.ndarray, ys: np.ndarray) -> JointGaussian:
     return JointGaussian(GaussianVector(mx, cov_x), GaussianVector(my, cov_y), cross)
 
 
-def regress(j: JointGaussian, degeneracy_threshold: float | None = None) -> RegressionResult:
+def regress(j: JointGaussian) -> RegressionResult:
     """Regression operator, residual covariance, and offset for a joint law.
 
     The inverse of Var[X] is never formed; both the operator and the residual
     correction are computed through a Cholesky solve.
     """
-    thr = j.x.degeneracy_threshold() if degeneracy_threshold is None else degeneracy_threshold
+    thr = j.x.degeneracy_threshold()
     mineig = _min_eig(j.x.cov)
     if not mineig > thr:
         raise DegenerateConditioningError(mineig, thr)

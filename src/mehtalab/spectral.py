@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, sparse
 
 from mehtalab.estimation import EstimatorResult, Moments, map_chunks, mc_estimate
 from mehtalab.symspace import EnsembleParams, SymMatrix, _opened, sample_goe_batch
@@ -374,8 +374,8 @@ def one_point_correlation(
             return cells, np.ones(cells.shape)
     else:
         # a Gaussian cut off at 8h, past which a term is below 1e-14 / h: each
-        # eigenvalue weighs on the grid points within 8h of it.  int32 cells
-        # suffice, as a block's keys stay below BLOCK * (8001 + 2) < 2**31
+        # eigenvalue weighs on the grid points within 8h of it; int32 cells
+        # suffice for the at most 8001 grid points
         width = 0.05 * math.sqrt(2.0 * v) if bandwidth is None else float(bandwidth)
         if not (width > 0.0 and math.isfinite(width)):
             raise ValueError("bandwidth must be a positive finite number")
@@ -417,8 +417,8 @@ def one_point_correlation(
 def _cell_moments(lam, cells, weights, ncells):
     """Block moments of the per-matrix weight sums on ``ncells`` grid cells.
 
-    Eigenvalue lam[i, j] puts weights[i, j, :] on the ascending cells[i, j, :];
-    both arrays are overwritten.  Squares are taken after the per-matrix sums,
+    Eigenvalue lam[i, j] puts weights[i, j, :] on the ascending cells[i, j, :],
+    which are overwritten.  Squares are taken after the per-matrix sums,
     so cluster standard errors are exact.  The mean of lam^2 and the count of
     eigenvalues with no cell on the grid follow the cells.
     """
@@ -426,19 +426,14 @@ def _cell_moments(lam, cells, weights, ncells):
     escaped = ((cells[..., -1] < 0) | (cells[..., 0] >= ncells)).sum(axis=1)
     # off-grid cells go to a spare cell at either end of their matrix's row
     np.clip(cells, -1, ncells, out=cells)
-    cells += np.arange(1, size * span, span)[:, None, None]
-    keys, weights = cells.reshape(-1), weights.reshape(-1)
-    # permuted in place, so that a block holds one copy of its cells and weights
-    order = np.argsort(keys, kind="stable")
-    keys[:] = keys[order]
-    weights[:] = weights[order]
-    del order
-    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    c = np.add.reduceat(weights, start)
-    keys = keys[start] % span
-    s1 = np.bincount(keys, weights=c, minlength=span)[1:-1]
-    c *= c
-    s2 = np.bincount(keys, weights=c, minlength=span)[1:-1]
+    cells += 1
+    rows = np.broadcast_to(np.arange(size, dtype=np.int32)[:, None, None], cells.shape)
+    # scipy adds up a row's entries on one cell in the order its (unstable) index
+    # sort leaves them: fixed for a fixed block, not always the input order
+    c = sparse.csr_array((weights.reshape(-1), (rows.reshape(-1), cells.reshape(-1))), shape=(size, span))
+    c.sum_duplicates()
+    s1 = np.bincount(c.indices, c.data, minlength=span)[1:-1]
+    s2 = np.bincount(c.indices, c.data ** 2, minlength=span)[1:-1]
     tail = Moments.of(np.column_stack([(lam * lam).mean(axis=1), escaped]))
     return Moments(size, np.append(s1 / size, tail.mean), np.append(s2 - s1 * s1 / size, tail.m2))
 

@@ -201,20 +201,20 @@ def hess_phi(a, x) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: float, max_iter: int = 80):
+def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: float):
     """Damped Newton with sphere retraction from one start point per matrix.
 
     ``mats_flat`` is (B, d, d) and ``x`` is (B, d), one start per matrix.  The
     Newton step solves the stationarity equation projected to the tangent
     space through a bordered system; steps are capped at length 1/2 and an
     iterate falls back to a plain projected-gradient step if its linear solve
-    degenerates.
+    degenerates; at most 80 rounds.
     Returns the final points, gradient norms, and values of twice the field.
     """
     B, d = x.shape
     active = np.arange(B)
     diag = np.arange(d)
-    for _ in range(max_iter):
+    for _ in range(80):
         xa = x[active]
         aa = mats_flat[active]
         grad, theta = _gradients(aa, xa)

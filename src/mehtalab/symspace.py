@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from mehtalab.estimation import Moments, map_chunks
+from mehtalab.estimation import Z_THRESHOLD, Moments, map_chunks, z_scores
 
 __all__ = [
     "SymMatrix",
@@ -139,12 +139,6 @@ class SymMatrix:
         a[ii, jj] = self._packed
         a[jj, ii] = self._packed
         return a
-
-    def shifted(self, c: float) -> "SymMatrix":
-        """A - c * identity."""
-        a = self.to_full()
-        a[np.arange(self._m), np.arange(self._m)] -= c
-        return SymMatrix.from_full(a)
 
     def trace(self) -> float:
         ii, jj = _pair_arrays(self._m)
@@ -338,7 +332,7 @@ class CovarianceAudit:
 
     @property
     def passed(self) -> bool:
-        return self.max_abs_z <= 4.0
+        return self.max_abs_z <= Z_THRESHOLD
 
     def to_dict(self) -> dict:
         return {
@@ -365,14 +359,12 @@ def covariance_audit(
         return Moments(size, np.array([r.mean for r in rows]), np.array([r.m2 for r in rows]))
 
     mom = map_chunks(block, n_samples, seed, workers)
-    se = mom.std_error
     ref = covariance_reference(params)
-    z = np.where(se > 0.0, (mom.mean - ref) / np.where(se > 0.0, se, 1.0), 0.0)
     return CovarianceAudit(
         params=params,
         n_samples=n_samples,
         seed=seed,
-        z_matrix=z,
+        z_matrix=z_scores(mom.mean, ref, mom.std_error),
         second_moments=mom.mean,
         reference=ref,
     )

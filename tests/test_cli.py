@@ -113,7 +113,7 @@ class TestBasicCommands:
 
     def test_kacrice_full_line(self, capsys):
         # the unbounded ends are null, in the comparison and in the echo
-        rc, payload = run_json(capsys, ["kacrice", "--m", "1", "--full-line", "--n", "2000"])
+        rc, payload = run_json(capsys, ["kacrice", "--m", "1", "--a=-inf", "--b=inf", "--n", "2000"])
         assert rc == 0
         assert payload["comparison"]["interval"] == [None, None]
         assert payload["config"]["a"] is None and payload["config"]["b"] is None
@@ -275,13 +275,22 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines() == [f"error: {message}"]
 
-    def test_mehta_mc_one_draw_is_degraded(self, capsys):
-        # one draw reads std_error 0: the row fails its z and says why
-        rc, payload = run_json(capsys, ["mehta", "--method", "mc", "--m", "3", "--n", "1"])
-        assert rc == 1
-        assert payload["std_error"] == 0.0 and payload["z_score"] is None
-        assert payload["meta"]["degraded"] is True
-        assert payload["meta"]["reason"] == "one draw has no standard error"
+    @pytest.mark.parametrize("argv", [
+        ["check-covariance"],
+        ["mehta", "--method", "mc"],
+        ["mehta", "--method", "reproduce"],
+        ["detmoment"],
+        ["detmoment", "--mode", "pointwise"],
+        ["kacrice"],
+        ["kacrice", "--curve"],
+        ["regress-demo"],
+    ])
+    def test_one_draw(self, capsys, argv):
+        # one draw has no standard error, so no estimator reports a verdict on it
+        rc = main(argv + ["--n", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: n_samples must be at least 2: one draw has no standard error"]
 
 
 class TestEnvOverrides:

@@ -1,11 +1,21 @@
+import contextlib
 import functools
+import io
 import math
 import tracemalloc
 
 import numpy as np
 
-from mehtalab.estimation import Moments, mc_estimate
+from mehtalab.cli import main
+from mehtalab.estimation import Moments, mc_estimate, z_scores
 from mehtalab.spectral import one_point_correlation
+
+
+def test_z_scores_elementwise():
+    # se > 0 divides; se = 0 reads 0 when the estimate equals the reference
+    # to rounding, 1e-12 max(1, |reference|), and inf otherwise
+    z = z_scores([3.0, 1e6 + 1e-7, 2.0], [1.0, 1e6, 1.0], [0.5, 0.0, 0.0])
+    assert z.tolist() == [4.0, 0.0, math.inf]
 
 
 class TestBlockCore:
@@ -44,6 +54,13 @@ class TestBlockCore:
     def test_kernel_density_memory_does_not_grow_with_n(self):
         def run(n):
             one_point_correlation(2, 0.5, n, estimator="kernel", seed=5)
+
+        assert _traced_peak(run, 2_000_000) <= 1.25 * _traced_peak(run, 200_000)
+
+    def test_regress_demo_memory_does_not_grow_with_n(self):
+        def run(n):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["regress-demo", "--n", str(n)]) == 0
 
         assert _traced_peak(run, 2_000_000) <= 1.25 * _traced_peak(run, 200_000)
 

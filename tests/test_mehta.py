@@ -151,11 +151,9 @@ class TestMehtaMC:
         assert math.isfinite(res.estimate)
         assert math.isfinite(res.std_error)
 
-    def test_one_draw_is_degraded(self):
-        res = mehta_mc(3, 1, seed=537)
-        assert res.std_error == 0.0 and not res.passed
-        assert res.meta["degraded"] is True
-        assert res.meta["reason"] == "one draw has no standard error"
+    def test_one_draw_is_rejected(self):
+        with pytest.raises(ValueError, match="^n_samples must be at least 2: one draw has no standard error$"):
+            mehta_mc(3, 1, seed=537)
 
     def test_collapse_flagged_by_ess(self):
         res = mehta_mc(12, 20000, seed=504)
