@@ -48,6 +48,7 @@ from mehtalab.mehta import (
     exp_abs_det_mc,
     exp_det_pointwise_check,
     kacrice_density,
+    kacrice_intervals,
     kacrice_vs_empirical,
     mehta_closed_form,
     mehta_mc,

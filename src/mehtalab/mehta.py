@@ -23,7 +23,9 @@ from mehtalab.estimation import (
     ESS_FLOOR,
     Z_THRESHOLD,
     EstimatorResult,
+    Moments,
     _finite_or_none,
+    map_chunks,
     mc_estimate,
     z_scores,
 )
@@ -52,6 +54,7 @@ __all__ = [
     "kacrice_density",
     "kacrice_total_mass",
     "kacrice_vs_empirical",
+    "kacrice_intervals",
     "KacRiceComparison",
     "reproduce_zm",
 ]
@@ -296,10 +299,11 @@ def _truncation_halfwidth(m: int, v: float) -> float:
 
 
 def _interval_nodes(a: float, b: float, m: int, v: float):
-    """Gauss-Legendre nodes and weights on [a, b] clipped to the trusted box.
+    """Gauss-Legendre nodes on [a, b] clipped to the trusted box, and their Kac-Rice weights.
 
-    An interval entirely outside the box carries mass below the truncation
-    budget and gets no nodes.
+    A node's weight is its quadrature weight times the N(0, 2v) level density
+    and the Kac-Rice prefactor.  An interval entirely outside the box carries
+    mass below the truncation budget and gets no nodes.
     """
     L = _truncation_halfwidth(m, v)
     lo = max(a, -L)
@@ -310,41 +314,51 @@ def _interval_nodes(a: float, b: float, m: int, v: float):
     nodes, wts = np.polynomial.legendre.leggauss(count)
     t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     w = 0.5 * (hi - lo) * wts
-    return t, w
-
-
-def _kacrice_interval_mc(
-    m: int, v: float, a: float, b: float, n_samples: int, seed: int, workers: int,
-    stream: int = 0,
-) -> EstimatorResult:
-    """Quadrature of the Monte Carlo Kac-Rice density over [a, b].
-
-    One common set of GOE(m, v) samples feeds every quadrature node, so the
-    integral is a per-sample statistic with an honest standard error.  The
-    shifted determinants come from the eigenvalue route here, which keeps
-    this estimator independent of the LU-based one.
-    """
-    t, w = _interval_nodes(a, b, m, v)
     gauss = np.exp(-t * t / (4.0 * v)) / math.sqrt(4.0 * math.pi * v)
-    node_w = w * gauss * _kacrice_prefactor(m, v)
+    return t, w * gauss * _kacrice_prefactor(m, v)
+
+
+def _column_results(weight_fn, n_samples: int, seed: int, workers: int, stream: int) -> list[EstimatorResult]:
+    """One EstimatorResult per column of (size, K) weights; a contiguous column reduces as in ``mc_estimate``."""
+    mom = map_chunks(lambda rng, size: Moments.of(np.asfortranarray(weight_fn(rng, size))),
+                     n_samples, seed, workers, stream)
+    return [EstimatorResult(float(mu), float(se), n_samples, seed) for mu, se in zip(mom.mean, mom.std_error)]
+
+
+def _kacrice_masses(
+    m: int, v: float, ends: np.ndarray, n_samples: int, seed: int, workers: int, stream: int = 0
+) -> list[EstimatorResult]:
+    """Quadrature of the Monte Carlo Kac-Rice density over each interval [a, b] of ends (K, 2).
+
+    One common set of GOE(m, v) samples feeds every quadrature node of every
+    interval, so each integral is a per-sample statistic with an honest
+    standard error.  The shifted determinants come from the eigenvalue route
+    here, which keeps this estimator independent of the LU-based one.
+    """
+    nodes = [_interval_nodes(a, b, m, v) for a, b in ends]
+    width = max(len(t) for t, _ in nodes)
 
     def weights(rng, size):
         lam = batched_eigvals(sample_goe_batch(m, v, size, rng))
-        # det(A - t I) at every node, one eigenvalue factor at a time, in place
-        dets = lam[:, 0, None] - t
-        diff = np.empty_like(dets)
-        for k in range(1, m):
-            dets *= np.subtract(lam[:, k, None], t, out=diff)
-        return np.abs(dets, out=dets) @ node_w
+        out, buf = np.empty((len(nodes), size)), np.empty((2, size * width))
+        for row, (t, node_w) in zip(out, nodes):
+            # det(A - t I) at every node, one eigenvalue factor at a time, in place
+            # in the contiguous heads of two buffers sized for the widest node set
+            dets, diff = buf[:, :size * len(t)].reshape(2, size, -1)
+            np.subtract(lam[:, 0, None], t, out=dets)
+            for k in range(1, m):
+                dets *= np.subtract(lam[:, k, None], t, out=diff)
+            row[:] = np.abs(dets, out=dets) @ node_w
+        return out.T
 
-    return mc_estimate(weights, n_samples, seed, workers, stream=stream)
+    return _column_results(weights, n_samples, seed, workers, stream)
 
 
 def kacrice_total_mass(
     m: int, v: float, n_samples: int, seed: int = 0, workers: int = 1
 ) -> EstimatorResult:
     """Total Kac-Rice mass over the line; must come out at 2(m+1)."""
-    res = _kacrice_interval_mc(m, v, -math.inf, math.inf, n_samples, seed, workers)
+    [res] = _kacrice_masses(m, v, np.array([[-math.inf, math.inf]]), n_samples, seed, workers)
     return replace(res, reference=2.0 * (m + 1))
 
 
@@ -382,16 +396,10 @@ class KacRiceComparison:
         }
 
 
-def kacrice_vs_empirical(
-    m: int,
-    v: float,
-    a: float,
-    b: float,
-    n_samples: int,
-    seed: int = 0,
-    workers: int = 1,
-) -> KacRiceComparison:
-    """Expected critical-value mass of [a, b], three independent ways.
+def kacrice_intervals(
+    m: int, v: float, intervals, n_samples: int, seed: int = 0, workers: int = 1
+) -> list[KacRiceComparison]:
+    """Expected critical-value mass of each interval (a, b), three independent ways.
 
     empirical: eigenvalues of an (m+1)-dimensional GOE(v) draw counted in the
     interval and doubled (each eigenvalue is an antipodal pair of critical
@@ -399,34 +407,35 @@ def kacrice_vs_empirical(
     Kac-Rice density.  spectral: the Sturm count 2 (neg(b) - neg(a)), neg(s)
     the negative pivots of T - s I on tridiagonal draws: no eigensolver and
     another sampler, which the empirical count witnesses.  Pass requires all
-    pairwise z-scores within 4.
+    pairwise z-scores within 4.  Each route is one pass on its own stream
+    (0, 1, 2) whose draws serve every interval, so the comparisons are views
+    of one set of draws, each bit-identical to its one-interval call.
     """
-    if not b > a:
-        raise ValueError("need a < b")
-    d = m + 1
+    ends = np.array(intervals, dtype=float).reshape(-1, 2)
+    if not (len(ends) and (ends[:, 1] > ends[:, 0]).all()):
+        raise ValueError("need at least one interval, each with a < b")
 
     def counts(rng, size):
-        lam = batched_eigvals(sample_goe_batch(d, v, size, rng))
-        return 2.0 * ((lam >= a) & (lam <= b)).sum(axis=1)
-
-    empirical = mc_estimate(counts, n_samples, seed, workers)
+        lam = batched_eigvals(sample_goe_batch(m + 1, v, size, rng))
+        return 2.0 * ((lam >= ends[:, 0, None, None]) & (lam <= ends[:, 1, None, None])).sum(axis=2).T
 
     def sturm_counts(rng, size):
-        piv = tridiagonal_pivots(*sample_goe_tridiagonal(d, v, size, rng), np.tile([a, b], (size, 1)))
-        return 2.0 * np.diff((piv < 0.0).sum(axis=0))[:, 0]
+        shifts = np.tile(ends.ravel(), (size, 1))  # a_1, b_1, a_2, b_2, ...
+        neg = (tridiagonal_pivots(*sample_goe_tridiagonal(m + 1, v, size, rng), shifts) < 0.0).sum(axis=0)
+        return 2.0 * (neg[:, 1::2] - neg[:, ::2])
 
-    kacrice = _kacrice_interval_mc(m, v, a, b, n_samples, seed, workers, stream=1)
-    spectral = mc_estimate(sturm_counts, n_samples, seed, workers, stream=2)
+    empirical = _column_results(counts, n_samples, seed, workers, stream=0)
+    kacrice = _kacrice_masses(m, v, ends, n_samples, seed, workers, stream=1)
+    spectral = _column_results(sturm_counts, n_samples, seed, workers, stream=2)
+    return [KacRiceComparison((float(a), float(b)), e, k, s, _pair_z(e, k), _pair_z(e, s), _pair_z(k, s))
+            for (a, b), e, k, s in zip(ends, empirical, kacrice, spectral)]
 
-    return KacRiceComparison(
-        interval=(a, b),
-        empirical=empirical,
-        kacrice=kacrice,
-        spectral=spectral,
-        z_empirical_kacrice=_pair_z(empirical, kacrice),
-        z_empirical_spectral=_pair_z(empirical, spectral),
-        z_kacrice_spectral=_pair_z(kacrice, spectral),
-    )
+
+def kacrice_vs_empirical(
+    m: int, v: float, a: float, b: float, n_samples: int, seed: int = 0, workers: int = 1
+) -> KacRiceComparison:
+    """Expected critical-value mass of [a, b] three ways: ``kacrice_intervals`` of one interval."""
+    return kacrice_intervals(m, v, [(a, b)], n_samples, seed, workers)[0]
 
 
 def reproduce_zm(

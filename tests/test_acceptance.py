@@ -16,7 +16,7 @@ from mehtalab.estimation import substream
 from mehtalab.mehta import (
     detmoment_identity_check,
     exp_det_pointwise_check,
-    kacrice_vs_empirical,
+    kacrice_intervals,
     mehta_closed_form,
     mehta_mc,
     mehta_quadrature,
@@ -128,13 +128,10 @@ def test_08_kacrice_identity():
     t0 = time.perf_counter()
     ok = True
     details = []
+    intervals = {"R": (-math.inf, math.inf), "[0,inf)": (0.0, math.inf), "[-1,1]": (-1.0, 1.0)}
     for m, v in ((1, 1.0), (2, 1.0)):
-        for label, (a, b) in (
-            ("R", (-math.inf, math.inf)),
-            ("[0,inf)", (0.0, math.inf)),
-            ("[-1,1]", (-1.0, 1.0)),
-        ):
-            res = kacrice_vs_empirical(m, v, a, b, 200000, seed=650 + m)
+        comparisons = kacrice_intervals(m, v, list(intervals.values()), 200000, seed=650 + m)
+        for label, res in zip(intervals, comparisons):
             if label == "R":
                 exact = res.empirical.estimate == 2.0 * (m + 1) and res.empirical.std_error == 0.0
                 ok = ok and exact

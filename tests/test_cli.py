@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mehtalab.cli import build_parser, main, render_report, run_report
+from mehtalab import mehta, regression
+from mehtalab.cli import _criterion_seed, build_parser, main, render_report, run_report
 from mehtalab.symspace import read_matrices
 
 DIAG_FIXTURE = "2\n1 0\n0 2\n"
@@ -263,12 +264,20 @@ class TestExitCodes:
         (["report", "--m", "3"], "report does not take --m 3"),
         (["mehta", "--method", "mc", "--format", "csv", "--n", "2000"],
          "--format csv: mehta-mc has no CSV form"),
-        (["kacrice", "--format", "csv", "--n", "2000"], "--format csv: kacrice-interval has no CSV form"),
+        (["kacrice", "--format", "csv", "--m", "3", "--n", "400000"],
+         "--format csv: kacrice-interval has no CSV form"),
         # no grid point within 8h of an eigenvalue would read every density value 0
         (["correlation", "--estimator", "kernel", "--bandwidth", "1e-9", "--n", "1000"],
          "bandwidth 1e-09 is below the grid step 0.00312132"),
+        (["mehta", "--method", "closed", "--format", "csv"], "--format csv: mehta-closed has no CSV form"),
     ])
-    def test_rejected(self, capsys, argv, message):
+    def test_rejected(self, monkeypatch, capsys, argv, message):
+        # a run with no CSV form is refused before any estimator is called
+        def no_run(*args, **kwargs):
+            raise AssertionError("an estimator ran")
+
+        for name in ("mehta_closed_form", "mehta_mc", "kacrice_vs_empirical", "kacrice_intervals"):
+            monkeypatch.setattr(mehta, name, no_run)
         rc = main(argv)
         out, err = capsys.readouterr()
         assert rc == 2
@@ -338,6 +347,21 @@ class TestReportAndRender:
         z = {r["name"]: r["z"] for r in run_report(2000, seed, 1)["criteria"]}
         values = [z[name] for name in names]
         assert len(set(values)) == len(names), values
+
+    def test_regression_rows_get_their_own_seeds(self, monkeypatch):
+        # on the report seed, m = 3 would redraw the GOE(4, 0.5) matrices of a
+        # covariance audit and m = 2 the GOE(3, 1) draws of the kacrice m=2 rows
+        seeds = []
+        real = regression.conditional_hessian_moments
+
+        def spy(m, v, n, seed, workers, method):
+            seeds.append(seed)
+            return real(m, v, n, seed=seed, workers=workers, method=method)
+
+        monkeypatch.setattr(regression, "conditional_hessian_moments", spy)
+        run_report(2000, 5, 1)
+        assert seeds == [_criterion_seed(5, 100), _criterion_seed(5, 101)]
+        assert 5 not in seeds
 
     def test_render_pass_and_fail(self, tmp_path, capsys):
         report = {

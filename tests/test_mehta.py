@@ -10,6 +10,7 @@ from mehtalab.mehta import (
     exp_abs_det_mc,
     exp_det_pointwise_check,
     kacrice_density,
+    kacrice_intervals,
     kacrice_total_mass,
     kacrice_vs_empirical,
     log_mehta_closed_form,
@@ -188,6 +189,8 @@ class TestMehtaMC:
             "kacrice_total_mass": lambda w: kacrice_total_mass(1, 1.0, n, seed=510, workers=w),
             "kacrice_vs_empirical": lambda w: kacrice_vs_empirical(
                 1, 1.0, -1.0, 1.0, n, seed=510, workers=w).to_dict(),
+            "kacrice_intervals": lambda w: [res.to_dict() for res in kacrice_intervals(
+                2, 1.0, [(-math.inf, math.inf), (0.0, 0.5), (50.0, 60.0)], n, seed=510, workers=w)],
             "reproduce_zm": lambda w: reproduce_zm(2, n, seed=510, workers=w),
             "weyl": lambda w: weyl_expectation_mc(
                 lambda lam: lam.sum(axis=1) ** 2, EnsembleParams(3, 0.0, 1.0), n, seed=510, workers=w),
@@ -345,6 +348,27 @@ class TestKacRiceVsEmpirical:
         blocks = [BLOCK, BLOCK, 1000]
         assert sorted(calls) == sorted([(k, d, d) for k in blocks for d in (1, 2)])
         assert res.passed
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_kacrice_intervals_match_single(self, m):
+        # one pass per route serves every interval, bit for bit as its own call
+        intervals = [(-math.inf, math.inf), (0.0, math.inf), (-1.0, 1.0), (50.0, 60.0)]
+        n = BLOCK + 1000
+        together = kacrice_intervals(m, 1.0, intervals, n, seed=537)
+        for (a, b), res in zip(intervals, together, strict=True):
+            assert res.to_dict() == kacrice_vs_empirical(m, 1.0, a, b, n, seed=537).to_dict()
+        # no quadrature node lies in (50, 60)
+        assert together[-1].kacrice.estimate == 0.0
+
+    @pytest.mark.parametrize("intervals", [[(1.0, 0.0)], [(-1.0, 1.0), (2.0, 2.0)], []])
+    def test_intervals_rejected_before_any_draw(self, monkeypatch, intervals):
+        def no_draw(*args):
+            raise AssertionError("drew before validating the intervals")
+
+        monkeypatch.setattr(mehta, "sample_goe_batch", no_draw)
+        monkeypatch.setattr(mehta, "sample_goe_tridiagonal", no_draw)
+        with pytest.raises(ValueError, match="a < b"):
+            kacrice_intervals(1, 1.0, intervals, 1000, seed=0)
 
     def test_interval_outside_truncation_box(self):
         res = kacrice_vs_empirical(1, 1.0, 50.0, 60.0, 2000, seed=533)
