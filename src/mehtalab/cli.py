@@ -219,77 +219,63 @@ def _scaled(n: int, base: int, floor: int) -> int:
     return max(floor, int(base * (n / 200000.0)))
 
 
-def _row(name, estimate, reference, z, ok, t0, detail=None):
-    row = {
-        "name": name,
-        "estimate": None if estimate is None else float(estimate),
-        "reference": None if reference is None else float(reference),
-        "z": _finite_or_none(z),
-        "pass": bool(ok),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    if detail:
-        row["detail"] = detail
-    return row
-
-
 def _criterion_seed(seed: int, key: int) -> int:
     """Seed of the criterion with the given fixed key, a pure function of the report seed."""
     return int(np.random.SeedSequence([seed, key]).generate_state(1)[0])
 
 
-def run_report(n: int, seed: int, workers: int) -> dict:
-    rows = []
+def _criteria(n: int, seed: int, workers: int):
+    """Yield (name, estimate, reference, z, pass, detail) for every report row, in order.
 
-    for m, u, v in ((4, 0.0, 0.5), (3, 1.0, 1.0), (3, 1.0, 0.5)):
-        t0 = time.perf_counter()
-        audit = symspace.covariance_audit(
-            symspace.EnsembleParams(m, u, v), _scaled(n, 200000, 2000), seed=seed, workers=workers
-        )
-        rows.append(_row(f"covariance-audit m={m} u={u} v={v}", audit.max_abs_z, None,
-                         audit.max_abs_z, audit.passed, t0))
+    Every sampled row draws on ``_criterion_seed(seed, key)``, key = criterion
+    number times ten plus the row, so no two rows share variates (on one seed,
+    mehta-mc m=4 would redraw the diagonals of the m=4 covariance audit).  The
+    one exception is ``covariance-audit m=4 u=0.0 v=0.5``, which stays on the
+    report seed: at seed 2659867131, n = 100000 its max over K = 55 z-scores reads
+    4.68, a known false alarm of that verdict at 4 SE, which a new key would hide.
+    """
+    for key, (m, u, v) in enumerate(((4, 0.0, 0.5), (3, 1.0, 1.0), (3, 1.0, 0.5)), start=10):
+        audit = symspace.covariance_audit(symspace.EnsembleParams(m, u, v), _scaled(n, 200000, 2000),
+                                          seed=seed if key == 10 else _criterion_seed(seed, key),
+                                          workers=workers)
+        yield (f"covariance-audit m={m} u={u} v={v}", audit.max_abs_z, None, audit.max_abs_z,
+               audit.passed, None)
 
     for m, gate in QUADRATURE_GATE.items():
-        t0 = time.perf_counter()
         quad = mehta.mehta_quadrature(m)
         ref = mehta.mehta_closed_form(m)
-        rows.append(_row(f"mehta-quadrature m={m}", quad, ref, None, abs(quad - ref) <= gate, t0))
+        yield f"mehta-quadrature m={m}", quad, ref, None, abs(quad - ref) <= gate, None
 
-    for m in (2, 3, 4, 5):
-        t0 = time.perf_counter()
-        res = mehta.mehta_mc(m, _scaled(n, 1000000, 10000), seed=seed, workers=workers)
-        rows.append(_row(f"mehta-mc m={m}", res.estimate, res.reference, res.z_score, res.passed, t0))
+    for key, m in enumerate((2, 3, 4, 5), start=30):
+        res = mehta.mehta_mc(m, _scaled(n, 1000000, 10000), seed=_criterion_seed(seed, key), workers=workers)
+        yield f"mehta-mc m={m}", res.estimate, res.reference, res.z_score, res.passed, None
 
-    t0 = time.perf_counter()
     worst = 0.0
     for m in range(1, 21):
         lhs = mehta.mehta_closed_form(m + 1)
         rhs = mehta.mehta_ratio(m) * mehta.mehta_closed_form(m)
         worst = max(worst, abs(lhs - rhs) / lhs)
-    rows.append(_row("ratio-recursion m=1..20", worst, 0.0, None, worst <= 1e-12, t0))
+    yield "ratio-recursion m=1..20", worst, 0.0, None, worst <= 1e-12, None
 
-    # these rows and the reproduce-zm table draw the same kind of variates, so
-    # each gets its own key (criterion number times ten plus the row): on the
-    # report seed they would be one experiment counted several times
     for key, (m, v) in enumerate(((1, 0.5), (2, 0.5), (1, 2.0)), start=50):
-        t0 = time.perf_counter()
         res = mehta.detmoment_identity_check(m, v, _scaled(n, 500000, 5000),
                                              seed=_criterion_seed(seed, key), workers=workers)
-        rows.append(_row(f"detmoment-integrated m={m} v={v}", res.estimate, res.reference,
-                         res.z_score, res.passed, t0))
+        yield (f"detmoment-integrated m={m} v={v}", res.estimate, res.reference, res.z_score,
+               res.passed, None)
 
-    for m, v, c in ((1, 0.5, 0.0), (1, 0.5, 1.0), (2, 0.5, 0.0)):
-        t0 = time.perf_counter()
-        res = mehta.exp_det_pointwise_check(m, v, c, _scaled(n, 500000, 5000), seed=seed, workers=workers)
-        rows.append(_row(f"detmoment-pointwise m={m} v={v} c={c}", res.estimate, res.reference,
-                         res.z_score, res.passed, t0))
+    for key, (m, v, c) in enumerate(((1, 0.5, 0.0), (1, 0.5, 1.0), (2, 0.5, 0.0)), start=60):
+        res = mehta.exp_det_pointwise_check(m, v, c, _scaled(n, 500000, 5000),
+                                            seed=_criterion_seed(seed, key), workers=workers)
+        yield (f"detmoment-pointwise m={m} v={v} c={c}", res.estimate, res.reference, res.z_score,
+               res.passed, None)
 
-    for m in (1, 2, 3):
-        t0 = time.perf_counter()
+    for key, m in enumerate((1, 2, 3), start=70):
         count = _scaled(n, 10000, 100)
-        mats = symspace.sample_goe_batch(m + 1, 1.0, count, substream(seed, 500 + m))
+        # one generator draws the matrices, then the finder's starts
+        rng = substream(_criterion_seed(seed, key))
+        mats = symspace.sample_goe_batch(m + 1, 1.0, count, rng)
         try:
-            batch = spherefield.find_critical_points_batch(mats, rng=seed + m)
+            batch = spherefield.find_critical_points_batch(mats, rng=rng)
             lam = spectral.batched_eigvals(mats)
             dev = float(np.max(np.abs(np.sort(batch.values, axis=1) - np.repeat(lam, 2, axis=1))))
             want = np.repeat(np.arange(m + 1), 2)[None, :]
@@ -298,32 +284,25 @@ def run_report(n: int, seed: int, workers: int) -> dict:
             detail = {"samples": count, "max_value_deviation": dev, "morse_ok": morse_ok}
         except (spherefield.IncompleteSearchError, spherefield.DegenerateMatrixError) as exc:
             ok, dev, detail = False, None, {"error": str(exc)}
-        rows.append(_row(f"critical-points-exact m={m}", dev, 0.0, None, ok, t0, detail))
+        yield f"critical-points-exact m={m}", dev, 0.0, None, ok, detail
 
-    # the three intervals of one m are views of one set of draws; the first row carries the pass's time
+    # the three intervals of one m are views of one set of draws
     intervals = {"R": (-math.inf, math.inf), "[0,inf)": (0.0, math.inf), "[-1,1]": (-1.0, 1.0)}
-    for m, v in ((1, 1.0), (2, 1.0)):
-        t0 = time.perf_counter()
+    for key, (m, v) in enumerate(((1, 1.0), (2, 1.0)), start=80):
         comparisons = mehta.kacrice_intervals(m, v, list(intervals.values()), _scaled(n, 200000, 2000),
-                                              seed=seed, workers=workers)
+                                              seed=_criterion_seed(seed, key), workers=workers)
         for label, res in zip(intervals, comparisons):
             worst_z = max(abs(res.z_empirical_kacrice), abs(res.z_empirical_spectral),
                           abs(res.z_kacrice_spectral))
-            rows.append(_row(f"kacrice m={m} v={v} C={label}", res.empirical.estimate,
-                             res.kacrice.estimate, worst_z, res.passed, t0))
-            t0 = time.perf_counter()
+            yield (f"kacrice m={m} v={v} C={label}", res.empirical.estimate, res.kacrice.estimate,
+                   worst_z, res.passed, None)
 
-    t0 = time.perf_counter()
     table = mehta.reproduce_zm(4, _scaled(n, 1000000, 10000), seed=_criterion_seed(seed, 90),
                                workers=workers)
     for r in table:
-        rows.append(_row(f"reproduce-zm m={r.meta['m']}", r.estimate, r.reference, r.z_score,
-                         r.passed, t0))
-        t0 = time.perf_counter()
+        yield f"reproduce-zm m={r.meta['m']}", r.estimate, r.reference, r.z_score, r.passed, None
 
-    # own keys too: on the report seed, m = 3 would redraw the covariance audit's GOE(4, 0.5) matrices
     for key, (m, v) in enumerate(((2, 1.0), (3, 0.5)), start=100):
-        t0 = time.perf_counter()
         moments = regression.conditional_hessian_moments(m, v, _scaled(n, 200000, 2000), method="residual",
                                                          seed=_criterion_seed(seed, key), workers=workers)
         worst_z = max(abs(r.z_score) for r in moments.values())
@@ -334,9 +313,27 @@ def run_report(n: int, seed: int, workers: int) -> dict:
         residual = pair.y.cov - res.residual_cov - explained
         op_dev = float(np.max(np.abs(residual)))
         ok = ok and op_dev <= 1e-10
-        rows.append(_row(f"regression-suite m={m} v={v}", worst_z, 0.0, worst_z, ok, t0,
-                         {"operator_identity_dev": op_dev}))
+        yield f"regression-suite m={m} v={v}", worst_z, 0.0, worst_z, ok, {"operator_identity_dev": op_dev}
 
+
+def run_report(n: int, seed: int, workers: int) -> dict:
+    """Every criterion's row; a row's wall_time_s is the time since the previous row ended."""
+    rows = []
+    t0 = time.perf_counter()
+    for name, estimate, reference, z, ok, detail in _criteria(n, seed, workers):
+        now = time.perf_counter()
+        row = {
+            "name": name,
+            "estimate": None if estimate is None else float(estimate),
+            "reference": None if reference is None else float(reference),
+            "z": _finite_or_none(z),
+            "pass": bool(ok),
+            "wall_time_s": now - t0,
+        }
+        if detail:
+            row["detail"] = detail
+        rows.append(row)
+        t0 = now
     return {"criteria": rows, "all_pass": all(r["pass"] for r in rows)}
 
 

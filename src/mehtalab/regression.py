@@ -19,9 +19,10 @@ from scipy.linalg import solve_triangular
 
 from mehtalab.estimation import EstimatorResult, Moments, map_chunks
 from mehtalab.symspace import (
+    EnsembleParams,
+    covariance_reference,
     ell_coords_batch,
     omega_coords_batch,
-    pair_indices,
     sample_goe_batch,
     sym_dim,
 )
@@ -248,19 +249,13 @@ def hessian_regression_pair(m: int, v: float, coords: str = "ell") -> JointGauss
     dx = m + 1
     p = sym_dim(m)
     var_w = np.diag([v / 2.0] + [v] * m)
-    pairs = pair_indices(m)
-    cov_y = np.zeros((p, p))
-    off_scale = 1.0 if coords == "ell" else 2.0
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            if i == j and k == l:
-                cov_y[a, b] = 4.0 * v if i == k else 2.0 * v
-            elif (i, j) == (k, l):
-                cov_y[a, b] = off_scale * v
+    cov_y = covariance_reference(EnsembleParams(m, 2.0 * v, v))
+    on_diag = np.equal(*np.triu_indices(m))
+    if coords == "omega":
+        # an off-diagonal omega coordinate is sqrt(2) times its flat one: its own variance doubles
+        cov_y[~on_diag, ~on_diag] *= 2.0
     cross = np.zeros((p, dx))
-    for a, (i, j) in enumerate(pairs):
-        if i == j:
-            cross[a, 0] = -v
+    cross[on_diag, 0] = -v
     return JointGaussian(
         GaussianVector(np.zeros(dx), var_w),
         GaussianVector(np.zeros(p), cov_y),
@@ -313,25 +308,15 @@ def conditional_hessian_moments(
     x = np.zeros(m + 1)
     x[0] = t / 2.0
     cond_mean = res.conditional_mean(x)
-    pairs = pair_indices(m)
-    diag_idx = np.array([k for k, (i, j) in enumerate(pairs) if i == j])
-    off_idx = np.array([k for k, (i, j) in enumerate(pairs) if i != j])
+    # flat coordinates are in np.triu_indices(m) order
+    on_diag = np.equal(*np.triu_indices(m))
+    iu, ju = np.triu_indices(m, 1)
 
     def moment_columns(draws, centered):
-        stats = [draws[:, diag_idx].mean(axis=1), (centered[:, diag_idx] ** 2).mean(axis=1)]
-        if len(diag_idx) > 1:
-            prods = [
-                centered[:, diag_idx[i]] * centered[:, diag_idx[j]]
-                for i in range(len(diag_idx))
-                for j in range(i + 1, len(diag_idx))
-            ]
-            stats.append(np.mean(prods, axis=0))
-        else:
-            stats.append(np.zeros(draws.shape[0]))
-        if len(off_idx) > 0:
-            stats.append((centered[:, off_idx] ** 2).mean(axis=1))
-        else:
-            stats.append(np.zeros(draws.shape[0]))
+        diag = centered[:, on_diag]
+        stats = [draws[:, on_diag].mean(axis=1), (diag ** 2).mean(axis=1)]
+        if m > 1:
+            stats += [(diag[:, iu] * diag[:, ju]).mean(axis=1), (centered[:, ~on_diag] ** 2).mean(axis=1)]
         return np.stack(stats, axis=1)
 
     if method == "conditional":
@@ -352,9 +337,8 @@ def conditional_hessian_moments(
     names = ["diag_mean", "diag_var", "diag_diag_cov", "offdiag_var"]
     refs = [diag_mean_ref, 2.0 * v, 0.0, 2.0 * v]
     out = {}
-    for k, (name, ref) in enumerate(zip(names, refs)):
-        if m == 1 and name in ("diag_diag_cov", "offdiag_var"):
-            continue
+    # at m = 1 there is neither a pair of diagonal coordinates nor an off-diagonal one
+    for k, (name, ref) in enumerate(zip(names[:mom.mean.size], refs)):
         out[name] = EstimatorResult(
             estimate=float(mom.mean[k]),
             std_error=float(mom.std_error[k]),

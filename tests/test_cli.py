@@ -2,12 +2,13 @@ import argparse
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mehtalab import mehta, regression
+from mehtalab import estimation, mehta, regression, spectral, symspace
 from mehtalab.cli import _criterion_seed, build_parser, main, render_report, run_report
 from mehtalab.symspace import read_matrices
 
@@ -362,6 +363,27 @@ class TestReportAndRender:
         run_report(2000, 5, 1)
         assert seeds == [_criterion_seed(5, 100), _criterion_seed(5, 101)]
         assert 5 not in seeds
+
+    def test_every_pass_draws_on_its_own_key(self, monkeypatch):
+        # two passes on one (seed, stream) draw the same variates, so their rows
+        # would repeat or rescale one experiment; the rows' wall times tile the run
+        keys = []
+        real = estimation.map_chunks
+
+        def spy(fn, n, seed, workers=1, stream=0):
+            keys.append((seed, stream))
+            return real(fn, n, seed, workers, stream)
+
+        for module in (estimation, mehta, regression, spectral, symspace):
+            monkeypatch.setattr(module, "map_chunks", spy)
+        t0 = time.perf_counter()
+        rows = run_report(2000, 4, 1)["criteria"]
+        elapsed = time.perf_counter() - t0
+        assert len(keys) >= 17
+        assert len(set(keys)) == len(keys), sorted(keys)
+        wall = [r["wall_time_s"] for r in rows]
+        assert min(wall) >= 0.0
+        assert sum(wall) <= elapsed
 
     def test_render_pass_and_fail(self, tmp_path, capsys):
         report = {
