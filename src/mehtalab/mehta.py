@@ -30,11 +30,12 @@ from mehtalab.estimation import (
     z_scores,
 )
 from mehtalab.spectral import (
+    GOE_DENSITY_MAX_M,
     QuadratureError,
-    _kernel_density_at,
     _vandermonde_gauss_integral,
     batched_det,
     batched_eigvals,
+    goe_density,
     tridiagonal_pivots,
 )
 from mehtalab.symspace import sample_goe_batch, sample_goe_tridiagonal
@@ -213,57 +214,20 @@ def exp_det_pointwise_check(
 ) -> EstimatorResult:
     """Pointwise determinant-moment identity at shift c.
 
-    Left side: Monte Carlo E|det(A - c I)| over GOE(m, v).  Right side:
-    exp(c^2/4v) (2v)^((m+1)/2) ratio(m) times a kernel estimate of the
-    (m+1)-dimensional one-point density at c, from an independent stream.
-    The kernel bandwidth is chosen so the estimated smoothing bias stays
-    below half the Monte Carlo standard error; when no admissible bandwidth
-    exists the check degrades to the integrated identity and flags it.
+    Estimate: Monte Carlo E|det(A - c I)| over GOE(m, v) (``exp_abs_det_mc``),
+    with its standard error, also in ``meta["left_se"]``.  Reference:
+    exp(c^2/4v) (2v)^((m+1)/2) ratio(m) times the exact (m+1)-dimensional
+    one-point density at c (``goe_density``), a closed form independent of the
+    sampled side.  It is computed first, so an m out of its range fails before
+    any draw.
     """
-    left = exp_abs_det_mc(m, v, c, n_samples, seed, workers)
-    factor = math.exp(c * c / (4.0 * v)) * (2.0 * v) ** ((m + 1) / 2.0) * mehta_ratio(m)
-
-    # pilot pass for the curvature of the density at c; the pilot is noisy at
-    # small sample counts, so it is floored by the curvature scale of a
-    # Gaussian with the ensemble's per-eigenvalue variance v (m + 2)
-    pilot_n = max(2000, n_samples // 20)
-    sigma_lam = math.sqrt(v * (m + 2))
-    pilot_h = 0.25 * sigma_lam
-    _, _, curv = _kernel_density_at(
-        m + 1, v, np.array([c]), pilot_h, pilot_n, seed, workers, stream=2
-    )
-    curv_floor = 1.0 / (math.sqrt(2.0 * math.pi) * sigma_lam**3)
-    bias_rate = 0.5 * factor * max(abs(float(curv[0])), curv_floor)  # rhs bias ~ rate * h^2
-    h_max = 0.35 * sigma_lam  # keep the quadratic bias model honest
-    h_min = 1e-3 * math.sqrt(2.0 * v)
-    h_target = math.sqrt(0.5 * left.std_error / bias_rate)
-    h = min(h_max, h_target)
-    degraded = h < h_min
-    if degraded:
-        fallback = detmoment_identity_check(m, v, n_samples, seed, workers)
-        fallback.meta.update({"degraded": True, "reason": "kernel bias cannot be controlled at this sample size"})
-        return fallback
-
-    dens, dens_se, _ = _kernel_density_at(
-        m + 1, v, np.array([c]), h, n_samples, seed, workers, stream=1
-    )
-    right = factor * float(dens[0])
-    right_se = factor * float(dens_se[0])
-    combined = math.hypot(left.std_error, right_se)
-    return EstimatorResult(
-        estimate=left.estimate,
-        std_error=combined,
-        n_samples=n_samples,
-        seed=seed,
-        reference=right,
-        meta={
-            "bandwidth": h,
-            "bias_bound": bias_rate * h * h,
-            "left_se": left.std_error,
-            "right_se": right_se,
-            "degraded": False,
-        },
-    )
+    if not math.isfinite(c):
+        raise ValueError("c must be a finite number")
+    density = float(goe_density(m + 1, v, c))
+    reference = math.exp(c * c / (4.0 * v)) * (2.0 * v) ** ((m + 1) / 2.0) * mehta_ratio(m) * density
+    res = exp_abs_det_mc(m, v, c, n_samples, seed, workers, reference=reference)
+    res.meta["left_se"] = res.std_error
+    return res
 
 
 def _kacrice_prefactor(m: int, v: float) -> float:
@@ -298,24 +262,35 @@ def _truncation_halfwidth(m: int, v: float) -> float:
     return 10.0 * math.sqrt(v * (m + 1))
 
 
-def _interval_nodes(a: float, b: float, m: int, v: float):
-    """Gauss-Legendre nodes on [a, b] clipped to the trusted box, and their Kac-Rice weights.
+# one rule per node count: a rule's eigen-solve run between two Monte Carlo
+# passes raised the report's peak RSS by about 7 MiB (measured at n = 1e5)
+_legendre = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
 
-    A node's weight is its quadrature weight times the N(0, 2v) level density
-    and the Kac-Rice prefactor.  An interval entirely outside the box carries
-    mass below the truncation budget and gets no nodes.
+
+def _clipped_legendre(a: float, b: float, halfwidth: float, count: int):
+    """``count`` Gauss-Legendre nodes and weights on [a, b] clipped to the box [-halfwidth, halfwidth].
+
+    None outside the box, whose mass is below the truncation budget.
     """
-    L = _truncation_halfwidth(m, v)
-    lo = max(a, -L)
-    hi = min(b, L)
+    lo = max(a, -halfwidth)
+    hi = min(b, halfwidth)
     if not hi > lo:
         return np.zeros(0), np.zeros(0)
-    count = 80 if (b - a) > 4.0 * L else 64
-    nodes, wts = np.polynomial.legendre.leggauss(count)
-    t = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    w = 0.5 * (hi - lo) * wts
-    gauss = np.exp(-t * t / (4.0 * v)) / math.sqrt(4.0 * math.pi * v)
-    return t, w * gauss * _kacrice_prefactor(m, v)
+    nodes, wts = _legendre(count)
+    return 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * wts
+
+
+def _exact_masses(m: int, v: float, ends: np.ndarray) -> list[float]:
+    """Expected critical-value mass 2(m+1) int_a^b goe_density(m+1, v, .) of each interval (K, 2).
+
+    max(256, 4(m+1)) Gauss-Legendre nodes on the interval clipped to the box and to the spectrum's edge
+    plus 10 sqrt(2v), past which the density is below rounding; NaN past ``GOE_DENSITY_MAX_M``.
+    """
+    if m + 1 > GOE_DENSITY_MAX_M:
+        return [math.nan] * len(ends)
+    box = min(_truncation_halfwidth(m, v), math.sqrt(2.0 * v) * (math.sqrt(2.0 * (m + 1)) + 10.0))
+    rules = (_clipped_legendre(a, b, box, max(256, 4 * (m + 1))) for a, b in ends)
+    return [2.0 * (m + 1) * float(w @ goe_density(m + 1, v, t)) for t, w in rules]
 
 
 def _column_results(weight_fn, n_samples: int, seed: int, workers: int, stream: int) -> list[EstimatorResult]:
@@ -335,7 +310,11 @@ def _kacrice_masses(
     standard error.  The shifted determinants come from the eigenvalue route
     here, which keeps this estimator independent of the LU-based one.
     """
-    nodes = [_interval_nodes(a, b, m, v) for a, b in ends]
+    L = _truncation_halfwidth(m, v)
+    nodes = [_clipped_legendre(a, b, L, 80 if (b - a) > 4.0 * L else 64) for a, b in ends]
+    # a node's weight times the N(0, 2v) level density and the Kac-Rice prefactor
+    nodes = [(t, w * (np.exp(-t * t / (4.0 * v)) / math.sqrt(4.0 * math.pi * v)) * _kacrice_prefactor(m, v))
+             for t, w in nodes]
     width = max(len(t) for t, _ in nodes)
 
     def weights(rng, size):
@@ -368,7 +347,10 @@ def _pair_z(x: EstimatorResult, y: EstimatorResult) -> float:
 
 @dataclass
 class KacRiceComparison:
-    """Three routes to the expected critical-value mass of an interval."""
+    """Three routes to the expected critical-value mass of an interval, and its exact value.
+
+    The verdict reads the three pairwise z-scores; ``to_dict`` adds each route's z against ``exact``.
+    """
 
     interval: tuple[float, float]
     empirical: EstimatorResult
@@ -377,6 +359,7 @@ class KacRiceComparison:
     z_empirical_kacrice: float
     z_empirical_spectral: float
     z_kacrice_spectral: float
+    exact: float
 
     @property
     def passed(self) -> bool:
@@ -392,6 +375,9 @@ class KacRiceComparison:
             "z_empirical_kacrice": _finite_or_none(self.z_empirical_kacrice),
             "z_empirical_spectral": _finite_or_none(self.z_empirical_spectral),
             "z_kacrice_spectral": _finite_or_none(self.z_kacrice_spectral),
+            "exact": _finite_or_none(self.exact),
+            **{f"z_{k}_exact": _finite_or_none(float(z_scores(r.estimate, self.exact, r.std_error)))
+               for k, r in (("empirical", self.empirical), ("kacrice", self.kacrice), ("spectral", self.spectral))},
             "pass": self.passed,
         }
 
@@ -409,7 +395,8 @@ def kacrice_intervals(
     another sampler, which the empirical count witnesses.  Pass requires all
     pairwise z-scores within 4.  Each route is one pass on its own stream
     (0, 1, 2) whose draws serve every interval, so the comparisons are views
-    of one set of draws, each bit-identical to its one-interval call.
+    of one set of draws, each bit-identical to its one-interval call.  Each
+    comparison also carries the exact mass (``_exact_masses``).
     """
     ends = np.array(intervals, dtype=float).reshape(-1, 2)
     if not (len(ends) and (ends[:, 1] > ends[:, 0]).all()):
@@ -427,8 +414,8 @@ def kacrice_intervals(
     empirical = _column_results(counts, n_samples, seed, workers, stream=0)
     kacrice = _kacrice_masses(m, v, ends, n_samples, seed, workers, stream=1)
     spectral = _column_results(sturm_counts, n_samples, seed, workers, stream=2)
-    return [KacRiceComparison((float(a), float(b)), e, k, s, _pair_z(e, k), _pair_z(e, s), _pair_z(k, s))
-            for (a, b), e, k, s in zip(ends, empirical, kacrice, spectral)]
+    return [KacRiceComparison((float(a), float(b)), e, k, s, _pair_z(e, k), _pair_z(e, s), _pair_z(k, s), x)
+            for (a, b), e, k, s, x in zip(ends, empirical, kacrice, spectral, _exact_masses(m, v, ends))]
 
 
 def kacrice_vs_empirical(

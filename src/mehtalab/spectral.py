@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, sparse
+from scipy import sparse
+from scipy.special import ndtr
 
 from mehtalab.estimation import EstimatorResult, Moments, map_chunks, mc_estimate
 from mehtalab.symspace import EnsembleParams, SymMatrix, _opened, sample_goe_batch
@@ -41,6 +42,8 @@ __all__ = [
     "weyl_expectation_mc",
     "weyl_rhs_quadrature",
     "one_point_correlation",
+    "goe_density",
+    "GOE_DENSITY_MAX_M",
 ]
 
 
@@ -112,7 +115,9 @@ def tridiagonal_pivots(diag: np.ndarray, off_sq: np.ndarray, shifts) -> np.ndarr
     piv = np.empty((diag.shape[1],) + s.shape)
     np.subtract(diag[:, 0], s, out=piv[0])
     for k in range(1, len(piv)):
-        piv[k - 1][piv[k - 1] == 0.0] = pivmin
+        zero = piv[k - 1] == 0.0
+        if zero.any():
+            piv[k - 1][zero] = pivmin
         np.subtract(diag[:, k], s, out=piv[k])
         piv[k] -= off_sq[:, k - 1] / piv[k - 1]
     return piv.swapaxes(1, -1)
@@ -240,6 +245,8 @@ def _vandermonde_gauss_integral(m: int, v: float, f, halfwidth: float, atol: flo
     ``f`` receives (N, m) arrays of ascending eigenvalue rows.  Returns
     (value, error_estimate).
     """
+    from scipy import integrate  # here, so that start-up does not pay for it
+
     H = halfwidth
     i, j = np.triu_indices(m, 1)
 
@@ -438,32 +445,37 @@ def _cell_moments(lam, cells, weights, ncells):
     return Moments(size, np.append(s1 / size, tail.mean), np.append(s2 - s1 * s1 / size, tail.m2))
 
 
-def _kernel_density_at(
-    m: int,
-    v: float,
-    points: np.ndarray,
-    bandwidth: float,
-    n_samples: int,
-    seed: int,
-    workers: int = 1,
-    stream: int = 0,
-):
-    """Dense Gaussian-kernel estimate of the eigenvalue density at given points.
+# Largest m of goe_density: its recurrences start from phi_0 = pi^(-1/4)
+# exp(-y^2 / 2), which underflows past |y| = 38, and the spectrum ends at sqrt(2m)
+GOE_DENSITY_MAX_M = 700
 
-    Returns (values, cluster standard errors, curvature estimate), the last
-    being the KDE second derivative used for bias bounds.
+
+def goe_density(m: int, v: float, x):
+    """Exact one-point density of GOE(m, v) at x, with mass 1 like ``one_point_correlation``.
+
+    Mehta's Hermite-function formula (Random Matrices, 3rd ed., ch. 7) for
+    the eigenvalue law prop. to |Delta(y)| exp(-sum y^2 / 2), y = x / sqrt(2v):
+    rho_m = sum_{k<m} phi_k^2 + sqrt(m/2) phi_{m-1} (I_m - J_m / 2), plus
+    phi_{m-1} / J_{m-1} at odd m, with phi_k the Hermite functions, I_k(y)
+    the integral of phi_k up to y and J_k = I_k(inf), 0 at odd k.  phi_k and
+    I_k run forward by three-term recurrences from phi_0 and I_0 (``ndtr``).
+    Returns rho_m(y) / (m sqrt(2v)), shaped like x.
     """
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    h = float(bandwidth)
-
-    def block(rng, size):
-        lam = batched_eigvals(sample_goe_batch(m, v, size, rng))
-        u = (points[None, None, :] - lam[:, :, None]) / h
-        ker = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-        dens = ker.mean(axis=1) / h
-        curv = ((u * u - 1.0) * ker).mean(axis=1) / h**3
-        return Moments.of(np.hstack([dens, curv]))
-
-    mom = map_chunks(block, n_samples, seed, workers, stream)
-    se = mom.std_error
-    return mom.mean[:points.size], se[:points.size], mom.mean[points.size:]
+    if not 1 <= m <= GOE_DENSITY_MAX_M:
+        raise ValueError(f"the exact GOE density needs 1 <= m <= {GOE_DENSITY_MAX_M}, got dimension {m}")
+    if not (v > 0.0 and math.isfinite(v)):
+        raise ValueError("v must be a positive finite number")
+    scale = math.sqrt(2.0 * v)
+    y = np.asarray(x, dtype=float) / scale
+    j0 = math.pi ** -0.25 * math.sqrt(2.0 * math.pi)
+    phi_prev, phi = 0.0, math.pi ** -0.25 * np.exp(-0.5 * y * y)
+    i_prev, i_cur, total = 0.0, j0 * ndtr(y), 0.0
+    for k in range(m):  # leaves phi_prev = phi_{m-1} and i_cur = I_m
+        total = total + phi * phi
+        a, b = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))
+        i_prev, i_cur = i_cur, b * i_prev - a * phi
+        phi_prev, phi = phi, a * y * phi - b * phi_prev
+    j_even = j0 * math.prod(math.sqrt((k - 1) / k) for k in range(2, m + 1, 2))  # J_m, or J_{m-1} at odd m
+    if m % 2:
+        return (total + math.sqrt(m / 2.0) * phi_prev * i_cur + phi_prev / j_even) / (m * scale)
+    return (total + math.sqrt(m / 2.0) * phi_prev * (i_cur - 0.5 * j_even)) / (m * scale)

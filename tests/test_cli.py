@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -301,6 +304,27 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert err.splitlines() == ["error: n_samples must be at least 2: one draw has no standard error"]
+
+    def test_pointwise_m_past_the_exact_density(self, monkeypatch, capsys):
+        # the reference is computed before any draw
+        def no_run(*args, **kwargs):
+            raise AssertionError("an estimator ran")
+
+        monkeypatch.setattr(mehta, "exp_abs_det_mc", no_run)
+        m = spectral.GOE_DENSITY_MAX_M
+        rc = main(["detmoment", "--mode", "pointwise", "--m", str(m)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: the exact GOE density needs 1 <= m <= {m}, got dimension {m + 1}"]
+
+
+def test_import_leaves_out_scipy_integrate():
+    # only the ordered-region quadrature needs scipy.integrate, and imports it itself
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, mehtalab.cli; print('scipy.integrate' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == "False\n"
 
 
 class TestEnvOverrides:

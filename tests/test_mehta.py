@@ -26,8 +26,10 @@ from mehtalab import mehta
 from mehtalab.estimation import BLOCK, EstimatorResult, mc_estimate
 from mehtalab.regression import conditional_hessian_moments
 from mehtalab.spectral import (
+    GOE_DENSITY_MAX_M,
     batched_det,
     batched_eigvals,
+    goe_density,
     one_point_correlation,
     tridiagonal_pivots,
     weyl_expectation_mc,
@@ -265,17 +267,20 @@ class TestDetmomentPointwise:
         res = exp_det_pointwise_check(1, 0.5, 0.0, 150000, seed=520)
         assert abs(res.estimate - math.sqrt(2.0 / math.pi)) <= 4.0 * res.meta["left_se"]
         assert res.passed, f"z = {res.z_score:.2f}"
-        assert res.meta["bandwidth"] > 0.0
-        assert not res.meta["degraded"]
 
     @pytest.mark.parametrize("m,v,c,seed", [(1, 0.5, 1.0, 521), (2, 0.5, 0.0, 522)])
     def test_agreement(self, m, v, c, seed):
         res = exp_det_pointwise_check(m, v, c, 150000, seed=seed)
         assert res.passed, f"z = {res.z_score:.2f}"
 
-    def test_bias_bound_below_half_left_se(self):
-        res = exp_det_pointwise_check(1, 0.5, 0.0, 100000, seed=523)
-        assert res.meta["bias_bound"] <= 0.55 * res.meta["left_se"]
+    def test_estimate_is_the_left_side(self):
+        # the sampled side is exp_abs_det_mc on the same seed and stream; the
+        # reference is the exact density's
+        res = exp_det_pointwise_check(3, 1.0, 0.7, 20000, seed=524)
+        left = exp_abs_det_mc(3, 1.0, 0.7, 20000, seed=524)
+        assert (res.estimate, res.std_error) == (left.estimate, left.std_error)
+        assert res.reference == math.exp(0.7**2 / 4.0) * 2.0**2 * mehta_ratio(3) * float(goe_density(4, 1.0, 0.7))
+        assert res.meta == {"left_se": res.std_error}
 
     @pytest.mark.parametrize("v,c", [(0.5, 0.0), (0.5, 1.0), (1.0, 0.7), (2.0, -1.3)])
     def test_identity_analytic_at_m1(self, v, c):
@@ -374,7 +379,31 @@ class TestKacRiceVsEmpirical:
         res = kacrice_vs_empirical(1, 1.0, 50.0, 60.0, 2000, seed=533)
         assert res.empirical.estimate == 0.0
         assert res.kacrice.estimate == 0.0
+        assert res.exact == 0.0
         assert res.passed
+
+    @pytest.mark.parametrize("m", [1, 2, 50, 200])
+    def test_exact_whole_line_mass(self, m):
+        # at m = 50 the rule must resolve the density's m + 1 wiggles, not the whole box
+        [mass] = mehta._exact_masses(m, 1.0, np.array([[-math.inf, math.inf]]))
+        assert abs(mass - 2.0 * (m + 1)) <= 1e-9
+
+    def test_no_exact_mass_past_the_density_range(self):
+        assert math.isnan(mehta._exact_masses(GOE_DENSITY_MAX_M, 1.0, np.array([[-1.0, 1.0]]))[0])
+
+    def test_exact_mass_m50_matches_sturm(self):
+        # the Sturm count of GOE(51, 1) on [-1, 1] reads 9.041 +- 0.012
+        [mass] = mehta._exact_masses(50, 1.0, np.array([[-1.0, 1.0]]))
+        assert mass == pytest.approx(9.0411, abs=5e-5)
+
+    def test_exact_mass_in_artifact(self):
+        res = kacrice_vs_empirical(2, 1.0, -1.0, 1.0, 20000, seed=538)
+        out = res.to_dict()
+        assert out["exact"] == res.exact
+        for route in ("empirical", "kacrice", "spectral"):
+            r = getattr(res, route)
+            assert out[f"z_{route}_exact"] == pytest.approx((r.estimate - res.exact) / r.std_error, rel=1e-12)
+            assert abs(out[f"z_{route}_exact"]) <= 4.0
 
 
 class TestReproduce:

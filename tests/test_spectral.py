@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mehtalab.estimation import substream
+from mehtalab.estimation import Moments, map_chunks, substream
 from mehtalab.spectral import (
+    GOE_DENSITY_MAX_M,
     PointMeasure,
     QuadratureError,
     batched_det,
@@ -12,15 +13,15 @@ from mehtalab.spectral import (
     default_degeneracy_tol,
     eigenvalues,
     eigh_sym,
+    goe_density,
     one_point_correlation,
     spectral_measure,
     tridiagonal_pivots,
     weyl_expectation_mc,
     weyl_rhs_quadrature,
     _cell_moments,
-    _kernel_density_at,
 )
-from mehtalab.symspace import EnsembleParams, SymMatrix, sample_goe_tridiagonal
+from mehtalab.symspace import EnsembleParams, SymMatrix, sample_goe_batch, sample_goe_tridiagonal
 
 
 def random_sym_full(m, rng):
@@ -280,6 +281,19 @@ class TestWeylQuadrature:
                 weyl_rhs_quadrature(lambda lam: np.full(lam.shape[0], np.nan), m, 0.5)
 
 
+def dense_kernel_density(m, v, points, h, n_samples, seed):
+    """Gaussian-kernel density estimate at the points with no cut-off, and its cluster standard errors."""
+
+    def block(rng, size):
+        lam = batched_eigvals(sample_goe_batch(m, v, size, rng))
+        u = (points[None, None, :] - lam[:, :, None]) / h
+        ker = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        return Moments.of(ker.mean(axis=1) / h)
+
+    mom = map_chunks(block, n_samples, seed)
+    return mom.mean, mom.std_error
+
+
 def rho2_analytic(x, v):
     """Two-eigenvalue one-point density in closed form (erf plus Gaussian)."""
     s = math.sqrt(2.0 * v)
@@ -302,7 +316,7 @@ class TestOnePointCorrelation:
             est = one_point_correlation(m, v, 40000, estimator="kernel", seed=seed)
             bulk = np.flatnonzero(est.values > 0.01)
             idx = bulk[np.linspace(0, bulk.size - 1, 20).astype(int)]
-            vals, ses, _ = _kernel_density_at(m, v, est.grid[idx], est.width, 40000, seed)
+            vals, ses = dense_kernel_density(m, v, est.grid[idx], est.width, 40000, seed)
             assert np.max(np.abs(vals - est.values[idx])) <= 1e-12
             np.testing.assert_allclose(ses, est.stderr[idx], rtol=1e-10, atol=0.0)
 
@@ -393,3 +407,61 @@ class TestOnePointCorrelation:
         lines = path.read_text().splitlines()
         assert lines[0] == "location,weight"
         assert len(lines) == 3
+
+
+def legendre_on(lo, hi, count):
+    nodes, wts = np.polynomial.legendre.leggauss(count)
+    return 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * wts
+
+
+class TestGoeDensity:
+    def test_m1_is_standard_normal(self):
+        x = np.linspace(-8.0, 8.0, 161)
+        ref = np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
+        assert np.max(np.abs(goe_density(1, 0.5, x) - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("v", [0.5, 1.0, 2.0])
+    def test_m2_matches_closed_form(self, v):
+        x = np.linspace(-12.0, 12.0, 241)
+        assert np.max(np.abs(goe_density(2, v, x) - rho2_analytic(x, v))) <= 1e-15
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 10, 20, 50, 100, 200])
+    def test_mass_and_second_moment(self, m):
+        # E tr A^2 / m = (2v m + v m (m - 1)) / m; the density is entire, so a
+        # fixed Gauss-Legendre rule past the spectrum's edge integrates it
+        for v in (0.3, 1.0):
+            t, w = legendre_on(-1.0, 1.0, max(256, 8 * m))
+            t *= math.sqrt(2.0 * v) * (math.sqrt(2.0 * m) + 10.0)
+            w *= math.sqrt(2.0 * v) * (math.sqrt(2.0 * m) + 10.0)
+            rho = goe_density(m, v, t)
+            assert abs(w @ rho - 1.0) <= 1e-12
+            assert abs(w @ (t * t * rho) / (v * (m + 1)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("v,c", [(0.5, 1.3), (2.0, -0.4)])
+    def test_pointwise_identity_against_weyl_quadrature(self, v, c):
+        # E|det(A - c I)| over GOE(2, v) = exp(c^2/4v) (2v)^(3/2) ratio(2) rho_3(c)
+        ratio = 2.0**1.5 * math.gamma(2.5)
+        exact = math.exp(c * c / (4.0 * v)) * (2.0 * v) ** 1.5 * ratio * float(goe_density(3, v, c))
+        quad = weyl_rhs_quadrature(lambda lam: np.abs(np.prod(lam - c, axis=1)), 2, v)
+        assert quad == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("m,v,seed", [(3, 1.0, 222), (6, 1.0, 223)])
+    def test_histogram_matches_exact_bin_average(self, m, v, seed):
+        # the rule of test_m2_matches_analytic_density, against the exact
+        # average of the density over each bin
+        est = one_point_correlation(m, v, 200000, seed=seed)
+        t, w = legendre_on(-0.5 * est.width, 0.5 * est.width, 8)
+        ref = goe_density(m, v, est.grid[:, None] + t) @ w / est.width
+        mask = est.stderr > 0
+        z = np.abs(est.values[mask] - ref[mask]) / est.stderr[mask]
+        assert z[ref[mask] > 0.01].max() <= 4.0
+
+    def test_shape_follows_x(self):
+        assert np.shape(goe_density(4, 1.0, 0.3)) == ()
+        assert goe_density(4, 1.0, np.zeros((2, 3))).shape == (2, 3)
+
+    @pytest.mark.parametrize("m", [0, GOE_DENSITY_MAX_M + 1])
+    def test_dimension_out_of_range(self, m):
+        with pytest.raises(ValueError, match=f"^the exact GOE density needs 1 <= m <= {GOE_DENSITY_MAX_M}, "
+                                             f"got dimension {m}$"):
+            goe_density(m, 1.0, 0.0)
