@@ -38,7 +38,7 @@ from mehtalab.spectral import (
     goe_density,
     tridiagonal_pivots,
 )
-from mehtalab.symspace import sample_goe_batch, sample_goe_tridiagonal
+from mehtalab.symspace import EnsembleParams, sample_goe_batch, sample_goe_tridiagonal
 
 __all__ = [
     "ESS_FLOOR",
@@ -53,7 +53,6 @@ __all__ = [
     "detmoment_identity_check",
     "exp_det_pointwise_check",
     "kacrice_density",
-    "kacrice_total_mass",
     "kacrice_vs_empirical",
     "kacrice_intervals",
     "KacRiceComparison",
@@ -68,8 +67,7 @@ def vol_sphere(m: int) -> float:
 
 def log_mehta_closed_form(m: int) -> float:
     """log of the Mehta integral value 2^(3m/2) prod_{j<m} Gamma((j+3)/2)."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    EnsembleParams(m)
     return 1.5 * m * math.log(2.0) + math.fsum(math.lgamma((j + 3) / 2.0) for j in range(m))
 
 
@@ -80,8 +78,7 @@ def mehta_closed_form(m: int) -> float:
 
 def mehta_closed_form_scaled(m: int, v: float) -> float:
     """Normalization of the eigenvalue density at width v: (2v)^(m(m+1)/4) times the integral."""
-    if not v > 0.0:
-        raise ValueError("v must be positive")
+    EnsembleParams(m, 0.0, v)
     return math.exp(log_mehta_closed_form(m) + (m * (m + 1) / 4.0) * math.log(2.0 * v))
 
 
@@ -89,11 +86,14 @@ def mehta_ratio(m: int) -> float:
     """Ratio of consecutive Mehta integrals: 2^(3/2) Gamma((m+3)/2).
 
     The exponent is 3/2; it is pinned by the recursion test against the
-    closed form, which the product formula must reproduce exactly.
+    closed form, which the product formula must reproduce exactly.  Raises
+    OverflowError when the product leaves the float range (m >= 340).
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return 2.0 ** 1.5 * math.gamma((m + 3) / 2.0)
+    EnsembleParams(m)
+    ratio = 2.0 ** 1.5 * math.gamma((m + 3) / 2.0)
+    if math.isinf(ratio):
+        raise OverflowError(f"mehta_ratio({m}) overflows a float")
+    return ratio
 
 
 @lru_cache(maxsize=8)
@@ -103,6 +103,7 @@ def mehta_quadrature(m: int, tol: float = 1e-6) -> float:
     This is the independent oracle for the closed form: nothing here knows
     about gamma functions.
     """
+    EnsembleParams(m)
     if m not in (1, 2, 3):
         raise ValueError("mehta_quadrature supports m in {1, 2, 3} (cost grows too fast beyond)")
     value, err = _vandermonde_gauss_integral(m, 0.5, None, halfwidth=8.0, atol=0.5 * tol)
@@ -121,8 +122,7 @@ def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int = 1) -> Estimat
     drawn points.  ``meta`` holds the Kish ESS and flags ``degraded`` when
     ESS/n is below ``ESS_FLOOR``; the 4-SE verdict ignores the flag.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    EnsembleParams(m)
 
     def log_weights(rng, size):
         lam = rng.normal(size=(size, m))
@@ -164,8 +164,7 @@ def exp_abs_det_mc(
     reference: float | None = None,
 ) -> EstimatorResult:
     """Monte Carlo E|det(A - c I)| over GOE(m, v)."""
-    if not (v > 0.0 and math.isfinite(v)):
-        raise ValueError("v must be a positive finite number")
+    EnsembleParams(m, 0.0, v)
     if not math.isfinite(c):
         raise ValueError("c must be a finite number")
 
@@ -186,8 +185,7 @@ def detmoment_identity_check(
     shows this equals (2v)^((m+1)/2) times the ratio of consecutive Mehta
     integrals, which serves as the reference.
     """
-    if not v > 0.0:
-        raise ValueError("v must be positive")
+    EnsembleParams(m, 0.0, v)
 
     def weights(rng, size):
         mats = sample_goe_batch(m, v, size, rng)
@@ -221,6 +219,7 @@ def exp_det_pointwise_check(
     sampled side.  It is computed first, so an m out of its range fails before
     any draw.
     """
+    EnsembleParams(m, 0.0, v)
     if not math.isfinite(c):
         raise ValueError("c must be a finite number")
     density = float(goe_density(m + 1, v, c))
@@ -258,20 +257,21 @@ def kacrice_density(
                    reference=reference)
 
 
-def _truncation_halfwidth(m: int, v: float) -> float:
-    return 10.0 * math.sqrt(v * (m + 1))
-
-
 # one rule per node count: a rule's eigen-solve run between two Monte Carlo
 # passes raised the report's peak RSS by about 7 MiB (measured at n = 1e5)
 _legendre = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
 
+# nodes of the sampled Kac-Rice rule on every interval
+_KACRICE_NODES = 64
 
-def _clipped_legendre(a: float, b: float, halfwidth: float, count: int):
-    """``count`` Gauss-Legendre nodes and weights on [a, b] clipped to the box [-halfwidth, halfwidth].
 
-    None outside the box, whose mass is below the truncation budget.
+def _clipped_legendre(m: int, v: float, a: float, b: float, count: int):
+    """``count`` Gauss-Legendre nodes and weights on [a, b] clipped to the Kac-Rice box.
+
+    The box is the GOE(m+1, v) spectrum's edge plus 10 sqrt(2v), |t| <= sqrt(2v) (sqrt(2(m+1)) + 10),
+    past which the density of critical values is below rounding.  None outside the box.
     """
+    halfwidth = math.sqrt(2.0 * v) * (math.sqrt(2.0 * (m + 1)) + 10.0)
     lo = max(a, -halfwidth)
     hi = min(b, halfwidth)
     if not hi > lo:
@@ -283,13 +283,12 @@ def _clipped_legendre(a: float, b: float, halfwidth: float, count: int):
 def _exact_masses(m: int, v: float, ends: np.ndarray) -> list[float]:
     """Expected critical-value mass 2(m+1) int_a^b goe_density(m+1, v, .) of each interval (K, 2).
 
-    max(256, 4(m+1)) Gauss-Legendre nodes on the interval clipped to the box and to the spectrum's edge
-    plus 10 sqrt(2v), past which the density is below rounding; NaN past ``GOE_DENSITY_MAX_M``.
+    max(256, 4(m+1)) Gauss-Legendre nodes on the interval clipped to the Kac-Rice box; NaN past
+    ``GOE_DENSITY_MAX_M``.
     """
     if m + 1 > GOE_DENSITY_MAX_M:
         return [math.nan] * len(ends)
-    box = min(_truncation_halfwidth(m, v), math.sqrt(2.0 * v) * (math.sqrt(2.0 * (m + 1)) + 10.0))
-    rules = (_clipped_legendre(a, b, box, max(256, 4 * (m + 1))) for a, b in ends)
+    rules = (_clipped_legendre(m, v, a, b, max(256, 4 * (m + 1))) for a, b in ends)
     return [2.0 * (m + 1) * float(w @ goe_density(m + 1, v, t)) for t, w in rules]
 
 
@@ -301,7 +300,7 @@ def _column_results(weight_fn, n_samples: int, seed: int, workers: int, stream: 
 
 
 def _kacrice_masses(
-    m: int, v: float, ends: np.ndarray, n_samples: int, seed: int, workers: int, stream: int = 0
+    m: int, v: float, ends: np.ndarray, n_samples: int, seed: int, workers: int, stream: int
 ) -> list[EstimatorResult]:
     """Quadrature of the Monte Carlo Kac-Rice density over each interval [a, b] of ends (K, 2).
 
@@ -310,8 +309,7 @@ def _kacrice_masses(
     standard error.  The shifted determinants come from the eigenvalue route
     here, which keeps this estimator independent of the LU-based one.
     """
-    L = _truncation_halfwidth(m, v)
-    nodes = [_clipped_legendre(a, b, L, 80 if (b - a) > 4.0 * L else 64) for a, b in ends]
+    nodes = [_clipped_legendre(m, v, a, b, _KACRICE_NODES) for a, b in ends]
     # a node's weight times the N(0, 2v) level density and the Kac-Rice prefactor
     nodes = [(t, w * (np.exp(-t * t / (4.0 * v)) / math.sqrt(4.0 * math.pi * v)) * _kacrice_prefactor(m, v))
              for t, w in nodes]
@@ -331,14 +329,6 @@ def _kacrice_masses(
         return out.T
 
     return _column_results(weights, n_samples, seed, workers, stream)
-
-
-def kacrice_total_mass(
-    m: int, v: float, n_samples: int, seed: int = 0, workers: int = 1
-) -> EstimatorResult:
-    """Total Kac-Rice mass over the line; must come out at 2(m+1)."""
-    [res] = _kacrice_masses(m, v, np.array([[-math.inf, math.inf]]), n_samples, seed, workers)
-    return replace(res, reference=2.0 * (m + 1))
 
 
 def _pair_z(x: EstimatorResult, y: EstimatorResult) -> float:
@@ -398,6 +388,7 @@ def kacrice_intervals(
     of one set of draws, each bit-identical to its one-interval call.  Each
     comparison also carries the exact mass (``_exact_masses``).
     """
+    EnsembleParams(m, 0.0, v)
     ends = np.array(intervals, dtype=float).reshape(-1, 2)
     if not (len(ends) and (ends[:, 1] > ends[:, 0]).all()):
         raise ValueError("need at least one interval, each with a < b")
@@ -443,8 +434,7 @@ def reproduce_zm(
     LU.  The dense GOE + LU routes (``exp_abs_det_mc``,
     ``detmoment_identity_check``) are its independent witness.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be a positive integer")
+    EnsembleParams(m_max)
     v = 1.0
     results = []
     log_z = 0.5 * math.log(2.0 * math.pi)

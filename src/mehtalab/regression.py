@@ -240,10 +240,7 @@ def hessian_regression_pair(m: int, v: float, coords: str = "ell") -> JointGauss
     cov(diagonal coordinate, W_0) = -v, every other cross covariance zero, and
     the Hessian marginal lies in the (u=2v, v) invariant ensemble.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if not (v > 0.0 and np.isfinite(v)):
-        raise ValueError("v must be a positive finite number")
+    EnsembleParams(m, 0.0, v)
     if coords not in ("ell", "omega"):
         raise ValueError("coords must be 'ell' or 'omega'")
     dx = m + 1
@@ -265,6 +262,7 @@ def hessian_regression_pair(m: int, v: float, coords: str = "ell") -> JointGauss
 
 def hessian_pair_samples(m: int, v: float, n: int, rng: np.random.Generator, coords: str = "ell"):
     """Sample (W, Hessian coordinates) pairs from the ambient GOE(m+1, v)."""
+    EnsembleParams(m, 0.0, v)
     if coords not in ("ell", "omega"):
         raise ValueError("coords must be 'ell' or 'omega'")
     amb = sample_goe_batch(m + 1, v, n, rng)

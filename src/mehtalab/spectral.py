@@ -281,10 +281,9 @@ def weyl_rhs_quadrature(f, m: int, v: float, tol: float = 1e-6) -> float:
     achieved error estimate when the target tolerance is missed or the
     integrand returns NaN.
     """
+    EnsembleParams(m, 0.0, v)
     if m not in (1, 2, 3):
         raise ValueError("weyl_rhs_quadrature supports m in {1, 2, 3} (cost grows too fast beyond)")
-    if not v > 0.0:
-        raise ValueError("v must be positive")
     H = 8.0 * math.sqrt(2.0 * v)
     key = (m, float(v))
     if key not in _WEYL_NORM_CACHE:
@@ -356,10 +355,7 @@ def one_point_correlation(
     references that normalize to total mass m differ by that factor.  Standard
     errors treat each matrix as one cluster of m correlated eigenvalues.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if not (v > 0.0 and math.isfinite(v)):
-        raise ValueError("v must be a positive finite number")
+    EnsembleParams(m, 0.0, v)
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000 for a density estimate")
     if estimator not in ("histogram", "kernel"):
@@ -463,8 +459,7 @@ def goe_density(m: int, v: float, x):
     """
     if not 1 <= m <= GOE_DENSITY_MAX_M:
         raise ValueError(f"the exact GOE density needs 1 <= m <= {GOE_DENSITY_MAX_M}, got dimension {m}")
-    if not (v > 0.0 and math.isfinite(v)):
-        raise ValueError("v must be a positive finite number")
+    EnsembleParams(m, 0.0, v)
     scale = math.sqrt(2.0 * v)
     y = np.asarray(x, dtype=float) / scale
     j0 = math.pi ** -0.25 * math.sqrt(2.0 * math.pi)

@@ -201,7 +201,12 @@ def inner_product(a: SymMatrix, b: SymMatrix) -> float:
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Parameters (m, u, v) of an invariant Gaussian ensemble; GOE has u = 0."""
+    """Parameters (m, u, v) of an invariant Gaussian ensemble; GOE has u = 0.
+
+    The package's one admissibility rule: every public function that takes
+    m or v builds ``EnsembleParams(m, 0.0, v)`` (or ``EnsembleParams(m)``)
+    before it computes a reference or draws.
+    """
 
     m: int
     u: float = 0.0
@@ -232,8 +237,7 @@ def sample_goe_batch(m: int, v: float, n: int, rng: np.random.Generator) -> np.n
     Draw order is fixed (diagonal block first, then off-diagonal block) so a
     given stream state always produces the same matrices.
     """
-    if not (v > 0.0 and math.isfinite(v)):
-        raise ValueError("v must be a positive finite number")
+    EnsembleParams(m, 0.0, v)
     a = np.zeros((n, m, m))
     d = np.arange(m)
     a[:, d, d] = rng.normal(scale=math.sqrt(2.0 * v), size=(n, m))
@@ -255,8 +259,7 @@ def sample_goe_tridiagonal(m: int, v: float, n: int, rng: np.random.Generator):
     off-diagonals, shape (n, m - 1).  The diagonal block is drawn first, as in
     ``sample_goe_batch``, so at m = 1 both draw the same numbers.
     """
-    if not (v > 0.0 and math.isfinite(v)):
-        raise ValueError("v must be a positive finite number")
+    EnsembleParams(m, 0.0, v)
     diag = rng.normal(scale=math.sqrt(2.0 * v), size=(n, m))
     off_sq = np.empty((n, m - 1))
     for k in range(m - 1):
@@ -296,8 +299,7 @@ def sample_suv(params: EnsembleParams, rng: np.random.Generator) -> SymMatrix:
 
 def goe_log_density(a: SymMatrix, v: float) -> float:
     """Log density of GOE(m, v) at A, relative to the orthonormal volume."""
-    if not v > 0.0:
-        raise ValueError("v must be positive")
+    EnsembleParams(a.m, 0.0, v)
     m = a.m
     return -(m * (m + 1) / 4.0) * math.log(4.0 * math.pi * v) - a.frobenius_sq() / (4.0 * v)
 

@@ -199,8 +199,8 @@ class TestExitCodes:
         assert err == [f"error: {name} must be a positive finite number"]
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--v", "nan", "v must be a positive finite number"),
-        ("--v", "inf", "v must be a positive finite number"),
+        ("--v", "nan", "v must be a positive finite number (admissibility requires v > 0), got v=nan"),
+        ("--v", "inf", "v must be a positive finite number (admissibility requires v > 0), got v=inf"),
         ("--m", "0", "m must be a positive integer"),
     ])
     def test_bad_correlation_ensemble(self, capsys, flag, value, message):
@@ -212,11 +212,33 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("method", ["closed", "ratio"])
     def test_overflowing_m(self, capsys, method):
-        rc = main(["mehta", "--method", method, "--m", "400"])
-        assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: parameter out of range")
+        # at m = 340 the ratio's float product overflows, past it math.gamma does
+        for m in ("340", "400"):
+            rc = main(["mehta", "--method", method, "--m", m])
+            out, err = capsys.readouterr()
+            assert rc == 2 and out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: parameter out of range")
+
+    def test_overflowing_detmoment_reference(self, monkeypatch, capsys):
+        # the reference (2v)^((m+1)/2) ratio(m) is computed before any draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before computing the reference")
+
+        monkeypatch.setattr(mehta, "sample_goe_batch", no_draw)
+        rc = main(["detmoment", "--m", "340", "--n", "4"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: parameter out of range, the result overflows a float "
+                                    "(mehta_ratio(340) overflows a float)"]
+
+    @pytest.mark.parametrize("argv", [["kacrice", "--m", "0"], ["kacrice", "--m", "-1"],
+                                      ["kacrice", "--curve", "--m", "0"]])
+    def test_inadmissible_kacrice_m(self, capsys, argv):
+        rc = main(argv + ["--n", "2000"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: m must be a positive integer"]
 
     def test_malformed_env_value(self, monkeypatch, capsys):
         monkeypatch.setenv("MEHTA_N", "abc")

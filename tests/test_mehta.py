@@ -11,7 +11,6 @@ from mehtalab.mehta import (
     exp_det_pointwise_check,
     kacrice_density,
     kacrice_intervals,
-    kacrice_total_mass,
     kacrice_vs_empirical,
     log_mehta_closed_form,
     mehta_closed_form,
@@ -188,7 +187,8 @@ class TestMehtaMC:
             "detmoment": lambda w: detmoment_identity_check(2, 0.5, n, seed=510, workers=w),
             "pointwise": lambda w: exp_det_pointwise_check(1, 0.5, 0.5, n, seed=510, workers=w),
             "kacrice_density": lambda w: kacrice_density(2, 0.5, 1.0, n, seed=510, workers=w),
-            "kacrice_total_mass": lambda w: kacrice_total_mass(1, 1.0, n, seed=510, workers=w),
+            "kacrice_whole_line": lambda w: kacrice_intervals(
+                1, 1.0, [(-math.inf, math.inf)], n, seed=510, workers=w)[0].to_dict(),
             "kacrice_vs_empirical": lambda w: kacrice_vs_empirical(
                 1, 1.0, -1.0, 1.0, n, seed=510, workers=w).to_dict(),
             "kacrice_intervals": lambda w: [res.to_dict() for res in kacrice_intervals(
@@ -310,9 +310,10 @@ class TestKacRiceDensity:
 
     @pytest.mark.parametrize("m,v,seed", [(1, 1.0, 525), (2, 1.0, 526), (2, 0.5, 527)])
     def test_total_mass(self, m, v, seed):
-        res = kacrice_total_mass(m, v, 100000, seed=seed)
-        assert res.reference == 2.0 * (m + 1)
-        assert res.passed, f"z = {res.z_score:.2f}"
+        [res] = kacrice_intervals(m, v, [(-math.inf, math.inf)], 100000, seed=seed)
+        assert res.exact == pytest.approx(2.0 * (m + 1), abs=1e-9)
+        z = res.to_dict()["z_kacrice_exact"]
+        assert abs(z) <= 4.0, f"z = {z:.2f}"
 
 
 class TestKacRiceVsEmpirical:
@@ -390,6 +391,15 @@ class TestKacRiceVsEmpirical:
 
     def test_no_exact_mass_past_the_density_range(self):
         assert math.isnan(mehta._exact_masses(GOE_DENSITY_MAX_M, 1.0, np.array([[-1.0, 1.0]]))[0])
+
+    @pytest.mark.parametrize("a, b", [(-math.inf, math.inf), (0.0, math.inf)])
+    def test_kacrice_rule_on_exact_density_m50(self, a, b):
+        # the sampled rule's nodes and box, applied to the density its integrand averages to
+        m = 50
+        t, w = mehta._clipped_legendre(m, 1.0, a, b, mehta._KACRICE_NODES)
+        ruled = 2.0 * (m + 1) * float(w @ goe_density(m + 1, 1.0, t))
+        [exact] = mehta._exact_masses(m, 1.0, np.array([[a, b]]))
+        assert abs(ruled / exact - 1.0) <= 5e-4
 
     def test_exact_mass_m50_matches_sturm(self):
         # the Sturm count of GOE(51, 1) on [-1, 1] reads 9.041 +- 0.012

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from mehtalab import estimation, mehta, regression, spectral, symspace
 from mehtalab.estimation import substream
 from mehtalab.symspace import (
     EnsembleParams,
@@ -102,6 +103,77 @@ class TestEnsembleParams:
     def test_accepts_admissibility_boundary_inside(self):
         EnsembleParams(4, -0.499, 1.0)
         EnsembleParams(2, -0.5, 1.0)
+
+
+class _NoDraw:
+    """A generator that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
+def _ones(lam):
+    return np.ones(lam.shape[0])
+
+
+# every public function that takes m or v, called at (m, v)
+ENTRY_POINTS = {
+    "sample_goe_batch": lambda m, v: symspace.sample_goe_batch(m, v, 10, _NoDraw()),
+    "sample_goe_tridiagonal": lambda m, v: symspace.sample_goe_tridiagonal(m, v, 10, _NoDraw()),
+    "goe_log_density": lambda m, v: symspace.goe_log_density(SymMatrix.zeros(m), v),
+    "weyl_rhs_quadrature": lambda m, v: spectral.weyl_rhs_quadrature(_ones, m, v),
+    "one_point_correlation": lambda m, v: spectral.one_point_correlation(m, v, 2000),
+    "goe_density": lambda m, v: spectral.goe_density(m, v, 0.0),
+    "mehta_closed_form_scaled": lambda m, v: mehta.mehta_closed_form_scaled(m, v),
+    "exp_abs_det_mc": lambda m, v: mehta.exp_abs_det_mc(m, v, 0.5, 2000),
+    "detmoment_identity_check": lambda m, v: mehta.detmoment_identity_check(m, v, 2000),
+    "exp_det_pointwise_check": lambda m, v: mehta.exp_det_pointwise_check(m, v, 0.5, 2000),
+    "kacrice_density": lambda m, v: mehta.kacrice_density(m, 0.5, v, 2000),
+    "kacrice_intervals": lambda m, v: mehta.kacrice_intervals(m, v, [(-1.0, 1.0)], 2000),
+    "kacrice_vs_empirical": lambda m, v: mehta.kacrice_vs_empirical(m, v, -1.0, 1.0, 2000),
+    "hessian_regression_pair": lambda m, v: regression.hessian_regression_pair(m, v),
+    "hessian_pair_samples": lambda m, v: regression.hessian_pair_samples(m, v, 10, _NoDraw()),
+    "conditional_hessian_moments": lambda m, v: regression.conditional_hessian_moments(m, v, 2000),
+    "log_mehta_closed_form": lambda m, v: mehta.log_mehta_closed_form(m),
+    "mehta_closed_form": lambda m, v: mehta.mehta_closed_form(m),
+    "mehta_ratio": lambda m, v: mehta.mehta_ratio(m),
+    "mehta_quadrature": lambda m, v: mehta.mehta_quadrature(m),
+    "mehta_mc": lambda m, v: mehta.mehta_mc(m, 2000),
+    "reproduce_zm": lambda m, v: mehta.reproduce_zm(m, 2000),
+}
+M_ONLY = ("log_mehta_closed_form", "mehta_closed_form", "mehta_ratio", "mehta_quadrature", "mehta_mc",
+          "reproduce_zm")
+
+
+def _bad_ms(name):
+    if name == "goe_log_density":
+        return ()  # its m is the matrix's size
+    if name == "goe_density":
+        return (2.5,)  # its range 1 <= m <= GOE_DENSITY_MAX_M reads first
+    return (0, -1, 2.5)
+
+
+RULE_CASES = ([(name, m, 1.0) for name in ENTRY_POINTS for m in _bad_ms(name)]
+              + [(name, 2, v) for name in ENTRY_POINTS if name not in M_ONLY
+                 for v in (0.0, -1.0, math.nan, math.inf)])
+
+
+@pytest.mark.parametrize("name, m, v", RULE_CASES)
+def test_every_entry_point_raises_the_rule(monkeypatch, name, m, v):
+    # EnsembleParams' own message, before any chunk runs and before any sampler is called
+    def spy(*args, **kwargs):
+        raise AssertionError(f"{name} reached a chunk map or a sampler")
+
+    for module in (estimation, mehta, spectral, symspace, regression):
+        monkeypatch.setattr(module, "map_chunks", spy)
+    for module in (mehta, spectral, regression):
+        monkeypatch.setattr(module, "sample_goe_batch", spy)
+    monkeypatch.setattr(mehta, "sample_goe_tridiagonal", spy)
+    with pytest.raises(ValueError) as want:
+        EnsembleParams(m, 0.0, v)
+    with pytest.raises(ValueError) as got:
+        ENTRY_POINTS[name](m, v)
+    assert str(got.value) == str(want.value)
 
 
 class TestGoeSampler:
