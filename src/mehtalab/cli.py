@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand is a reproducible run: it accepts only the options it reads,
-resolves them (flags, then MEHTA_* environment variables, then defaults),
-echoes them in the output, and exits 0 only when the emitted artifact's pass
-or all_pass flag is true (an artifact without one passes).  JSON output for a
+Every subcommand, in the mode its mode flag selects if it has one, is a
+reproducible run: it accepts only the options that mode reads, resolves them
+(flags, then MEHTA_* environment variables, then defaults), echoes exactly
+them in the output, and exits 0 only when the emitted artifact's pass or
+all_pass flag is true (an artifact without one passes).  JSON output for a
 fixed configuration and seed is byte-identical across runs and worker counts,
 except for wall_time_s and the echoed workers.
 """
@@ -28,20 +29,23 @@ ENV_PREFIX = "MEHTA_"
 QUADRATURE_GATE = {1: 2e-6, 2: 2e-6, 3: 1e-4}
 
 
-# (flag, type, default, extra argparse keywords) of the options subcommands
-# share; each subcommand takes the ones it reads and echoes them, --n as n_samples
+# (name, type, default, has a MEHTA_* variable, extra argparse keywords) of
+# every option a run may read; a run echoes the ones it reads, --n as n_samples
 COMMON_OPTIONS = (
-    ("m", int, 2, {}),
-    ("v", float, 1.0, {}),
-    ("u", float, 0.0, {}),
-    ("c", float, 0.0, {}),
-    ("a", float, -1.0, {}),
-    ("b", float, 1.0, {}),
-    ("n", int, 100000, {"help": "sample count"}),
-    ("seed", int, 0, {}),
-    ("workers", int, 1, {}),
-    ("out", str, None, {}),
-    ("format", str, "json", {"choices": ("json", "csv")}),
+    ("m", int, 2, True, {}),
+    ("v", float, 1.0, True, {}),
+    ("u", float, 0.0, True, {}),
+    ("c", float, 0.0, True, {}),
+    ("a", float, -1.0, True, {}),
+    ("b", float, 1.0, True, {}),
+    ("n", int, 100000, True, {"help": "sample count"}),
+    ("seed", int, 0, True, {}),
+    ("workers", int, 1, True, {}),
+    ("out", str, None, True, {}),
+    ("format", str, "json", True, {"choices": ("json", "csv")}),
+    ("bin_width", float, None, False, {}),
+    ("bandwidth", float, None, False, {}),
+    ("curve_points", int, 33, False, {}),
 )
 
 
@@ -76,11 +80,22 @@ def _emit(args, body: dict, wall_time_s: float) -> int:
     return 0 if body.get("pass", body.get("all_pass", True)) else 1
 
 
-def _json_only_op(args) -> str | None:
-    """The op name of a run whose result has no CSV form, known before the run; else None."""
-    if args.command == "mehta" and args.method != "reproduce":
-        return f"mehta-{args.method}"
-    return "kacrice-interval" if args.command == "kacrice" and not args.curve else None
+def _resolve(args) -> None:
+    """Refuse the given options the run's mode does not read; resolve the ones it reads."""
+    mode = getattr(args, args.mode_flag) if args.mode_flag else None
+    args.options = args.reads[mode]
+    unread = [_flag(name) for name, *_ in COMMON_OPTIONS if hasattr(args, name) and name not in args.options]
+    if unread:
+        flag = f"--{args.mode_flag}"
+        run = {True: flag, False: f"without {flag}"}.get(mode, f"{flag} {mode}")
+        raise ValueError(f"{args.command} {run} does not take {' '.join(unread)}")
+    for name, cast, default, env, _ in COMMON_OPTIONS:
+        if name in args.options and not hasattr(args, name):
+            setattr(args, name, _env(name, cast, default) if env else default)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +136,8 @@ def cmd_correlation(args) -> dict:
         args.v,
         args.n,
         estimator=args.estimator,
-        bin_width=args.bin_width,
-        bandwidth=args.bandwidth,
+        bin_width=getattr(args, "bin_width", None),  # each estimator reads its own width
+        bandwidth=getattr(args, "bandwidth", None),
         seed=args.seed,
         workers=args.workers,
     )
@@ -170,6 +185,7 @@ def cmd_detmoment(args) -> dict:
 
 def cmd_kacrice(args) -> dict:
     if args.curve:
+        symspace.EnsembleParams(args.m, v=args.v)  # the (m, v) rule before L reads them
         L = 4.0 * math.sqrt(args.v * (args.m + 1))
         rows = []
         for t in np.linspace(-L, L, args.curve_points):
@@ -381,14 +397,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _subcommand(sub, name: str, fn, summary: str, options: tuple) -> argparse.ArgumentParser:
-    """A subparser that takes the named common options and echoes them as its config."""
+def _subcommand(sub, name: str, fn, summary: str, reads: dict, mode_flag: str | None = None):
+    """A subparser: ``reads`` maps each value of the mode flag, the default first, to the options
+    that mode reads ({None: ...} with no flag, {False: ..., True: ...} for a switch)."""
     p = sub.add_parser(name, help=summary)
-    table = {flag: rest for flag, *rest in COMMON_OPTIONS}
-    for flag in options:
-        cast, default, extra = table[flag]
-        p.add_argument(f"--{flag}", type=cast, default=_env(flag, cast, default), **extra)
-    p.set_defaults(fn=fn, options=options)
+    if list(reads) == [False, True]:
+        p.add_argument(f"--{mode_flag}", action="store_true")
+    elif mode_flag:
+        p.add_argument(f"--{mode_flag}", choices=tuple(reads), default=next(iter(reads)))
+    accepted = set().union(*reads.values())
+    for option, cast, _, _, extra in COMMON_OPTIONS:
+        if option in accepted:
+            p.add_argument(_flag(option), type=cast, default=argparse.SUPPRESS, **extra)
+    p.set_defaults(fn=fn, reads=reads, mode_flag=mode_flag)
     return p
 
 
@@ -401,57 +422,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     _subcommand(sub, "sample", cmd_sample, "emit ensemble draws in the matrix text format",
-                ("m", "u", "v", "n", "seed", "out"))
+                {None: ("m", "u", "v", "n", "seed", "out")})
 
     _subcommand(sub, "check-covariance", cmd_check_covariance, "audit every second moment of a sampler",
-                ("m", "u", "v", "n", "seed", "workers", "out"))
+                {None: ("m", "u", "v", "n", "seed", "workers", "out")})
 
-    p = _subcommand(sub, "eig", cmd_eig, "print eigenvalues of a matrix file", ("out",))
+    p = _subcommand(sub, "eig", cmd_eig, "print eigenvalues of a matrix file", {None: ("out",)})
     p.add_argument("matrix")
 
     p = _subcommand(sub, "critpoints", cmd_critpoints, "critical points of the sphere field of a matrix file",
-                    ("seed", "out"))
+                    {None: ("seed", "out")})
     p.add_argument("matrix")
 
-    p = _subcommand(sub, "correlation", cmd_correlation, "one-point correlation density estimate",
-                    ("m", "v", "n", "seed", "workers", "out", "format"))
-    p.add_argument("--estimator", choices=("histogram", "kernel"), default="histogram")
-    p.add_argument("--bin-width", type=float, default=None)
-    p.add_argument("--bandwidth", type=float, default=None)
+    sampled = ("m", "v", "n", "seed", "workers", "out")
+    _subcommand(sub, "correlation", cmd_correlation, "one-point correlation density estimate",
+                {"histogram": (*sampled, "format", "bin_width"),
+                 "kernel": (*sampled, "format", "bandwidth")}, "estimator")
 
-    p = _subcommand(sub, "mehta", cmd_mehta, "Mehta integral: closed form, mc, quadrature, reproduce",
-                    ("m", "n", "seed", "workers", "out", "format"))
-    p.add_argument("--method", choices=("closed", "ratio", "mc", "quadrature", "reproduce"),
-                   default="closed")
+    _subcommand(sub, "mehta", cmd_mehta, "Mehta integral: closed form, mc, quadrature, reproduce",
+                {"closed": ("m", "out"), "ratio": ("m", "out"), "mc": ("m", "n", "seed", "workers", "out"),
+                 "quadrature": ("m", "out"), "reproduce": ("m", "n", "seed", "workers", "out", "format")},
+                "method")
 
-    p = _subcommand(sub, "detmoment", cmd_detmoment, "determinant-moment identity, integrated or pointwise",
-                    ("m", "v", "c", "n", "seed", "workers", "out"))
-    p.add_argument("--mode", choices=("integrated", "pointwise"), default="integrated")
+    _subcommand(sub, "detmoment", cmd_detmoment, "determinant-moment identity, integrated or pointwise",
+                {"integrated": sampled, "pointwise": (*sampled, "c")}, "mode")
 
-    p = _subcommand(sub, "kacrice", cmd_kacrice, "Kac-Rice density curve or interval comparison",
-                    ("m", "v", "a", "b", "n", "seed", "workers", "out", "format"))
-    p.add_argument("--curve", action="store_true", help="emit a density curve instead")
-    p.add_argument("--curve-points", type=int, default=33)
+    _subcommand(sub, "kacrice", cmd_kacrice, "Kac-Rice interval comparison, or a density curve with --curve",
+                {False: (*sampled, "a", "b"), True: (*sampled, "format", "curve_points")}, "curve")
 
     _subcommand(sub, "regress-demo", cmd_regress_demo, "sphere Hessian regression, analytic vs empirical",
-                ("m", "v", "n", "seed", "workers", "out"))
+                {None: sampled})
 
     _subcommand(sub, "report", cmd_report, "run the full acceptance suite and write one JSON report",
-                ("n", "seed", "workers", "out"))
+                {None: ("n", "seed", "workers", "out")})
 
-    p = _subcommand(sub, "render", cmd_render, "human-readable table from a report file", ())
+    p = _subcommand(sub, "render", cmd_render, "human-readable table from a report file", {None: ()})
     p.add_argument("report")
 
     return parser
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-    except ValueError as exc:
-        # a malformed MEHTA_* default is a usage error, like a bad flag value
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    parser = build_parser()
     try:
         args, unread = parser.parse_known_args(argv)
         if unread:
@@ -459,13 +471,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        for flag in ("n", "curve_points"):
+        _resolve(args)
+        for name in ("n", "curve_points"):
             # a count below 1 would run nothing and report it as a pass
-            if getattr(args, flag, 1) < 1:
-                name = flag.replace("_", "-")
-                raise ValueError(f"--{name} must be a positive integer, got {getattr(args, flag)}")
-        if getattr(args, "format", "json") == "csv" and (op := _json_only_op(args)):
-            raise ValueError(f"--format csv: {op} has no CSV form")
+            if getattr(args, name, 1) < 1:
+                raise ValueError(f"{_flag(name)} must be a positive integer, got {getattr(args, name)}")
         t0 = time.perf_counter()
         body = args.fn(args)
         if isinstance(body, int):

@@ -213,7 +213,7 @@ class EnsembleParams:
     v: float = 1.0
 
     def __post_init__(self):
-        if int(self.m) < 1 or self.m != int(self.m):
+        if not math.isfinite(self.m) or int(self.m) < 1 or self.m != int(self.m):
             raise ValueError("m must be a positive integer")
         if not (self.v > 0.0 and math.isfinite(self.v)):
             raise ValueError(

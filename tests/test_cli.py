@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from mehtalab import estimation, mehta, regression, spectral, symspace
-from mehtalab.cli import _criterion_seed, build_parser, main, render_report, run_report
+from mehtalab.cli import (COMMON_OPTIONS, _criterion_seed, _flag, _resolve, build_parser, main, render_report,
+                          run_report)
 from mehtalab.symspace import read_matrices
 
 DIAG_FIXTURE = "2\n1 0\n0 2\n"
@@ -30,6 +31,33 @@ def run_json(capsys, argv):
     return rc, json.loads(out, parse_constant=_reject_constant)
 
 
+def _forbid(monkeypatch, *targets):
+    """Make each named estimator fail the test if a run calls it."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("an estimator ran")
+
+    for target in targets:
+        monkeypatch.setattr(target, no_run)
+
+
+def _parsers():
+    """Subcommand -> its subparser."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _runs():
+    """(subcommand, mode flag, mode, options it reads, options only other modes read) of every run."""
+    for command, p in _parsers().items():
+        reads = p.get_default("reads")
+        for mode, options in reads.items():
+            yield command, p.get_default("mode_flag"), mode, options, set().union(*reads.values()) - set(options)
+
+
+def _mode_argv(flag, mode):
+    """The command-line words that select a mode."""
+    return [] if mode in (None, False) else [f"--{flag}"] if mode is True else [f"--{flag}", mode]
+
+
 class TestBasicCommands:
     def test_mehta_quadrature(self, capsys):
         rc, payload = run_json(capsys, ["mehta", "--m", "2", "--method", "quadrature"])
@@ -38,7 +66,7 @@ class TestBasicCommands:
         assert payload["estimate"] == pytest.approx(7.089815, abs=1e-5)
         assert payload["reference"] == pytest.approx(7.089815, abs=1e-5)
         assert payload["config"]["command"] == "mehta"
-        assert payload["config"]["n_samples"] == 100000  # default echoed
+        assert "n_samples" not in payload["config"]  # quadrature reads no n
 
     def test_mehta_closed_and_ratio(self, capsys):
         rc, payload = run_json(capsys, ["mehta", "--m", "3", "--method", "closed"])
@@ -115,6 +143,13 @@ class TestBasicCommands:
         )
         assert rc == 0
         assert payload["comparison"]["pass"] is True
+
+    def test_kacrice_curve_echo(self, capsys):
+        # the curve reads its point count and no interval ends
+        rc, payload = run_json(capsys, ["kacrice", "--curve", "--curve-points", "5", "--m", "1", "--n", "2000"])
+        assert rc == 0 and len(payload["curve"]) == 5
+        assert payload["config"]["curve_points"] == 5
+        assert not {"a", "b"} & set(payload["config"])
 
     def test_kacrice_full_line(self, capsys):
         # the unbounded ends are null, in the comparison and in the echo
@@ -233,7 +268,7 @@ class TestExitCodes:
                                     "(mehta_ratio(340) overflows a float)"]
 
     @pytest.mark.parametrize("argv", [["kacrice", "--m", "0"], ["kacrice", "--m", "-1"],
-                                      ["kacrice", "--curve", "--m", "0"]])
+                                      ["kacrice", "--curve", "--m", "0"], ["kacrice", "--curve", "--m", "-2"]])
     def test_inadmissible_kacrice_m(self, capsys, argv):
         rc = main(argv + ["--n", "2000"])
         out, err = capsys.readouterr()
@@ -242,7 +277,7 @@ class TestExitCodes:
 
     def test_malformed_env_value(self, monkeypatch, capsys):
         monkeypatch.setenv("MEHTA_N", "abc")
-        assert main(["mehta"]) == 2
+        assert main(["mehta", "--method", "mc"]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: invalid MEHTA_N='abc': invalid literal for int() with base 10: 'abc'"]
 
@@ -289,26 +324,46 @@ class TestExitCodes:
         (["sample", "--workers", "2"], "sample does not take --workers 2"),
         (["report", "--m", "3"], "report does not take --m 3"),
         (["mehta", "--method", "mc", "--format", "csv", "--n", "2000"],
-         "--format csv: mehta-mc has no CSV form"),
+         "mehta --method mc does not take --format"),
         (["kacrice", "--format", "csv", "--m", "3", "--n", "400000"],
-         "--format csv: kacrice-interval has no CSV form"),
+         "kacrice without --curve does not take --format"),
         # no grid point within 8h of an eigenvalue would read every density value 0
         (["correlation", "--estimator", "kernel", "--bandwidth", "1e-9", "--n", "1000"],
          "bandwidth 1e-09 is below the grid step 0.00312132"),
-        (["mehta", "--method", "closed", "--format", "csv"], "--format csv: mehta-closed has no CSV form"),
+        (["mehta", "--method", "closed", "--format", "csv"], "mehta --method closed does not take --format"),
     ])
     def test_rejected(self, monkeypatch, capsys, argv, message):
         # a run with no CSV form is refused before any estimator is called
-        def no_run(*args, **kwargs):
-            raise AssertionError("an estimator ran")
-
-        for name in ("mehta_closed_form", "mehta_mc", "kacrice_vs_empirical", "kacrice_intervals"):
-            monkeypatch.setattr(mehta, name, no_run)
+        _forbid(monkeypatch, *(f"mehtalab.mehta.{name}" for name in
+                               ("mehta_closed_form", "mehta_mc", "kacrice_vs_empirical", "kacrice_intervals")))
         rc = main(argv)
         out, err = capsys.readouterr()
         assert rc == 2
         assert out == ""
         assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("command, mode_argv, option", [
+        (command, _mode_argv(flag, mode), option)
+        for command, flag, mode, _, unread in _runs() for option in sorted(unread)
+    ])
+    def test_unread_option(self, monkeypatch, capsys, command, mode_argv, option):
+        # an option another mode reads is refused, before any estimator is called
+        _forbid(monkeypatch, "mehtalab.spectral.one_point_correlation", *(f"mehtalab.mehta.{name}" for name in (
+            "mehta_closed_form", "mehta_ratio", "mehta_quadrature", "mehta_mc", "reproduce_zm",
+            "detmoment_identity_check", "exp_det_pointwise_check", "kacrice_density", "kacrice_vs_empirical")))
+        default = next(default for name, _, default, *_ in COMMON_OPTIONS if name == option)
+        flag = _flag(option)
+        rc = main([command, *mode_argv, f"{flag}={0.5 if default is None else default}"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {command} ") and err.endswith(f" does not take {flag}\n")
+
+    def test_accepted_pairs(self):
+        # each mode of a subcommand with a mode flag accepts the flag and the options it reads
+        assert sum(len(options) + 1 for _, flag, _, options, _ in _runs() if flag) == 73
+        assert {name for name, _, _, env, _ in COMMON_OPTIONS if env} == {
+            "m", "v", "u", "c", "a", "b", "n", "seed", "workers", "out", "format"}
 
     @pytest.mark.parametrize("argv", [
         ["check-covariance"],
@@ -368,6 +423,35 @@ class TestEnvOverrides:
         rc, payload = run_json(capsys, ["mehta", "--m", "1", "--method", "mc"])
         assert rc == 0
         assert payload["config"]["n_samples"] == 1234
+
+    def test_env_of_unread_option_ignored(self, tmp_path, monkeypatch, capsys):
+        # a run neither parses nor echoes a variable for an option it does not read
+        report, matrix = tmp_path / "r.json", tmp_path / "m.txt"
+        report.write_text(json.dumps({"criteria": []}))
+        matrix.write_text(DIAG_FIXTURE)
+        monkeypatch.setenv("MEHTA_N", "abc")
+        assert main(["render", str(report)]) == 0
+        capsys.readouterr()
+        assert run_json(capsys, ["eig", str(matrix)])[0] == 0
+        monkeypatch.delenv("MEHTA_N")
+        monkeypatch.setenv("MEHTA_C", "5")
+        rc, payload = run_json(capsys, ["detmoment", "--n", "2000"])
+        assert rc == 0 and "c" not in payload["config"]
+
+    @pytest.mark.parametrize("name, argv", [
+        ("MEHTA_BIN_WIDTH", ["correlation"]),
+        ("MEHTA_BANDWIDTH", ["correlation", "--estimator", "kernel"]),
+        ("MEHTA_CURVE_POINTS", ["kacrice", "--curve", "--m", "1"]),
+    ])
+    def test_no_variable(self, monkeypatch, capsys, name, argv):
+        # these options take no MEHTA_* variable, so a malformed one changes nothing
+        def artifact():
+            rc, payload = run_json(capsys, argv + ["--n", "2000"])
+            return rc, {k: v for k, v in payload.items() if k != "wall_time_s"}
+
+        plain = artifact()
+        monkeypatch.setenv(name, "abc")
+        assert artifact() == plain
 
 
 class TestReportAndRender:
@@ -498,24 +582,42 @@ def _readme_section(title):
     return text[start:text.index("\n## ", start + 1)]
 
 
-def _accepted_options(parser):
+def _accepted_options():
     """Subcommand -> the flags and (upper-cased) positionals it accepts."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
         name: {a.option_strings[-1] if a.option_strings else a.dest.upper()
                for a in p._actions if not isinstance(a, argparse._HelpAction)}
-        for name, p in sub.choices.items()
+        for name, p in _parsers().items()
     }
 
 
 class TestReadme:
     def test_examples_parse(self):
+        # every example passes only options its run reads; nothing is run
         lines = [line.split("#")[0] for line in _readme_section("Command line").splitlines()
                  if line.startswith("mehtalab ")]
         assert len(lines) >= 10
         for line in lines:
-            build_parser().parse_args(shlex.split(line)[1:])
+            args, unread = build_parser().parse_known_args(shlex.split(line)[1:])
+            assert not unread, line
+            _resolve(args)
 
     def test_option_table_matches_parser(self):
-        rows = re.findall(r"^\| `([a-z-]+)` \| `([^`]*)` \|$", _readme_section("Command line"), re.M)
-        assert {name: set(opts.split()) for name, opts in rows} == _accepted_options(build_parser())
+        # one row per run; a row without its mode flag is the default mode
+        rows = re.findall(r"^\| `([^`]+)` \| `([^`]*)` \|$", _readme_section("Command line"), re.M)
+        parsers, documented, accepted = _parsers(), {}, {}
+        for label, opts in rows:
+            command, *mode_words = label.split()
+            p = parsers[command]
+            if mode_words:
+                assert mode_words[0] == f"--{p.get_default('mode_flag')}", label
+            if len(mode_words) == 2:
+                modes = mode_words[1].split("\\|")
+            else:  # a switch, or the default mode
+                modes = [True] if mode_words else [next(iter(p.get_default("reads")))]
+            for mode in modes:
+                documented[command, mode] = {o for o in opts.split() if o.startswith("--")}
+            accepted.setdefault(command, set()).update(opts.split(), mode_words[:1])
+        assert documented == {(command, mode): {_flag(o) for o in options}
+                              for command, _, mode, options, _ in _runs()}
+        assert accepted == _accepted_options()

@@ -104,6 +104,11 @@ class TestEnsembleParams:
         EnsembleParams(4, -0.499, 1.0)
         EnsembleParams(2, -0.5, 1.0)
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_rejects_nonfinite_m(self, m):
+        with pytest.raises(ValueError, match="^m must be a positive integer$"):
+            EnsembleParams(m)
+
 
 class _NoDraw:
     """A generator that fails on any draw."""
