@@ -49,14 +49,15 @@ COMMON_OPTIONS = (
 )
 
 
-def _env(name: str, cast, fallback):
+def _env(name: str, cast, fallback, choices=None):
     raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
     try:
-        return cast(raw)
+        value = fallback if raw is None else cast(raw)
+        if choices and value not in choices:
+            raise ValueError(f"invalid choice (choose from {', '.join(choices)})")
     except ValueError as exc:
         raise ValueError(f"invalid {ENV_PREFIX}{name.upper()}={raw!r}: {exc}") from None
+    return value
 
 
 def _emit(args, body: dict, wall_time_s: float) -> int:
@@ -89,9 +90,9 @@ def _resolve(args) -> None:
         flag = f"--{args.mode_flag}"
         run = {True: flag, False: f"without {flag}"}.get(mode, f"{flag} {mode}")
         raise ValueError(f"{args.command} {run} does not take {' '.join(unread)}")
-    for name, cast, default, env, _ in COMMON_OPTIONS:
+    for name, cast, default, env, extra in COMMON_OPTIONS:
         if name in args.options and not hasattr(args, name):
-            setattr(args, name, _env(name, cast, default) if env else default)
+            setattr(args, name, _env(name, cast, default, extra.get("choices")) if env else default)
 
 
 def _flag(name: str) -> str:
@@ -358,22 +359,21 @@ def cmd_report(args) -> dict:
 
 
 def render_report(payload: dict) -> tuple[str, bool]:
-    rows = payload.get("criteria")
-    if rows is None or not isinstance(rows, list):
+    rows = payload.get("criteria") if isinstance(payload, dict) else None
+    if not isinstance(rows, list):
         raise ValueError("malformed report: missing criteria list")
-    name_w = max([len(r.get("name", "")) for r in rows] + [len("criterion")])
+    if not all(isinstance(r, dict) and isinstance(r.get("name"), str) and "pass" in r for r in rows):
+        raise ValueError("malformed report: a criterion is not an object with a name and a pass")
+    name_w = max([len(r["name"]) for r in rows] + [len("criterion")])
     lines = [f"{'criterion':<{name_w}}  {'estimate':>14}  {'reference':>14}  {'z':>8}  verdict"]
-    all_ok = True
     for r in rows:
-        if "pass" not in r or "name" not in r:
-            raise ValueError("malformed report: row without name/pass")
-        est = "-" if r.get("estimate") is None else f"{r['estimate']:.6g}"
-        ref = "-" if r.get("reference") is None else f"{r['reference']:.6g}"
-        z = "-" if r.get("z") is None else f"{r['z']:+.2f}"
-        ok = bool(r["pass"])
-        all_ok = all_ok and ok
-        lines.append(f"{r['name']:<{name_w}}  {est:>14}  {ref:>14}  {z:>8}  {'PASS' if ok else 'FAIL'}")
-    return "\n".join(lines) + "\n", all_ok
+        try:
+            est, ref, z = ("-" if r.get(key) is None else format(r[key], spec)
+                           for key, spec in (("estimate", ".6g"), ("reference", ".6g"), ("z", "+.2f")))
+        except (TypeError, ValueError):
+            raise ValueError(f"malformed report: {r['name']}: estimate, reference and z must be numbers") from None
+        lines.append(f"{r['name']:<{name_w}}  {est:>14}  {ref:>14}  {z:>8}  {'PASS' if r['pass'] else 'FAIL'}")
+    return "\n".join(lines) + "\n", all(r["pass"] for r in rows)
 
 
 def cmd_render(args) -> int:

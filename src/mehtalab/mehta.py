@@ -304,28 +304,27 @@ def _kacrice_masses(
 ) -> list[EstimatorResult]:
     """Quadrature of the Monte Carlo Kac-Rice density over each interval [a, b] of ends (K, 2).
 
-    One common set of GOE(m, v) samples feeds every quadrature node of every
-    interval, so each integral is a per-sample statistic with an honest
-    standard error.  The shifted determinants come from the eigenvalue route
-    here, which keeps this estimator independent of the LU-based one.
+    One common set of GOE(m, v) samples feeds every quadrature node of every interval, so each
+    integral is a per-sample statistic with an honest standard error.  The shifted determinants
+    come from the eigenvalue route here, which keeps this estimator independent of the LU-based
+    one.  Each draw's node sum is added one node at a time, so a block holds O(BLOCK (m + K))
+    floats whatever the node count.
     """
     nodes = [_clipped_legendre(m, v, a, b, _KACRICE_NODES) for a, b in ends]
     # a node's weight times the N(0, 2v) level density and the Kac-Rice prefactor
     nodes = [(t, w * (np.exp(-t * t / (4.0 * v)) / math.sqrt(4.0 * math.pi * v)) * _kacrice_prefactor(m, v))
              for t, w in nodes]
-    width = max(len(t) for t, _ in nodes)
 
     def weights(rng, size):
-        lam = batched_eigvals(sample_goe_batch(m, v, size, rng))
-        out, buf = np.empty((len(nodes), size)), np.empty((2, size * width))
-        for row, (t, node_w) in zip(out, nodes):
-            # det(A - t I) at every node, one eigenvalue factor at a time, in place
-            # in the contiguous heads of two buffers sized for the widest node set
-            dets, diff = buf[:, :size * len(t)].reshape(2, size, -1)
-            np.subtract(lam[:, 0, None], t, out=dets)
-            for k in range(1, m):
-                dets *= np.subtract(lam[:, k, None], t, out=diff)
-            row[:] = np.abs(dets, out=dets) @ node_w
+        lam = np.ascontiguousarray(batched_eigvals(sample_goe_batch(m, v, size, rng)).T)
+        out, det, diff = np.zeros((len(nodes), size)), np.empty(size), np.empty(size)
+        for row, (ts, node_w) in zip(out, nodes):
+            for t, w in zip(ts, node_w):
+                # det(A - t I), one eigenvalue factor at a time, in place
+                np.subtract(lam[0], t, out=det)
+                for k in range(1, m):
+                    det *= np.subtract(lam[k], t, out=diff)
+                row += np.multiply(np.abs(det, out=det), w, out=det)
         return out.T
 
     return _column_results(weights, n_samples, seed, workers, stream)
@@ -385,8 +384,9 @@ def kacrice_intervals(
     another sampler, which the empirical count witnesses.  Pass requires all
     pairwise z-scores within 4.  Each route is one pass on its own stream
     (0, 1, 2) whose draws serve every interval, so the comparisons are views
-    of one set of draws, each bit-identical to its one-interval call.  Each
-    comparison also carries the exact mass (``_exact_masses``).
+    of one set of draws, each bit-identical to its one-interval call.  The
+    Kac-Rice route sums its nodes one at a time: a block holds O(BLOCK (m + K))
+    floats.  Each comparison also carries the exact mass (``_exact_masses``).
     """
     EnsembleParams(m, 0.0, v)
     ends = np.array(intervals, dtype=float).reshape(-1, 2)

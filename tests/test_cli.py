@@ -281,6 +281,14 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "error: invalid MEHTA_N='abc': invalid literal for int() with base 10: 'abc'"]
 
+    def test_env_value_outside_choices(self, monkeypatch, capsys):
+        # a MEHTA_* value meets the option's choices, as its flag does
+        monkeypatch.setenv("MEHTA_FORMAT", "xml")
+        assert main(["mehta", "--method", "reproduce", "--m", "2", "--n", "2000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: invalid MEHTA_FORMAT='xml': invalid choice (choose from json, csv)"]
+
     @pytest.mark.parametrize("argv, message", [
         (["check-covariance", "--v", "inf"], "v must be a positive finite number"),
         (["check-covariance", "--u", "inf"], "u must be a finite number"),
@@ -548,6 +556,20 @@ class TestReportAndRender:
         assert main(["render", str(path)]) == 2
         path.write_text("{{{{")
         assert main(["render", str(path)]) == 2
+
+    @pytest.mark.parametrize("report", [
+        [1, 2],
+        {"criteria": [1]},
+        {"criteria": [{"name": 1, "pass": True}]},
+        {"criteria": [{"name": "alpha", "z": [1.0], "pass": True}]},
+    ])
+    def test_render_malformed_shape(self, tmp_path, capsys, report):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        assert main(["render", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: malformed report: ")
 
     def test_render_report_function(self):
         text, ok = render_report({"criteria": []})

@@ -5,7 +5,9 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from mehtalab import mehta
 from mehtalab.cli import main
 from mehtalab.estimation import Moments, mc_estimate, z_scores
 from mehtalab.spectral import one_point_correlation
@@ -63,6 +65,12 @@ class TestBlockCore:
                 assert main(["regress-demo", "--n", str(n)]) == 0
 
         assert _traced_peak(run, 2_000_000) <= 1.25 * _traced_peak(run, 200_000)
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_kacrice_block_has_no_node_axis(self, k):
+        # a block holds O(BLOCK (m + K)) floats; one (BLOCK, 64) float buffer alone is 8.4 MB
+        ends = np.array([(a, a + 1.0) for a in np.linspace(-4.0, 3.0, k)])
+        assert _traced_peak(lambda n: mehta._kacrice_masses(2, 1.0, ends, n, 3, 1, 1), 50000) < 4 * 2**20
 
 
 def _traced_peak(run, n):

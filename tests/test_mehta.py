@@ -366,6 +366,26 @@ class TestKacRiceVsEmpirical:
         # no quadrature node lies in (50, 60)
         assert together[-1].kacrice.estimate == 0.0
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    def test_node_sum_matches_dense_formula(self, monkeypatch, m):
+        # one block of the route's per-draw weights, summed node by node, against the
+        # dense (draws, m, nodes) product on the same draws
+        captured = []
+        monkeypatch.setattr(mehta, "_column_results", lambda fn, *args: captured.append(fn))
+        ends = np.array([[-1.0, 1.0], [0.0, math.inf], [50.0, 60.0]])
+        mehta._kacrice_masses(m, 1.0, ends, BLOCK, 0, 1, 1)
+        [weights] = captured
+        got = weights(np.random.default_rng(5), BLOCK)
+        lam = batched_eigvals(sample_goe_batch(m, 1.0, BLOCK, np.random.default_rng(5)))
+        want = np.zeros((BLOCK, len(ends)))
+        for k, (a, b) in enumerate(ends):
+            t, w = mehta._clipped_legendre(m, 1.0, a, b, mehta._KACRICE_NODES)
+            w = w * np.exp(-t * t / 4.0) / math.sqrt(4.0 * math.pi) * mehta._kacrice_prefactor(m, 1.0)
+            want[:, k] = np.abs(np.prod(lam[:, :, None] - t, axis=1)) @ w
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert want[:, :2].all() and not want[:, 2].any()
+
     @pytest.mark.parametrize("intervals", [[(1.0, 0.0)], [(-1.0, 1.0), (2.0, 2.0)], []])
     def test_intervals_rejected_before_any_draw(self, monkeypatch, intervals):
         def no_draw(*args):
