@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from mehtalab import mehta, regression, spectral, spherefield, symspace
-from mehtalab.estimation import Moments, _finite_or_none, map_chunks, substream
+from mehtalab.estimation import Moments, _finite_or_none, _worker_count, map_chunks, substream
 
 ENV_PREFIX = "MEHTA_"
 
@@ -40,7 +40,7 @@ COMMON_OPTIONS = (
     ("b", float, 1.0, True, {}),
     ("n", int, 100000, True, {"help": "sample count"}),
     ("seed", int, 0, True, {}),
-    ("workers", int, 1, True, {}),
+    ("workers", int, _worker_count(), True, {"help": "threads (default, and cap: the usable cores)"}),
     ("out", str, None, True, {}),
     ("format", str, "json", True, {"choices": ("json", "csv")}),
     ("bin_width", float, None, False, {}),

@@ -3,15 +3,17 @@
 Every estimator cuts its n draws into blocks of ``BLOCK`` draws.  Block b of
 stream s draws from its own counter-based Philox substream, a pure function
 of (seed, s, b) (Salmon et al., SC'11), and reduces to its count, mean and
-M2; blocks merge in block order (Chan, Golub & LeVeque 1983).  So memory is
-a few blocks for any n, variances do not cancel when |mean| >> sd, and the
-bits do not depend on the worker count.
+M2; blocks merge in block order (Chan, Golub & LeVeque 1983).  So variances
+do not cancel when |mean| >> sd, and the bits do not depend on the worker
+count.  ``workers`` defaults to, and is capped at, the CPUs the process may
+run on, and memory is about ``workers`` blocks in flight for any n.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -42,6 +44,14 @@ def z_scores(estimate, reference, std_error):
     exact = np.abs(diff) <= 1e-12 * np.maximum(1.0, np.abs(reference))
     return np.divide(diff, std_error, out=np.where(exact, 0.0, math.inf),
                      where=np.greater(std_error, 0.0))
+
+
+def _worker_count(workers: int | None = None) -> int:
+    """``workers``, or when it is None the CPUs this process may run on; estimators
+    resolve through it so that map_chunks, and anything wrapping it, gets a count."""
+    if workers is not None:
+        return workers
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def substream(seed: int, worker: int = 0) -> np.random.Generator:
@@ -91,16 +101,18 @@ class Moments:
         return self.count * mean2 / (mean2 + float(self.m2) / self.count)
 
 
-def map_chunks(fn, n: int, seed: int, workers: int = 1, stream: int = 0) -> Moments:
+def map_chunks(fn, n: int, seed: int, workers: int | None = None, stream: int = 0) -> Moments:
     """Merge in block order the Moments that fn(rng, size) returns for every block of n draws.
 
     Block b draws from Philox key (seed, stream + 1), which no ``substream``
-    uses, at counter word b.  Threads pull blocks, at most two per worker
-    ahead of the merge, so memory does not grow with n and the result does
-    not depend on ``workers``.  Estimators run from one seed pass different
+    uses, at counter word b.  The pool has min(workers, usable CPUs) threads,
+    ``workers`` defaulting to the usable CPUs, and they pull blocks at most
+    two per thread ahead of the merge, so memory does not grow with n and the
+    result depends on neither.  Estimators run from one seed pass different
     ``stream`` indices to draw disjoint samples.
     """
-    if workers < 1:
+    threads = min(_worker_count(workers), _worker_count())
+    if threads < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if n < 2:
         raise ValueError("n_samples must be at least 2: one draw has no standard error")
@@ -114,11 +126,11 @@ def map_chunks(fn, n: int, seed: int, workers: int = 1, stream: int = 0) -> Mome
         ahead = deque()
         for block in range(-(-n // BLOCK)):
             ahead.append(pool.submit(run, block))
-            if len(ahead) > 2 * workers:
+            if len(ahead) > 2 * threads:
                 yield ahead.popleft().result()
         yield from (future.result() for future in ahead)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return functools.reduce(Moments.merge, in_order(pool))
 
 
@@ -161,7 +173,7 @@ def mc_estimate(
     weight_fn,
     n_samples: int,
     seed: int,
-    workers: int = 1,
+    workers: int | None = None,
     scale: float = 1.0,
     reference: float | None = None,
     log_weights: bool = False,
@@ -181,7 +193,7 @@ def mc_estimate(
         shift = float(np.max(w)) if log_weights else 0.0
         return Moments.of(np.exp(w - shift) if log_weights else w, shift)
 
-    mom = map_chunks(block, n_samples, seed, workers, stream)
+    mom = map_chunks(block, n_samples, seed, _worker_count(workers), stream)
     unit = scale * math.exp(mom.shift)
     meta = {}
     if log_weights:

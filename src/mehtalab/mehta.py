@@ -25,6 +25,7 @@ from mehtalab.estimation import (
     EstimatorResult,
     Moments,
     _finite_or_none,
+    _worker_count,
     map_chunks,
     mc_estimate,
     z_scores,
@@ -112,7 +113,7 @@ def mehta_quadrature(m: int, tol: float = 1e-6) -> float:
     return value
 
 
-def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int = 1) -> EstimatorResult:
+def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int | None = None) -> EstimatorResult:
     """Importance-sampled Mehta integral: iid standard Gaussian eigenvalues.
 
     The integral equals (2 pi)^(m/2) E[prod_{i<j} |l_i - l_j|]; the product is
@@ -160,7 +161,7 @@ def exp_abs_det_mc(
     c: float,
     n_samples: int,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
     reference: float | None = None,
 ) -> EstimatorResult:
     """Monte Carlo E|det(A - c I)| over GOE(m, v)."""
@@ -175,7 +176,7 @@ def exp_abs_det_mc(
 
 
 def detmoment_identity_check(
-    m: int, v: float, n_samples: int, seed: int = 0, workers: int = 1
+    m: int, v: float, n_samples: int, seed: int = 0, workers: int | None = None
 ) -> EstimatorResult:
     """Integrated determinant-moment identity.
 
@@ -208,7 +209,7 @@ def exp_det_pointwise_check(
     c: float,
     n_samples: int,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> EstimatorResult:
     """Pointwise determinant-moment identity at shift c.
 
@@ -240,7 +241,7 @@ def kacrice_density(
     v: float,
     n_samples: int,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
     reference: float | None = None,
 ) -> EstimatorResult:
     """Kac-Rice density of critical values of the sphere field at level t.
@@ -292,15 +293,15 @@ def _exact_masses(m: int, v: float, ends: np.ndarray) -> list[float]:
     return [2.0 * (m + 1) * float(w @ goe_density(m + 1, v, t)) for t, w in rules]
 
 
-def _column_results(weight_fn, n_samples: int, seed: int, workers: int, stream: int) -> list[EstimatorResult]:
+def _column_results(weight_fn, n_samples: int, seed: int, workers: int | None, stream: int) -> list[EstimatorResult]:
     """One EstimatorResult per column of (size, K) weights; a contiguous column reduces as in ``mc_estimate``."""
     mom = map_chunks(lambda rng, size: Moments.of(np.asfortranarray(weight_fn(rng, size))),
-                     n_samples, seed, workers, stream)
+                     n_samples, seed, _worker_count(workers), stream)
     return [EstimatorResult(float(mu), float(se), n_samples, seed) for mu, se in zip(mom.mean, mom.std_error)]
 
 
 def _kacrice_masses(
-    m: int, v: float, ends: np.ndarray, n_samples: int, seed: int, workers: int, stream: int
+    m: int, v: float, ends: np.ndarray, n_samples: int, seed: int, workers: int | None, stream: int
 ) -> list[EstimatorResult]:
     """Quadrature of the Monte Carlo Kac-Rice density over each interval [a, b] of ends (K, 2).
 
@@ -372,7 +373,7 @@ class KacRiceComparison:
 
 
 def kacrice_intervals(
-    m: int, v: float, intervals, n_samples: int, seed: int = 0, workers: int = 1
+    m: int, v: float, intervals, n_samples: int, seed: int = 0, workers: int | None = None
 ) -> list[KacRiceComparison]:
     """Expected critical-value mass of each interval (a, b), three independent ways.
 
@@ -410,14 +411,14 @@ def kacrice_intervals(
 
 
 def kacrice_vs_empirical(
-    m: int, v: float, a: float, b: float, n_samples: int, seed: int = 0, workers: int = 1
+    m: int, v: float, a: float, b: float, n_samples: int, seed: int = 0, workers: int | None = None
 ) -> KacRiceComparison:
     """Expected critical-value mass of [a, b] three ways: ``kacrice_intervals`` of one interval."""
     return kacrice_intervals(m, v, [(a, b)], n_samples, seed, workers)[0]
 
 
 def reproduce_zm(
-    m_max: int, n_samples: int, seed: int = 0, workers: int = 1
+    m_max: int, n_samples: int, seed: int = 0, workers: int | None = None
 ) -> list[EstimatorResult]:
     """Rebuild the Mehta integrals from sphere-side Monte Carlo alone.
 

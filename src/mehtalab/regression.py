@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from mehtalab.estimation import EstimatorResult, Moments, map_chunks
+from mehtalab.estimation import EstimatorResult, Moments, _worker_count, map_chunks
 from mehtalab.symspace import (
     EnsembleParams,
     covariance_reference,
@@ -281,7 +281,7 @@ def conditional_hessian_moments(
     v: float,
     n_samples: int,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
     t: float = 1.0,
     method: str = "conditional",
 ) -> dict[str, EstimatorResult]:
@@ -331,7 +331,7 @@ def conditional_hessian_moments(
 
         diag_mean_ref = 0.0
 
-    mom = map_chunks(block, n_samples, seed, workers)
+    mom = map_chunks(block, n_samples, seed, _worker_count(workers))
     names = ["diag_mean", "diag_var", "diag_diag_cov", "offdiag_var"]
     refs = [diag_mean_ref, 2.0 * v, 0.0, 2.0 * v]
     out = {}

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import ndtr
 
-from mehtalab.estimation import EstimatorResult, Moments, map_chunks, mc_estimate
+from mehtalab.estimation import EstimatorResult, Moments, _worker_count, map_chunks, mc_estimate
 from mehtalab.symspace import EnsembleParams, SymMatrix, _opened, sample_goe_batch
 
 __all__ = [
@@ -210,7 +210,7 @@ def spectral_measure(a: SymMatrix, degeneracy_tol: float | None = None) -> Point
 
 
 def weyl_expectation_mc(
-    f, params: EnsembleParams, n_samples: int, seed: int = 0, workers: int = 1
+    f, params: EnsembleParams, n_samples: int, seed: int = 0, workers: int | None = None
 ) -> EstimatorResult:
     """Monte Carlo E[f] over GOE(m, v) for a conjugation-invariant f.
 
@@ -347,7 +347,7 @@ def one_point_correlation(
     bin_width: float | None = None,
     bandwidth: float | None = None,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> DensityEstimate:
     """Estimate the normalized one-point correlation density of GOE(m, v).
 
@@ -406,7 +406,7 @@ def one_point_correlation(
         lam = batched_eigvals(sample_goe_batch(m, v, size, rng))
         return _cell_moments(lam, *place(lam), grid.size)
 
-    mom = map_chunks(block, n_samples, seed, workers)
+    mom = map_chunks(block, n_samples, seed, _worker_count(workers))
     se = mom.std_error
     meta = {
         "escaped": round(mom.mean[-1] * n_samples),  # a count, up to float rounding

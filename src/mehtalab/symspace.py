@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from mehtalab.estimation import Z_THRESHOLD, Moments, map_chunks, z_scores
+from mehtalab.estimation import Z_THRESHOLD, Moments, _worker_count, map_chunks, z_scores
 
 __all__ = [
     "SymMatrix",
@@ -350,7 +350,7 @@ class CovarianceAudit:
 
 
 def covariance_audit(
-    params: EnsembleParams, n_samples: int, seed: int = 0, workers: int = 1
+    params: EnsembleParams, n_samples: int, seed: int = 0, workers: int | None = None
 ) -> CovarianceAudit:
     """Audit all p x p second moments of the flat coordinates at 4 SE each."""
 
@@ -360,7 +360,7 @@ def covariance_audit(
         rows = [Moments.of(coords[:, a, None] * coords) for a in range(coords.shape[1])]
         return Moments(size, np.array([r.mean for r in rows]), np.array([r.m2 for r in rows]))
 
-    mom = map_chunks(block, n_samples, seed, workers)
+    mom = map_chunks(block, n_samples, seed, _worker_count(workers))
     ref = covariance_reference(params)
     return CovarianceAudit(
         params=params,

@@ -508,7 +508,7 @@ class TestReportAndRender:
         keys = []
         real = estimation.map_chunks
 
-        def spy(fn, n, seed, workers=1, stream=0):
+        def spy(fn, n, seed, workers=None, stream=0):
             keys.append((seed, stream))
             return real(fn, n, seed, workers, stream)
 

@@ -2,14 +2,15 @@ import contextlib
 import functools
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mehtalab import mehta
+from mehtalab import estimation, mehta
 from mehtalab.cli import main
-from mehtalab.estimation import Moments, mc_estimate, z_scores
+from mehtalab.estimation import BLOCK, Moments, mc_estimate, z_scores
 from mehtalab.spectral import one_point_correlation
 
 
@@ -48,10 +49,13 @@ class TestBlockCore:
         assert abs(res.std_error * math.sqrt(n) - 1.0) <= 0.1
 
     def test_memory_does_not_grow_with_n(self):
-        def run(n):
-            mc_estimate(lambda rng, k: rng.normal(size=k), n, seed=5)
+        def run(n, workers=1):
+            mc_estimate(lambda rng, k: rng.normal(size=k), n, seed=5, workers=workers)
 
-        assert _traced_peak(run, 2_000_000) <= 1.25 * _traced_peak(run, 200_000)
+        one_worker = _traced_peak(run, 200_000)
+        assert _traced_peak(run, 2_000_000) <= 1.25 * one_worker
+        # at most `workers` blocks compute at once, whatever the thread timing
+        assert _traced_peak(functools.partial(run, workers=2), 2_000_000) <= 2 * one_worker
 
     def test_kernel_density_memory_does_not_grow_with_n(self):
         def run(n):
@@ -71,6 +75,65 @@ class TestBlockCore:
         # a block holds O(BLOCK (m + K)) floats; one (BLOCK, 64) float buffer alone is 8.4 MB
         ends = np.array([(a, a + 1.0) for a in np.linspace(-4.0, 3.0, k)])
         assert _traced_peak(lambda n: mehta._kacrice_masses(2, 1.0, ends, n, 3, 1, 1), 50000) < 4 * 2**20
+
+
+class TestPool:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Stands in for ThreadPoolExecutor: runs each block when it is submitted and
+        records each pool's size and the most blocks it held unmerged."""
+        pools = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                self.size, self.pending, self.most_pending = max_workers, 0, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.pending += 1
+                self.most_pending = max(self.most_pending, self.pending)
+                pool, out = self, fn(*args)
+
+                class Merged:
+                    def result(self):
+                        pool.pending -= 1
+                        return out
+
+                return Merged()
+
+        monkeypatch.setattr(estimation, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(estimation, "_worker_count", lambda workers=None: 3 if workers is None else workers)
+        return pools
+
+    @staticmethod
+    def _sums(workers):
+        mom = estimation.map_chunks(lambda rng, k: Moments.of(rng.normal(size=k)), 20 * BLOCK + 7, 9, workers)
+        return float(mom.mean), float(mom.m2)
+
+    def test_default_is_the_usable_cores(self, pools):
+        self._sums(None)
+        assert [p.size for p in pools] == [3]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 100_000])
+    def test_pool_never_exceeds_the_usable_cores(self, pools, workers):
+        # neither the threads nor the blocks queued ahead of the merge grow past
+        # what the usable cores can run, and the bits stay those of one worker
+        sums = self._sums(workers)
+        threads = min(workers, 3)
+        assert [p.size for p in pools] == [threads]
+        assert pools[0].most_pending == 2 * threads + 1
+        assert sums == self._sums(1)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+    def test_usable_cores_is_the_affinity_mask(self):
+        assert estimation._worker_count() == len(os.sched_getaffinity(0)) >= 1
+        assert estimation._worker_count(5) == 5
 
 
 def _traced_peak(run, n):

@@ -21,7 +21,7 @@ from mehtalab.mehta import (
     reproduce_zm,
     vol_sphere,
 )
-from mehtalab import mehta
+from mehtalab import estimation, mehta, regression, spectral, symspace
 from mehtalab.estimation import BLOCK, EstimatorResult, mc_estimate
 from mehtalab.regression import conditional_hessian_moments
 from mehtalab.spectral import (
@@ -177,35 +177,45 @@ class TestMehtaMC:
             ratios.append(b.std_error / a.std_error)
         assert 0.6 <= float(np.mean(ratios)) <= 0.8
 
-    def test_determinism(self):
-        # every Monte Carlo estimator gives the same bits at any worker count;
-        # n spans three blocks, the last one short
+    def test_determinism(self, monkeypatch):
+        # every Monte Carlo estimator gives the same bits at any worker count,
+        # and at the default one; n spans three blocks, the last one short
         n = 2 * BLOCK + 1000
+        real = estimation.map_chunks
+
+        def counted(fn, n, seed, workers=None, stream=0):
+            # the default is resolved before map_chunks, which is always handed a count
+            assert isinstance(workers, int)
+            return real(fn, n, seed, workers, stream)
+
+        for module in (estimation, mehta, regression, spectral, symspace):
+            monkeypatch.setattr(module, "map_chunks", counted)
         runs = {
-            "mehta_mc": lambda w: mehta_mc(3, n, seed=510, workers=w),
-            "exp_abs_det_mc": lambda w: exp_abs_det_mc(2, 0.5, 0.3, n, seed=510, workers=w),
-            "detmoment": lambda w: detmoment_identity_check(2, 0.5, n, seed=510, workers=w),
-            "pointwise": lambda w: exp_det_pointwise_check(1, 0.5, 0.5, n, seed=510, workers=w),
-            "kacrice_density": lambda w: kacrice_density(2, 0.5, 1.0, n, seed=510, workers=w),
-            "kacrice_whole_line": lambda w: kacrice_intervals(
-                1, 1.0, [(-math.inf, math.inf)], n, seed=510, workers=w)[0].to_dict(),
-            "kacrice_vs_empirical": lambda w: kacrice_vs_empirical(
-                1, 1.0, -1.0, 1.0, n, seed=510, workers=w).to_dict(),
-            "kacrice_intervals": lambda w: [res.to_dict() for res in kacrice_intervals(
-                2, 1.0, [(-math.inf, math.inf), (0.0, 0.5), (50.0, 60.0)], n, seed=510, workers=w)],
-            "reproduce_zm": lambda w: reproduce_zm(2, n, seed=510, workers=w),
-            "weyl": lambda w: weyl_expectation_mc(
-                lambda lam: lam.sum(axis=1) ** 2, EnsembleParams(3, 0.0, 1.0), n, seed=510, workers=w),
-            "histogram": lambda w: _density_bits(one_point_correlation(2, 1.0, n, seed=510, workers=w)),
-            "kernel": lambda w: _density_bits(one_point_correlation(
-                1, 1.0, n, "kernel", bandwidth=0.2, seed=510, workers=w)),
-            "hessian_moments": lambda w: conditional_hessian_moments(
-                2, 1.0, n, seed=510, workers=w, method="residual"),
+            "mehta_mc": lambda **w: mehta_mc(3, n, seed=510, **w),
+            "exp_abs_det_mc": lambda **w: exp_abs_det_mc(2, 0.5, 0.3, n, seed=510, **w),
+            "detmoment": lambda **w: detmoment_identity_check(2, 0.5, n, seed=510, **w),
+            "pointwise": lambda **w: exp_det_pointwise_check(1, 0.5, 0.5, n, seed=510, **w),
+            "kacrice_density": lambda **w: kacrice_density(2, 0.5, 1.0, n, seed=510, **w),
+            "kacrice_whole_line": lambda **w: kacrice_intervals(
+                1, 1.0, [(-math.inf, math.inf)], n, seed=510, **w)[0].to_dict(),
+            "kacrice_vs_empirical": lambda **w: kacrice_vs_empirical(
+                1, 1.0, -1.0, 1.0, n, seed=510, **w).to_dict(),
+            "kacrice_intervals": lambda **w: [res.to_dict() for res in kacrice_intervals(
+                2, 1.0, [(-math.inf, math.inf), (0.0, 0.5), (50.0, 60.0)], n, seed=510, **w)],
+            "reproduce_zm": lambda **w: reproduce_zm(2, n, seed=510, **w),
+            "weyl": lambda **w: weyl_expectation_mc(
+                lambda lam: lam.sum(axis=1) ** 2, EnsembleParams(3, 0.0, 1.0), n, seed=510, **w),
+            "histogram": lambda **w: _density_bits(one_point_correlation(2, 1.0, n, seed=510, **w)),
+            "kernel": lambda **w: _density_bits(one_point_correlation(
+                1, 1.0, n, "kernel", bandwidth=0.2, seed=510, **w)),
+            "hessian_moments": lambda **w: conditional_hessian_moments(
+                2, 1.0, n, seed=510, method="residual", **w),
         }
         for name, run in runs.items():
-            first = run(1)
+            first = run(workers=1)
             for workers in (2, 4):
-                assert run(workers) == first, name
+                assert run(workers=workers) == first, name
+            assert run() == first, name
 
 
 class TestExpAbsDet:
