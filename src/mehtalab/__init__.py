@@ -11,7 +11,6 @@ from mehtalab.symspace import (
     goe_log_density,
     inner_product,
     omega_coords,
-    sample_goe,
     sample_suv,
 )
 from mehtalab.spectral import (
@@ -40,7 +39,6 @@ from mehtalab.spherefield import (
     find_critical_points_batch,
     grad_phi,
     hess_phi,
-    morse_index_spectrum,
     phi,
 )
 from mehtalab.mehta import (

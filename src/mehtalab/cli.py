@@ -71,7 +71,7 @@ def _emit(args, body: dict, wall_time_s: float) -> int:
     config.update((k, _finite_or_none(v)) for k, v in config.items() if isinstance(v, float))
     table = body.pop("csv", None)
     if getattr(args, "format", "json") == "csv":
-        spectral._write_csv(args.out or sys.stdout, *table)
+        _write_csv(args.out or sys.stdout, *table)
         # the config echo goes to stderr to keep the csv schema
         sys.stderr.write("config: " + json.dumps(config, sort_keys=True) + "\n")
     else:
@@ -79,6 +79,14 @@ def _emit(args, body: dict, wall_time_s: float) -> int:
         with symspace._opened(args.out or sys.stdout, "w") as fh:
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if body.get("pass", body.get("all_pass", True)) else 1
+
+
+def _write_csv(path_or_file, header, rows):
+    """Numbers at full precision, strings as they are."""
+    with symspace._opened(path_or_file, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(x if isinstance(x, str) else f"{x:.17g}" for x in row) + "\n")
 
 
 def _resolve(args) -> None:

@@ -46,7 +46,6 @@ __all__ = [
     "vol_sphere",
     "mehta_closed_form",
     "log_mehta_closed_form",
-    "mehta_closed_form_scaled",
     "mehta_ratio",
     "mehta_quadrature",
     "mehta_mc",
@@ -75,12 +74,6 @@ def log_mehta_closed_form(m: int) -> float:
 def mehta_closed_form(m: int) -> float:
     """The Mehta integral: the Vandermonde-Gaussian integral over R^m."""
     return math.exp(log_mehta_closed_form(m))
-
-
-def mehta_closed_form_scaled(m: int, v: float) -> float:
-    """Normalization of the eigenvalue density at width v: (2v)^(m(m+1)/4) times the integral."""
-    EnsembleParams(m, 0.0, v)
-    return math.exp(log_mehta_closed_form(m) + (m * (m + 1) / 4.0) * math.log(2.0 * v))
 
 
 def mehta_ratio(m: int) -> float:

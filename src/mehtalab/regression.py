@@ -86,9 +86,6 @@ class GaussianVector:
     def degeneracy_threshold(self) -> float:
         return 1e-10 * float(np.trace(self.cov)) / max(self.dim, 1)
 
-    def nondegenerate(self) -> bool:
-        return _min_eig(self.cov) > self.degeneracy_threshold()
-
 
 @dataclass(frozen=True)
 class JointGaussian:
@@ -105,15 +102,6 @@ class JointGaussian:
         object.__setattr__(self, "cross", cross)
         if _min_eig(self.block()) < PSD_TOL:
             raise ValueError("joint covariance block has an eigenvalue below -1e-10")
-
-    @property
-    def cross_yx(self) -> np.ndarray:
-        return self.cross
-
-    @property
-    def cross_xy(self) -> np.ndarray:
-        # the adjoint, exactly as stored
-        return self.cross.T
 
     def block(self) -> np.ndarray:
         dx, dy = self.x.dim, self.y.dim

@@ -25,7 +25,7 @@ from scipy import sparse
 from scipy.special import ndtr
 
 from mehtalab.estimation import EstimatorResult, Moments, _worker_count, map_chunks, mc_estimate
-from mehtalab.symspace import EnsembleParams, SymMatrix, _opened, sample_goe_batch
+from mehtalab.symspace import EnsembleParams, SymMatrix, sample_goe_batch
 
 __all__ = [
     "PointMeasure",
@@ -33,10 +33,8 @@ __all__ = [
     "QuadratureError",
     "batched_eigvals",
     "eigenvalues",
-    "eigh_sym",
     "batched_det",
     "tridiagonal_pivots",
-    "det",
     "spectral_measure",
     "default_degeneracy_tol",
     "weyl_expectation_mc",
@@ -80,11 +78,6 @@ def eigenvalues(a: SymMatrix) -> np.ndarray:
     return batched_eigvals(a.to_full()[None])[0]
 
 
-def eigh_sym(a: SymMatrix):
-    """Ascending eigenvalues w and orthonormal eigenvectors V, a = V diag(w) V^T."""
-    return np.linalg.eigh(a.to_full())
-
-
 def batched_det(mats: np.ndarray) -> np.ndarray:
     """Determinants of a stack of small matrices; closed forms up to 3 x 3."""
     a = np.asarray(mats, dtype=float)
@@ -123,10 +116,6 @@ def tridiagonal_pivots(diag: np.ndarray, off_sq: np.ndarray, shifts) -> np.ndarr
     return piv.swapaxes(1, -1)
 
 
-def det(a: SymMatrix) -> float:
-    return float(batched_det(a.to_full()[None])[0])
-
-
 # ---------------------------------------------------------------------------
 # Point measures
 
@@ -153,13 +142,9 @@ class PointMeasure:
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "weights", wts)
 
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(self.weights.tolist())
-
     def merged(self, tol: float) -> "PointMeasure":
         """Merge atom clusters closer than tol; cluster mass is the exact sum."""
-        if tol < 0.0:
+        if not tol >= 0.0:
             raise ValueError("tol must be nonnegative")
         if len(self.locations) == 0:
             return self
@@ -175,16 +160,8 @@ class PointMeasure:
                 start = i
         return PointMeasure(np.array(locs), np.array(wts))
 
-    def mass_in(self, a: float, b: float) -> float:
-        """Mass of the closed interval [a, b]."""
-        sel = (self.locations >= a) & (self.locations <= b)
-        return math.fsum(self.weights[sel].tolist())
-
     def scaled(self, factor: float) -> "PointMeasure":
         return PointMeasure(self.locations, factor * self.weights)
-
-    def to_csv(self, path_or_file) -> None:
-        _write_csv(path_or_file, "location,weight", zip(self.locations, self.weights))
 
 
 def default_degeneracy_tol(a: SymMatrix) -> float:
@@ -200,7 +177,7 @@ def spectral_measure(a: SymMatrix, degeneracy_tol: float | None = None) -> Point
     """
     if degeneracy_tol is None:
         degeneracy_tol = default_degeneracy_tol(a)
-    if degeneracy_tol < 0.0:
+    if not degeneracy_tol >= 0.0:
         raise ValueError("degeneracy_tol must be nonnegative")
     return PointMeasure(eigenvalues(a), np.ones(a.m)).merged(max(degeneracy_tol, 5e-324))
 
@@ -318,25 +295,10 @@ class DensityEstimate:
     def integral(self) -> float:
         return float(np.trapezoid(self.values, self.grid))
 
-    def integrate(self, f) -> float:
-        """Midpoint-rule integral of f against the estimated density."""
-        step = self.grid[1] - self.grid[0]
-        return float(np.sum(f(self.grid) * self.values) * step)
 
-    def to_csv(self, path_or_file) -> None:
-        _write_csv(path_or_file, "x,rho,stderr", zip(self.grid, self.values, self.stderr))
-
-
-def _write_csv(path_or_file, header, rows):
-    """Numbers at full precision, strings as they are."""
-    with _opened(path_or_file, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(x if isinstance(x, str) else f"{x:.17g}" for x in row) + "\n")
-
-
-def default_bin_width(n: int, v: float) -> float:
-    return float(np.clip(0.05 * math.sqrt(2.0 * v) * math.sqrt(n), 0.01, 0.2))
+def default_bin_width(m: int, v: float) -> float:
+    """Histogram bin width for GOE(m, v): 0.05 sqrt(2v m), clipped to [0.01, 0.2]."""
+    return float(np.clip(0.05 * math.sqrt(2.0 * v) * math.sqrt(m), 0.01, 0.2))
 
 
 def one_point_correlation(

@@ -44,7 +44,6 @@ __all__ = [
     "find_critical_points_batch",
     "CriticalPointBatch",
     "discriminant_measure",
-    "morse_index_spectrum",
 ]
 
 
@@ -86,19 +85,9 @@ class SpherePoint:
         c.flags.writeable = False
         self._coords = c
 
-    @classmethod
-    def north_pole(cls, dim: int) -> "SpherePoint":
-        c = np.zeros(dim)
-        c[0] = 1.0
-        return cls(c)
-
     @property
     def coords(self) -> np.ndarray:
         return self._coords
-
-    @property
-    def dim(self) -> int:
-        return self._coords.size
 
     def __repr__(self):
         return f"SpherePoint({self._coords.tolist()})"
@@ -303,7 +292,7 @@ def find_critical_points_batch(
         raise ValueError("need at least a 2 x 2 matrix (a sphere of dimension >= 1)")
     if tol is None:
         tol = 1e-10 * (1.0 + float(np.hypot.reduce(mats.reshape(n, -1), axis=1).max()))
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if rng is None:
         rng = substream(0)
@@ -393,17 +382,3 @@ def discriminant_measure(
         merge_tol = (degeneracy_tol if degeneracy_tol is not None else default_degeneracy_tol(a))
         return PointMeasure(locs, np.ones(locs.size)).merged(merge_tol)
     raise ValueError("method must be 'analytic' or 'search'")
-
-
-def morse_index_spectrum(
-    a: SymMatrix,
-    tol: float | None = 1e-10,
-    rng: np.random.Generator | int | None = None,
-) -> list[tuple[float, int]]:
-    """(critical value, Morse index) for every critical point, sorted by value.
-
-    For the k-th smallest critical value both antipodal points carry index
-    k-1, so the index multiset of a simple matrix is {0, 0, 1, 1, ..., m, m}.
-    """
-    cps = find_critical_points(a, tol=tol, rng=rng)
-    return [(c.value, c.morse_index) for c in cps]

@@ -32,7 +32,6 @@ __all__ = [
     "ell_coords_batch",
     "omega_coords_batch",
     "inner_product",
-    "sample_goe",
     "sample_goe_batch",
     "sample_goe_tridiagonal",
     "sample_suv",
@@ -107,14 +106,6 @@ class SymMatrix:
     def from_diagonal(cls, values) -> "SymMatrix":
         return cls.from_full(np.diag(np.asarray(values, dtype=float)))
 
-    @classmethod
-    def identity(cls, m: int) -> "SymMatrix":
-        return cls.from_diagonal(np.ones(m))
-
-    @classmethod
-    def zeros(cls, m: int) -> "SymMatrix":
-        return cls(m, np.zeros(sym_dim(m)))
-
     @property
     def m(self) -> int:
         return self._m
@@ -139,10 +130,6 @@ class SymMatrix:
         a[ii, jj] = self._packed
         a[jj, ii] = self._packed
         return a
-
-    def trace(self) -> float:
-        ii, jj = _pair_arrays(self._m)
-        return float(self._packed[ii == jj].sum())
 
     def frobenius_sq(self) -> float:
         """tr(A^2), computed from the packed entries."""
@@ -268,13 +255,6 @@ def sample_goe_tridiagonal(m: int, v: float, n: int, rng: np.random.Generator):
     return diag, off_sq
 
 
-def sample_goe(params: EnsembleParams, rng: np.random.Generator) -> SymMatrix:
-    """One draw from GOE(m, v); requires u = 0."""
-    if params.u != 0.0:
-        raise ValueError("sample_goe requires u = 0")
-    return SymMatrix.from_full(sample_goe_batch(params.m, params.v, 1, rng)[0])
-
-
 def sample_suv_batch(params: EnsembleParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws from the (u, v) ensemble as full matrices, shape (n, m, m).
 
@@ -293,7 +273,7 @@ def sample_suv_batch(params: EnsembleParams, n: int, rng: np.random.Generator) -
 
 
 def sample_suv(params: EnsembleParams, rng: np.random.Generator) -> SymMatrix:
-    """One draw from the invariant ensemble with parameters (m, u, v)."""
+    """One draw from the invariant ensemble (m, u, v); at u = 0, the GOE(m, v) draw."""
     return SymMatrix.from_full(sample_suv_batch(params, 1, rng)[0])
 
 
@@ -408,6 +388,8 @@ def _read_one(lines, pos) -> tuple[SymMatrix, int]:
         row = [float(tok) for tok in lines[pos + 1 + r].split()]
         if len(row) != m:
             raise ValueError(f"row {r} has {len(row)} entries, expected {m}")
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"row {r} has a non-finite entry")
         rows.append(row)
     a = np.array(rows)
     return SymMatrix.from_full(a, symmetry_tol=FILE_SYMMETRY_TOL), pos + 1 + m

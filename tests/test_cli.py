@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import re
@@ -311,6 +312,18 @@ class TestExitCodes:
         rc = main(["eig", "/nonexistent/matrix.txt"])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["eig", "critpoints"])
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_nonfinite_matrix_entry(self, tmp_path, capsys, command, entry):
+        # a NaN gap never exceeds the symmetry tolerance, so the entry is refused first
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2\n1 {entry}\n{entry} 2\n")
+        rc = main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: row 0 has a non-finite entry\n"
+
     @pytest.mark.parametrize("argv, flag, value", [
         (["kacrice", "--curve", "--curve-points", "0"], "curve-points", "0"),
         (["kacrice", "--curve", "--curve-points", "-3"], "curve-points", "-3"),
@@ -410,6 +423,15 @@ def test_import_leaves_out_scipy_integrate():
     code = "import sys, mehtalab.cli; print('scipy.integrate' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert run.stdout == "False\n"
+
+
+@pytest.mark.parametrize("module", ["estimation", "symspace", "spectral", "regression", "spherefield", "mehta"])
+def test_exports_resolve(module):
+    # a stale __all__ entry would break the star import
+    mod = importlib.import_module(f"mehtalab.{module}")
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), name
+    exec(f"from mehtalab.{module} import *", {})
 
 
 class TestEnvOverrides:

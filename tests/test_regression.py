@@ -44,10 +44,12 @@ class TestGaussianVector:
             GaussianVector(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_nondegenerate_flag(self):
-        g = GaussianVector(np.zeros(2), np.eye(2))
-        assert g.nondegenerate()
+        # regress conditions on X only when its covariance clears the degeneracy threshold
+        y = GaussianVector(np.zeros(1), np.eye(1))
+        regress(JointGaussian(GaussianVector(np.zeros(2), np.eye(2)), y, np.zeros((1, 2))))
         h = GaussianVector(np.zeros(2), np.diag([1.0, 0.0]))
-        assert not h.nondegenerate()
+        with pytest.raises(DegenerateConditioningError):
+            regress(JointGaussian(h, y, np.zeros((1, 2))))
 
     def test_tolerates_roundoff_negative(self):
         GaussianVector(np.zeros(2), np.diag([1.0, -5e-11]))
@@ -107,8 +109,11 @@ class TestRegress:
             assert exc.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
 
     def test_adjoint_is_exact(self):
+        # the joint block holds C below the diagonal and its adjoint, exactly, above
         j = random_joint(2, 3, substream(303))
-        assert np.array_equal(j.cross_xy, j.cross_yx.T)
+        b = j.block()
+        assert np.array_equal(b[:2, 2:], b[2:, :2].T)
+        assert np.array_equal(b[2:, :2], j.cross)
 
 
 class TestEmpiricalCorrelator:

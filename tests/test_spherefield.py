@@ -14,7 +14,6 @@ from mehtalab.spherefield import (
     find_critical_points_batch,
     grad_phi,
     hess_phi,
-    morse_index_spectrum,
     phi,
     tangent_basis,
 )
@@ -69,16 +68,12 @@ class TestSpherePoint:
         with pytest.raises(ValueError):
             SpherePoint([0.0, 0.0])
 
-    def test_north_pole(self):
-        p = SpherePoint.north_pole(4)
-        assert np.allclose(p.coords, [1.0, 0.0, 0.0, 0.0])
-
 
 class TestFieldDerivatives:
     def test_hessian_at_north_pole_is_block_shift(self):
         rng = substream(401)
         a = random_sym(4, rng)
-        n = SpherePoint.north_pole(4)
+        n = SpherePoint([1.0, 0.0, 0.0, 0.0])
         h = hess_phi(a, n)
         full = a.to_full()
         want = full[1:, 1:] - full[0, 0] * np.eye(3)
@@ -218,6 +213,11 @@ class TestFinder:
         with pytest.raises(ValueError):
             find_critical_points(a, tol=0.0)
 
+    def test_nan_tolerance_rejected(self):
+        mats = sample_goe_batch(3, 1.0, 4, substream(420))
+        with pytest.raises(ValueError, match="tol must be positive"):
+            find_critical_points_batch(mats, tol=math.nan, rng=420)
+
     def test_near_coincident_values_stay_separate(self):
         # gap above the degeneracy tolerance but inside the value-cluster
         # width: the alignment split must still yield all six points
@@ -245,7 +245,7 @@ class TestDiscriminantMeasure:
         a = random_sym(3, substream(421))
         for method, rng in (("analytic", None), ("search", 422)):
             pm = discriminant_measure(a, method=method, rng=rng)
-            assert pm.total_mass == 6.0
+            assert math.fsum(pm.weights.tolist()) == 6.0
 
     def test_diagonal_atoms(self):
         pm = discriminant_measure(SymMatrix.from_diagonal([1.0, 2.0]))
@@ -269,6 +269,11 @@ class TestDiscriminantMeasure:
         assert np.array_equal(dm.locations, sm.locations)
         assert np.array_equal(dm.weights, 2.0 * sm.weights)
 
+    def test_nan_tolerance_rejected(self):
+        a = SymMatrix.from_diagonal([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            discriminant_measure(a, "search", degeneracy_tol=math.nan, rng=425)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             discriminant_measure(random_sym(2, substream(425)), method="magic")
@@ -276,25 +281,25 @@ class TestDiscriminantMeasure:
 
 class TestMorseIndices:
     def test_diag_2(self):
-        spec = morse_index_spectrum(SymMatrix.from_diagonal([1.0, 2.0]), rng=426)
-        assert sorted(idx for _, idx in spec) == [0, 0, 1, 1]
+        cps = find_critical_points(SymMatrix.from_diagonal([1.0, 2.0]), rng=426)
+        assert sorted(c.morse_index for c in cps) == [0, 0, 1, 1]
 
     def test_diag_3(self):
-        spec = morse_index_spectrum(SymMatrix.from_diagonal([1.0, 2.0, 3.0]), rng=427)
-        assert sorted(idx for _, idx in spec) == [0, 0, 1, 1, 2, 2]
+        cps = find_critical_points(SymMatrix.from_diagonal([1.0, 2.0, 3.0]), rng=427)
+        assert sorted(c.morse_index for c in cps) == [0, 0, 1, 1, 2, 2]
 
     def test_goe4_against_tangent_eigenvalue_oracle(self):
         mats = sample_goe_batch(4, 1.0, 1, substream(428))
         a = SymMatrix.from_full(mats[0])
-        spec = morse_index_spectrum(a, rng=429)
-        assert sorted(idx for _, idx in spec) == [0, 0, 1, 1, 2, 2, 3, 3]
+        cps = find_critical_points(a, rng=429)
+        assert sorted(c.morse_index for c in cps) == [0, 0, 1, 1, 2, 2, 3, 3]
         # oracle: at the eigenvector of the k-th eigenvalue the tangent Hessian
         # spectrum is the other eigenvalues minus it
         lam = eigenvalues(a)
-        for value, idx in spec:
-            k = int(np.argmin(np.abs(lam - value)))
+        for c in cps:
+            k = int(np.argmin(np.abs(lam - c.value)))
             shifted = np.delete(lam, k) - lam[k]
-            assert idx == int((shifted < 0).sum())
+            assert c.morse_index == int((shifted < 0).sum())
 
 
 class TestMorseWitness:

@@ -20,9 +20,9 @@ from mehtalab.symspace import (
     pair_indices,
     read_matrices,
     read_matrix,
-    sample_goe,
     sample_goe_batch,
     sample_goe_tridiagonal,
+    sample_suv,
     sample_suv_batch,
     write_matrix,
 )
@@ -46,7 +46,7 @@ def mean_var_z(x, ref_mean, ref_var):
 
 class TestCoordinates:
     def test_identity_fixed_by_both_maps(self):
-        a = SymMatrix.identity(2)
+        a = SymMatrix.from_diagonal([1.0, 1.0])
         assert np.allclose(ell_coords(a), [1.0, 0.0, 1.0])
         assert np.allclose(omega_coords(a), [1.0, 0.0, 1.0])
 
@@ -125,11 +125,10 @@ def _ones(lam):
 ENTRY_POINTS = {
     "sample_goe_batch": lambda m, v: symspace.sample_goe_batch(m, v, 10, _NoDraw()),
     "sample_goe_tridiagonal": lambda m, v: symspace.sample_goe_tridiagonal(m, v, 10, _NoDraw()),
-    "goe_log_density": lambda m, v: symspace.goe_log_density(SymMatrix.zeros(m), v),
+    "goe_log_density": lambda m, v: symspace.goe_log_density(SymMatrix.from_diagonal([0.0] * m), v),
     "weyl_rhs_quadrature": lambda m, v: spectral.weyl_rhs_quadrature(_ones, m, v),
     "one_point_correlation": lambda m, v: spectral.one_point_correlation(m, v, 2000),
     "goe_density": lambda m, v: spectral.goe_density(m, v, 0.0),
-    "mehta_closed_form_scaled": lambda m, v: mehta.mehta_closed_form_scaled(m, v),
     "exp_abs_det_mc": lambda m, v: mehta.exp_abs_det_mc(m, v, 0.5, 2000),
     "detmoment_identity_check": lambda m, v: mehta.detmoment_identity_check(m, v, 2000),
     "exp_det_pointwise_check": lambda m, v: mehta.exp_det_pointwise_check(m, v, 0.5, 2000),
@@ -198,11 +197,9 @@ class TestGoeSampler:
             sample_goe_batch(3, -1.0, 10, substream(0))
         with pytest.raises(ValueError):
             sample_goe_tridiagonal(3, 0.0, 10, substream(0))
-        with pytest.raises(ValueError):
-            sample_goe(EnsembleParams(3, 1.0, 1.0), substream(0))  # u != 0
 
     def test_single_sample_is_symmetric(self):
-        a = sample_goe(EnsembleParams(3, 0.0, 1.0), substream(106))
+        a = sample_suv(EnsembleParams(3, 0.0, 1.0), substream(106))
         assert a[0, 1] == a[1, 0]
 
     def test_stream_reproducibility(self):
@@ -362,12 +359,12 @@ class TestCovarianceAudit:
 
 class TestGoeLogDensity:
     def test_peak_value_m1(self):
-        a = SymMatrix.zeros(1)
+        a = SymMatrix.from_diagonal([0.0])
         assert goe_log_density(a, 0.5) == pytest.approx(-0.5 * LOG_2PI, abs=1e-14)
 
     def test_identity_m2(self):
         # direct substitution: -(3/2) log(2 pi v * 2) ... = -(3/2) log(2 pi) - 1 at v = 1/2
-        a = SymMatrix.identity(2)
+        a = SymMatrix.from_diagonal([1.0, 1.0])
         assert goe_log_density(a, 0.5) == pytest.approx(-1.5 * LOG_2PI - 1.0, abs=1e-12)
 
     def test_normalization_by_quadrature_m1(self):
@@ -378,7 +375,7 @@ class TestGoeLogDensity:
 
     def test_rejects_bad_v(self):
         with pytest.raises(ValueError):
-            goe_log_density(SymMatrix.zeros(2), 0.0)
+            goe_log_density(SymMatrix.from_diagonal([0.0, 0.0]), 0.0)
 
 
 class TestMatrixFiles:
