@@ -298,11 +298,12 @@ def _kacrice_masses(
 ) -> list[EstimatorResult]:
     """Quadrature of the Monte Carlo Kac-Rice density over each interval [a, b] of ends (K, 2).
 
-    One common set of GOE(m, v) samples feeds every quadrature node of every interval, so each
-    integral is a per-sample statistic with an honest standard error.  The shifted determinants
-    come from the eigenvalue route here, which keeps this estimator independent of the LU-based
-    one.  Each draw's node sum is added one node at a time, so a block holds O(BLOCK (m + K))
-    floats whatever the node count.
+    One common set of draws feeds every quadrature node of every interval, so each integral is a
+    per-sample statistic with an honest standard error.  Each draw is a tridiagonal T with the
+    GOE(m, v) spectrum (``sample_goe_tridiagonal``), and det(T - t I) is its continuant
+    p_k = (a_k - t) p_{k-1} - b_{k-1}^2 p_{k-2}: no eigensolver and no LU, so this estimator stays
+    independent of the LU-based ``kacrice_density``.  Each draw's node sum is added one node at a
+    time, so a block holds O(BLOCK (m + K)) floats whatever the node count.
     """
     nodes = [_clipped_legendre(m, v, a, b, _KACRICE_NODES) for a, b in ends]
     # a node's weight times the N(0, 2v) level density and the Kac-Rice prefactor
@@ -310,14 +311,19 @@ def _kacrice_masses(
              for t, w in nodes]
 
     def weights(rng, size):
-        lam = np.ascontiguousarray(batched_eigvals(sample_goe_batch(m, v, size, rng)).T)
-        out, det, diff = np.zeros((len(nodes), size)), np.empty(size), np.empty(size)
+        diag, off_sq = (np.ascontiguousarray(x.T) for x in sample_goe_tridiagonal(m, v, size, rng))
+        out, prev, det, tmp = np.zeros((len(nodes), size)), np.empty(size), np.empty(size), np.empty(size)
         for row, (ts, node_w) in zip(out, nodes):
             for t, w in zip(ts, node_w):
-                # det(A - t I), one eigenvalue factor at a time, in place
-                np.subtract(lam[0], t, out=det)
-                for k in range(1, m):
-                    det *= np.subtract(lam[k], t, out=diff)
+                # the continuant, in place: det holds p_k and prev p_{k-1}
+                prev.fill(1.0)
+                np.subtract(diag[0], t, out=det)
+                for a, b_sq in zip(diag[1:], off_sq):
+                    np.multiply(b_sq, prev, out=tmp)
+                    np.subtract(a, t, out=prev)
+                    prev *= det
+                    prev -= tmp
+                    prev, det = det, prev
                 row += np.multiply(np.abs(det, out=det), w, out=det)
         return out.T
 
@@ -373,14 +379,17 @@ def kacrice_intervals(
     empirical: eigenvalues of an (m+1)-dimensional GOE(v) draw counted in the
     interval and doubled (each eigenvalue is an antipodal pair of critical
     points).  kacrice: the Gaussian-weighted quadrature of the Monte Carlo
-    Kac-Rice density.  spectral: the Sturm count 2 (neg(b) - neg(a)), neg(s)
-    the negative pivots of T - s I on tridiagonal draws: no eigensolver and
-    another sampler, which the empirical count witnesses.  Pass requires all
-    pairwise z-scores within 4.  Each route is one pass on its own stream
-    (0, 1, 2) whose draws serve every interval, so the comparisons are views
-    of one set of draws, each bit-identical to its one-interval call.  The
-    Kac-Rice route sums its nodes one at a time: a block holds O(BLOCK (m + K))
-    floats.  Each comparison also carries the exact mass (``_exact_masses``).
+    Kac-Rice density, det(T - t I) by the continuant of tridiagonal GOE(m)
+    draws.  spectral: the Sturm count 2 (neg(b) - neg(a)), neg(s) the negative
+    pivots of T - s I on tridiagonal GOE(m + 1) draws.  Neither of the last two
+    calls an eigensolver; they share the Dumitriu-Edelman sampler, which the
+    dense empirical count witnesses (the dense LU route is ``kacrice_density``).
+    Pass requires all pairwise z-scores within 4.  Each route is one pass on
+    its own stream (0, 1, 2) whose draws serve every interval, so the
+    comparisons are views of one set of draws, each bit-identical to its
+    one-interval call.  The Kac-Rice route sums its nodes one at a time: a
+    block holds O(BLOCK (m + K)) floats.  Each comparison also carries the
+    exact mass (``_exact_masses``).
     """
     EnsembleParams(m, 0.0, v)
     ends = np.array(intervals, dtype=float).reshape(-1, 2)

@@ -88,11 +88,13 @@ class SymMatrix:
     def from_full(cls, a, symmetry_tol: float | None = None) -> "SymMatrix":
         """Build from a full (m, m) array, averaging the two triangles.
 
-        With ``symmetry_tol`` set, reject inputs whose asymmetry exceeds it.
+        Rejects non-finite entries and, with ``symmetry_tol`` set, asymmetry above it.
         """
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square 2-d array")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has a non-finite entry")
         if symmetry_tol is not None:
             gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
             if gap > symmetry_tol:

@@ -352,8 +352,8 @@ class TestKacRiceVsEmpirical:
             kacrice_vs_empirical(1, 1.0, 2.0, 1.0, 1000, seed=0)
 
     def test_spectral_route_calls_no_eigensolver(self, monkeypatch):
-        # one eigvalsh per block for the empirical (d = 2) and Kac-Rice (d = 1)
-        # routes; the Sturm route on stream 2 adds none
+        # one eigvalsh per block, all from the empirical route (d = m + 1 = 2); the
+        # Kac-Rice route's continuant on stream 1 and the Sturm route on stream 2 add none
         calls = []
 
         def counting(mats):
@@ -364,7 +364,7 @@ class TestKacRiceVsEmpirical:
         n = 2 * BLOCK + 1000
         res = kacrice_vs_empirical(1, 1.0, -1.0, 1.0, n, seed=536)
         blocks = [BLOCK, BLOCK, 1000]
-        assert sorted(calls) == sorted([(k, d, d) for k in blocks for d in (1, 2)])
+        assert sorted(calls) == sorted([(k, 2, 2) for k in blocks])
         assert res.passed
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -378,18 +378,25 @@ class TestKacRiceVsEmpirical:
         # no quadrature node lies in (50, 60)
         assert together[-1].kacrice.estimate == 0.0
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 50])
     def test_node_sum_matches_dense_formula(self, monkeypatch, m):
-        # one block of the route's per-draw weights, summed node by node, against the
-        # dense (draws, m, nodes) product on the same draws
+        # one block of the route's per-draw weights, its continuant summed node by node,
+        # against the dense (draws, m, nodes) eigenvalue product of the same tridiagonal
+        # draws built as full matrices (m = 50 at a smaller block, to keep them small)
+        size = BLOCK if m < 50 else 1000
         captured = []
         monkeypatch.setattr(mehta, "_column_results", lambda fn, *args: captured.append(fn))
         ends = np.array([[-1.0, 1.0], [0.0, math.inf], [50.0, 60.0]])
-        mehta._kacrice_masses(m, 1.0, ends, BLOCK, 0, 1, 1)
+        mehta._kacrice_masses(m, 1.0, ends, size, 0, 1, 1)
         [weights] = captured
-        got = weights(np.random.default_rng(5), BLOCK)
-        lam = batched_eigvals(sample_goe_batch(m, 1.0, BLOCK, np.random.default_rng(5)))
-        want = np.zeros((BLOCK, len(ends)))
+        got = weights(np.random.default_rng(5), size)
+        diag, off_sq = sample_goe_tridiagonal(m, 1.0, size, np.random.default_rng(5))
+        mats = np.zeros((size, m, m))
+        d = np.arange(m)
+        mats[:, d, d] = diag
+        mats[:, d[1:], d[:-1]] = mats[:, d[:-1], d[1:]] = np.sqrt(off_sq)
+        lam = batched_eigvals(mats)
+        want = np.zeros((size, len(ends)))
         for k, (a, b) in enumerate(ends):
             t, w = mehta._clipped_legendre(m, 1.0, a, b, mehta._KACRICE_NODES)
             w = w * np.exp(-t * t / 4.0) / math.sqrt(4.0 * math.pi) * mehta._kacrice_prefactor(m, 1.0)
@@ -437,6 +444,14 @@ class TestKacRiceVsEmpirical:
         # the Sturm count of GOE(51, 1) on [-1, 1] reads 9.041 +- 0.012
         [mass] = mehta._exact_masses(50, 1.0, np.array([[-1.0, 1.0]]))
         assert mass == pytest.approx(9.0411, abs=5e-5)
+
+    @pytest.mark.parametrize("m, n, seed", [(50, 20000, 539), (200, 2000, 540)])
+    def test_kacrice_route_at_large_m(self, m, n, seed):
+        # the continuant on tridiagonal draws stays in the float range at m = 200
+        ends = np.array([[-1.0, 1.0]])
+        [res] = mehta._kacrice_masses(m, 1.0, ends, n, seed, None, 1)
+        [exact] = mehta._exact_masses(m, 1.0, ends)
+        assert abs(res.estimate - exact) <= 4.0 * res.std_error
 
     def test_exact_mass_in_artifact(self):
         res = kacrice_vs_empirical(2, 1.0, -1.0, 1.0, 20000, seed=538)

@@ -391,6 +391,13 @@ class TestMatrixFiles:
         with pytest.raises(ValueError, match="not symmetric"):
             read_matrix(io.StringIO(text))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    @pytest.mark.parametrize("symmetry_tol", [None, 1e-9])
+    def test_from_full_rejects_nonfinite(self, entry, symmetry_tol):
+        # a NaN gap never exceeds the tolerance, and an inf gap warns before it does
+        with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+            SymMatrix.from_full(np.array([[1.0, entry], [entry, 2.0]]), symmetry_tol=symmetry_tol)
+
     def test_accepts_tiny_asymmetry(self):
         text = "2\n1.0 2.0\n2.0000000001 1.0\n"
         read_matrix(io.StringIO(text))
