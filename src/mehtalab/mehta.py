@@ -301,23 +301,32 @@ def _kacrice_masses(
     One common set of draws feeds every quadrature node of every interval, so each integral is a
     per-sample statistic with an honest standard error.  Each draw is a tridiagonal T with the
     GOE(m, v) spectrum (``sample_goe_tridiagonal``), and det(T - t I) is its continuant
-    p_k = (a_k - t) p_{k-1} - b_{k-1}^2 p_{k-2}: no eigensolver and no LU, so this estimator stays
-    independent of the LU-based ``kacrice_density``.  Each draw's node sum is added one node at a
-    time, so a block holds O(BLOCK (m + K)) floats whatever the node count.
+    p_k = (a_k - t) p_{k-1} - b_{k-1}^2 p_{k-2}, swept over the sampler's rows: no eigensolver
+    and no LU, so this estimator stays independent of the LU-based ``kacrice_density``.  It starts
+    at p_0 = g, the power of two just above exp(-t^2 / 4v), so p_m = g det(T - t I) stays finite
+    near the box's edge, and the node weight takes g back out exactly.  The route stays in the
+    float range up to m near 300, where det(T - t I) overflows in the bulk and the prefactor
+    underflows.  Each draw's node sum is added one node at a time, so a block holds
+    O(BLOCK (m + K)) floats whatever the node count.
     """
-    nodes = [_clipped_legendre(m, v, a, b, _KACRICE_NODES) for a, b in ends]
-    # a node's weight times the N(0, 2v) level density and the Kac-Rice prefactor
-    nodes = [(t, w * (np.exp(-t * t / (4.0 * v)) / math.sqrt(4.0 * math.pi * v)) * _kacrice_prefactor(m, v))
-             for t, w in nodes]
+
+    def node(t, w):
+        level = np.exp(-t * t / (4.0 * v))
+        g = np.ldexp(1.0, np.frexp(level)[1])
+        # weight times N(0, 2v) level density, over g before the prefactor, which would underflow it
+        return t, g, w * (level / math.sqrt(4.0 * math.pi * v)) / g * _kacrice_prefactor(m, v)
+
+    nodes = [node(*_clipped_legendre(m, v, a, b, _KACRICE_NODES)) for a, b in ends]
 
     def weights(rng, size):
-        diag, off_sq = (np.ascontiguousarray(x.T) for x in sample_goe_tridiagonal(m, v, size, rng))
+        diag, off_sq = sample_goe_tridiagonal(m, v, size, rng)
         out, prev, det, tmp = np.zeros((len(nodes), size)), np.empty(size), np.empty(size), np.empty(size)
-        for row, (ts, node_w) in zip(out, nodes):
-            for t, w in zip(ts, node_w):
+        for row, (ts, gs, node_w) in zip(out, nodes):
+            for t, g, w in zip(ts, gs, node_w):
                 # the continuant, in place: det holds p_k and prev p_{k-1}
-                prev.fill(1.0)
+                prev.fill(g)
                 np.subtract(diag[0], t, out=det)
+                det *= g
                 for a, b_sq in zip(diag[1:], off_sq):
                     np.multiply(b_sq, prev, out=tmp)
                     np.subtract(a, t, out=prev)
@@ -381,15 +390,16 @@ def kacrice_intervals(
     points).  kacrice: the Gaussian-weighted quadrature of the Monte Carlo
     Kac-Rice density, det(T - t I) by the continuant of tridiagonal GOE(m)
     draws.  spectral: the Sturm count 2 (neg(b) - neg(a)), neg(s) the negative
-    pivots of T - s I on tridiagonal GOE(m + 1) draws.  Neither of the last two
-    calls an eigensolver; they share the Dumitriu-Edelman sampler, which the
-    dense empirical count witnesses (the dense LU route is ``kacrice_density``).
-    Pass requires all pairwise z-scores within 4.  Each route is one pass on
-    its own stream (0, 1, 2) whose draws serve every interval, so the
-    comparisons are views of one set of draws, each bit-identical to its
-    one-interval call.  The Kac-Rice route sums its nodes one at a time: a
-    block holds O(BLOCK (m + K)) floats.  Each comparison also carries the
-    exact mass (``_exact_masses``).
+    pivots of T - s I on tridiagonal GOE(m + 1) draws, one pivot sweep per
+    interval end.  Neither of the last two calls an eigensolver; they share the
+    Dumitriu-Edelman sampler, which the dense empirical count witnesses (the
+    dense LU route is ``kacrice_density``).  Pass requires all pairwise
+    z-scores within 4.  Each route is one pass on its own stream (0, 1, 2)
+    whose draws serve every interval, so the comparisons are views of one set
+    of draws, each bit-identical to its one-interval call.  The Kac-Rice route
+    sums its nodes one at a time, a block holding O(BLOCK (m + K)) floats, and
+    stays in the float range up to m near 300.  Each comparison also carries
+    the exact mass (``_exact_masses``).
     """
     EnsembleParams(m, 0.0, v)
     ends = np.array(intervals, dtype=float).reshape(-1, 2)
@@ -401,9 +411,9 @@ def kacrice_intervals(
         return 2.0 * ((lam >= ends[:, 0, None, None]) & (lam <= ends[:, 1, None, None])).sum(axis=2).T
 
     def sturm_counts(rng, size):
-        shifts = np.tile(ends.ravel(), (size, 1))  # a_1, b_1, a_2, b_2, ...
-        neg = (tridiagonal_pivots(*sample_goe_tridiagonal(m + 1, v, size, rng), shifts) < 0.0).sum(axis=0)
-        return 2.0 * (neg[:, 1::2] - neg[:, ::2])
+        tri = sample_goe_tridiagonal(m + 1, v, size, rng)
+        neg = [(tridiagonal_pivots(*tri, s) < 0.0).sum(axis=0) for s in ends.ravel()]  # a_1, b_1, a_2, ...
+        return 2.0 * np.subtract(neg[1::2], neg[::2]).T
 
     empirical = _column_results(counts, n_samples, seed, workers, stream=0)
     kacrice = _kacrice_masses(m, v, ends, n_samples, seed, workers, stream=1)

@@ -95,25 +95,20 @@ def batched_det(mats: np.ndarray) -> np.ndarray:
     return np.linalg.det(a)
 
 
-def tridiagonal_pivots(diag: np.ndarray, off_sq: np.ndarray, shifts) -> np.ndarray:
-    """LDL^T pivots d_1 = a_1 - s, d_k = (a_k - s) - b_{k-1}^2 / d_{k-1} of T - s I.
+def tridiagonal_pivots(diag: np.ndarray, off_sq: np.ndarray, shift) -> np.ndarray:
+    """LDL^T pivots d_1 = a_1 - s, d_k = (a_k - s) - b_{k-1}^2 / d_{k-1} of T - s I, shape (m, n).
 
-    T has diagonal ``diag`` (n, m) and squared off-diagonals ``off_sq`` (n, m - 1);
-    ``shifts`` is (n,) or (n, K) and the pivots (m,) + shifts.shape.  Their product
-    is det(T - s I); by Sylvester's law of inertia the negative ones count the
-    eigenvalues below s.  A zero divisor becomes tiny * max(1, max b^2) (dstebz).
+    T is step-major as ``sample_goe_tridiagonal`` draws it, ``diag`` (m, n) and ``off_sq``
+    (m - 1, n); the shift s is a scalar or one per draw (n,), and row k is swept in place from
+    row k - 1.  Their product is det(T - s I); by Sylvester's law of inertia the negative ones
+    count the eigenvalues below s.  A zero divisor becomes tiny * max(1, max b^2) (dstebz).
     """
-    s = np.asarray(shifts, dtype=float).T  # (K, n), so diag[:, k] broadcasts
     pivmin = np.finfo(float).tiny * max(1.0, off_sq.max(initial=0.0))
-    piv = np.empty((diag.shape[1],) + s.shape)
-    np.subtract(diag[:, 0], s, out=piv[0])
-    for k in range(1, len(piv)):
-        zero = piv[k - 1] == 0.0
-        if zero.any():
-            piv[k - 1][zero] = pivmin
-        np.subtract(diag[:, k], s, out=piv[k])
-        piv[k] -= off_sq[:, k - 1] / piv[k - 1]
-    return piv.swapaxes(1, -1)
+    piv = np.subtract(diag, shift)
+    for prev, row, b_sq in zip(piv, piv[1:], off_sq):
+        prev[prev == 0.0] = pivmin
+        row -= b_sq / prev
+    return piv
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from mehtalab.estimation import Z_THRESHOLD, Moments, _worker_count, map_chunks,
 __all__ = [
     "SymMatrix",
     "EnsembleParams",
-    "pair_indices",
     "sym_dim",
     "ell_coords",
     "omega_coords",
@@ -52,18 +51,9 @@ def sym_dim(m: int) -> int:
     return m * (m + 1) // 2
 
 
-@lru_cache(maxsize=64)
-def pair_indices(m: int) -> tuple[tuple[int, int], ...]:
-    """Upper-triangle index pairs (i, j), i <= j, in row-major order."""
-    return tuple((i, j) for i in range(m) for j in range(i, m))
-
-
-@lru_cache(maxsize=64)
-def _pair_arrays(m: int):
-    pairs = pair_indices(m)
-    ii = np.array([p[0] for p in pairs])
-    jj = np.array([p[1] for p in pairs])
-    return ii, jj
+# the upper-triangle pairs (i, j), i <= j, row-major: the order of packed storage and of the flat
+# coordinates; cached, as one call costs more than a small matrix's whole use of them
+_pair_arrays = lru_cache(maxsize=64)(np.triu_indices)
 
 
 class SymMatrix:
@@ -135,9 +125,7 @@ class SymMatrix:
 
     def frobenius_sq(self) -> float:
         """tr(A^2), computed from the packed entries."""
-        ii, jj = _pair_arrays(self._m)
-        w = np.where(ii == jj, 1.0, 2.0)
-        return float(np.sum(w * self._packed * self._packed))
+        return inner_product(self, self)
 
     def __repr__(self):
         return f"SymMatrix(m={self._m})"
@@ -160,9 +148,7 @@ def ell_coords(a: SymMatrix) -> np.ndarray:
 
 def omega_coords(a: SymMatrix) -> np.ndarray:
     """Orthonormal coordinates: a_ii on the diagonal, sqrt(2) a_ij off it."""
-    ii, jj = _pair_arrays(a.m)
-    scale = np.where(ii == jj, 1.0, math.sqrt(2.0))
-    return scale * a.packed
+    return omega_coords_batch(a.to_full())
 
 
 def ell_coords_batch(mats: np.ndarray) -> np.ndarray:
@@ -175,8 +161,7 @@ def ell_coords_batch(mats: np.ndarray) -> np.ndarray:
 def omega_coords_batch(mats: np.ndarray) -> np.ndarray:
     mats = np.asarray(mats, dtype=float)
     ii, jj = _pair_arrays(mats.shape[-1])
-    scale = np.where(ii == jj, 1.0, math.sqrt(2.0))
-    return scale * mats[..., ii, jj]
+    return np.where(ii == jj, 1.0, math.sqrt(2.0)) * mats[..., ii, jj]
 
 
 def inner_product(a: SymMatrix, b: SymMatrix) -> float:
@@ -244,15 +229,16 @@ def sample_goe_tridiagonal(m: int, v: float, n: int, rng: np.random.Generator):
     Householder reduction of a GOE(m, v) draw leaves a symmetric tridiagonal
     matrix with independent N(0, 2v) diagonal entries and squared
     off-diagonals v chi^2_{m-1}, ..., v chi^2_1 (Dumitriu and Edelman, J. Math.
-    Phys. 43, 2002).  Returns the diagonals, shape (n, m), and the squared
-    off-diagonals, shape (n, m - 1).  The diagonal block is drawn first, as in
-    ``sample_goe_batch``, so at m = 1 both draw the same numbers.
+    Phys. 43, 2002).  Returns them step-major, row k holding entry k of every
+    draw: the diagonals (m, n) and the squared off-diagonals (m - 1, n), both
+    C-contiguous.  The diagonal block is drawn first, as in ``sample_goe_batch``
+    and then transposed, so at m = 1 both draw the same numbers.
     """
     EnsembleParams(m, 0.0, v)
-    diag = rng.normal(scale=math.sqrt(2.0 * v), size=(n, m))
-    off_sq = np.empty((n, m - 1))
-    for k in range(m - 1):
-        off_sq[:, k] = rng.chisquare(m - 1 - k, size=n)
+    diag = np.ascontiguousarray(rng.normal(scale=math.sqrt(2.0 * v), size=(n, m)).T)
+    off_sq = np.empty((m - 1, n))
+    for k, row in enumerate(off_sq):
+        row[:] = rng.chisquare(m - 1 - k, size=n)
     off_sq *= v
     return diag, off_sq
 
@@ -288,15 +274,9 @@ def goe_log_density(a: SymMatrix, v: float) -> float:
 
 def covariance_reference(params: EnsembleParams) -> np.ndarray:
     """Analytic second moments E[l_a l_b] of the flat coordinates, shape (p, p)."""
-    pairs = pair_indices(params.m)
-    p = len(pairs)
-    ref = np.zeros((p, p))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            val = params.u * (i == j) * (k == l)
-            val += params.v * ((i == k) * (j == l) + (i == l) * (j == k))
-            ref[a, b] = val
-    return ref
+    # u [i = j][k = l] + v ([i = k][j = l] + [i = l][j = k]); as i <= j, k <= l the v term is diagonal
+    on_diag = np.equal(*_pair_arrays(params.m))
+    return params.u * np.outer(on_diag, on_diag) + params.v * np.diag(1.0 + on_diag)
 
 
 @dataclass

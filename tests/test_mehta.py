@@ -393,8 +393,8 @@ class TestKacRiceVsEmpirical:
         diag, off_sq = sample_goe_tridiagonal(m, 1.0, size, np.random.default_rng(5))
         mats = np.zeros((size, m, m))
         d = np.arange(m)
-        mats[:, d, d] = diag
-        mats[:, d[1:], d[:-1]] = mats[:, d[:-1], d[1:]] = np.sqrt(off_sq)
+        mats[:, d, d] = diag.T
+        mats[:, d[1:], d[:-1]] = mats[:, d[:-1], d[1:]] = np.sqrt(off_sq.T)
         lam = batched_eigvals(mats)
         want = np.zeros((size, len(ends)))
         for k, (a, b) in enumerate(ends):
@@ -445,10 +445,14 @@ class TestKacRiceVsEmpirical:
         [mass] = mehta._exact_masses(50, 1.0, np.array([[-1.0, 1.0]]))
         assert mass == pytest.approx(9.0411, abs=5e-5)
 
-    @pytest.mark.parametrize("m, n, seed", [(50, 20000, 539), (200, 2000, 540)])
-    def test_kacrice_route_at_large_m(self, m, n, seed):
-        # the continuant on tridiagonal draws stays in the float range at m = 200
-        ends = np.array([[-1.0, 1.0]])
+    @pytest.mark.parametrize("m, n, seed, a, b", [(50, 20000, 539, -1.0, 1.0), (200, 2000, 540, -1.0, 1.0),
+                                                  (200, 2000, 541, -math.inf, math.inf)],
+                             ids=["50-20000-539", "200-2000-540", "200-2000-541-whole-line"])
+    def test_kacrice_route_at_large_m(self, m, n, seed, a, b):
+        # the continuant on tridiagonal draws stays in the float range at m = 200, also at the
+        # nodes near the box's edge, where det(T - t I) alone passes 1e308 (an overflow warning
+        # fails the suite)
+        ends = np.array([[a, b]])
         [res] = mehta._kacrice_masses(m, 1.0, ends, n, seed, None, 1)
         [exact] = mehta._exact_masses(m, 1.0, ends)
         assert abs(res.estimate - exact) <= 4.0 * res.std_error
@@ -511,7 +515,7 @@ class TestReproduce:
         def tridiagonal(m):
             def weights(rng, size):
                 diag, off_sq = sample_goe_tridiagonal(m, 1.0, size, rng)
-                return np.abs(tridiagonal_pivots(diag, off_sq, np.full(size, c)).prod(axis=0))
+                return np.abs(tridiagonal_pivots(diag, off_sq, c).prod(axis=0))
             return mc_estimate(weights, n, seed, stream=1)
 
         for m in range(3, 7):

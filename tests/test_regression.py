@@ -15,7 +15,6 @@ from mehtalab.regression import (
     hessian_regression_pair,
     regress,
 )
-from mehtalab.symspace import pair_indices
 
 
 def cov_z(p, q, ref):
@@ -138,7 +137,7 @@ class TestEmpiricalCorrelator:
     def test_paper_pair_diagonal_cross(self):
         # cov(diag Hessian coordinate, value coordinate) = -v at v = 1
         w, h = hessian_pair_samples(2, 1.0, 200000, substream(306))
-        pairs = pair_indices(2)
+        pairs = list(zip(*np.triu_indices(2)))
         d0 = pairs.index((0, 0))
         assert abs(cov_z(h[:, d0], w[:, 0], -1.0)) <= 4.0
 
@@ -153,7 +152,7 @@ class TestHessianRegressionPair:
     def test_analytic_entries(self):
         pair = hessian_regression_pair(2, 1.0)
         assert np.allclose(np.diag(pair.x.cov), [0.5, 1.0, 1.0])
-        pairs = pair_indices(2)
+        pairs = list(zip(*np.triu_indices(2)))
         d0, off, d1 = pairs.index((0, 0)), pairs.index((0, 1)), pairs.index((1, 1))
         assert pair.cross[d0, 0] == -1.0
         assert pair.cross[d1, 0] == -1.0
@@ -169,7 +168,7 @@ class TestHessianRegressionPair:
             for coords in ("ell", "omega"):
                 pair = hessian_regression_pair(3, v, coords=coords)
                 res = regress(pair)
-                pairs = pair_indices(3)
+                pairs = list(zip(*np.triu_indices(3)))
                 for k, (i, j) in enumerate(pairs):
                     expect = -2.0 if i == j else 0.0
                     assert res.operator[k, 0] == pytest.approx(expect, abs=1e-12)
@@ -183,7 +182,7 @@ class TestHessianRegressionPair:
         assert np.allclose(res_o.residual_cov, 2.0 * v * np.eye(3), atol=1e-12)
         pair_l = hessian_regression_pair(2, v, coords="ell")
         res_l = regress(pair_l)
-        pairs = pair_indices(2)
+        pairs = list(zip(*np.triu_indices(2)))
         for k, (i, j) in enumerate(pairs):
             want = 2.0 * v if i == j else v
             assert res_l.residual_cov[k, k] == pytest.approx(want, abs=1e-12)
@@ -249,7 +248,7 @@ class TestConditionalSample:
         pair = hessian_regression_pair(2, 1.0)
         res = regress(pair)
         draws = conditional_sample(res, [0.5, 0.0, 0.0], substream(311), size=100000)
-        pairs = pair_indices(2)
+        pairs = list(zip(*np.triu_indices(2)))
         d0, off = pairs.index((0, 0)), pairs.index((0, 1))
         n = draws.shape[0]
         zm = (draws[:, d0].mean() + 1.0) / (draws[:, d0].std(ddof=1) / math.sqrt(n))

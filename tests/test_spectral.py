@@ -100,12 +100,12 @@ class TestEigensolver:
 
 
 def assemble_tridiagonal(diag, off_sq):
-    """Dense stack of the symmetric tridiagonal matrices, for checks only."""
-    n, m = diag.shape
+    """Dense stack of the symmetric tridiagonal matrices of step-major rows, for checks only."""
+    m, n = diag.shape
     t = np.zeros((n, m, m))
     d = np.arange(m)
-    t[:, d, d] = diag
-    b = np.sqrt(off_sq)
+    t[:, d, d] = diag.T
+    b = np.sqrt(off_sq.T)
     t[:, d[:-1], d[1:]] = b
     t[:, d[1:], d[:-1]] = b
     return t
@@ -120,7 +120,7 @@ class TestTridiagonalPivots:
         for m in range(1, 7):
             diag, off_sq = sample_goe_tridiagonal(m, 0.5, 2000, rng)
             shifts = rng.normal(size=2000)
-            t = assemble_tridiagonal(diag - shifts[:, None], off_sq)
+            t = assemble_tridiagonal(diag - shifts, off_sq)
             d_lu = np.linalg.det(t)
             scale = np.maximum(np.abs(d_lu), np.prod(np.abs(t).sum(axis=2), axis=1))
             piv = tridiagonal_pivots(diag, off_sq, shifts)
@@ -129,27 +129,28 @@ class TestTridiagonalPivots:
             assert rel.max() <= 1e-11, m
 
     def test_scalar_shift(self):
-        diag = np.array([[1.0, 2.0, 3.0]])
-        off_sq = np.array([[4.0, 9.0]])
+        diag = np.array([[1.0], [2.0], [3.0]])
+        off_sq = np.array([[4.0], [9.0]])
         # det [[1-s, 2, 0], [2, 2-s, 3], [0, 3, 3-s]] at s = 1, where the first
         # pivot is exactly zero and is replaced by pivmin
-        piv = tridiagonal_pivots(diag, off_sq, np.array([1.0]))
+        piv = tridiagonal_pivots(diag, off_sq, 1.0)
+        assert piv.shape == (3, 1)
         assert piv[0, 0] == np.finfo(float).tiny * 9.0
         assert piv.prod(axis=0)[0] == pytest.approx(-8.0, abs=1e-14)
 
     @pytest.mark.parametrize("d", [2, 6, 50])
     def test_sturm_counts_match_eigvalsh(self, d):
         # negative pivots of T - sI against eigvalsh of the assembled T, for
-        # [-1, 1], [0, inf) and (-inf, inf), K = 2 shifts per matrix
+        # [-1, 1], [0, inf) and (-inf, inf), one sweep per end
         diag, off_sq = sample_goe_tridiagonal(d, 1.0, 2000, substream(207, d))
         lam = np.linalg.eigvalsh(assemble_tridiagonal(diag, off_sq))
         for a, b in [(-1.0, 1.0), (0.0, math.inf), (-math.inf, math.inf)]:
-            piv = tridiagonal_pivots(diag, off_sq, np.tile([a, b], (2000, 1)))
-            assert piv.shape == (d, 2000, 2)
-            neg = (piv < 0.0).sum(axis=0)
-            assert np.array_equal(neg[:, 1] - neg[:, 0], ((lam >= a) & (lam < b)).sum(axis=1))
+            piv_a, piv_b = (tridiagonal_pivots(diag, off_sq, s) for s in (a, b))
+            assert piv_a.shape == piv_b.shape == (d, 2000)
+            neg_a, neg_b = (piv_a < 0.0).sum(axis=0), (piv_b < 0.0).sum(axis=0)
+            assert np.array_equal(neg_b - neg_a, ((lam >= a) & (lam < b)).sum(axis=1))
             if a == -math.inf:
-                assert np.all(neg[:, 0] == 0) and np.all(neg[:, 1] == d)
+                assert np.all(neg_a == 0) and np.all(neg_b == d)
 
 
 class TestPointMeasure:

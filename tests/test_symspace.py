@@ -17,7 +17,6 @@ from mehtalab.symspace import (
     inner_product,
     omega_coords,
     omega_coords_batch,
-    pair_indices,
     read_matrices,
     read_matrix,
     sample_goe_batch,
@@ -78,7 +77,7 @@ class TestCoordinates:
         a = random_sym(5, substream(103))
         assert ell_coords(a).shape == (15,)
         assert omega_coords(a).shape == (15,)
-        assert len(pair_indices(5)) == 15
+        assert len(np.triu_indices(5)[0]) == 15
 
     def test_structural_symmetry_and_immutability(self):
         a = random_sym(4, substream(104))
@@ -211,12 +210,12 @@ class TestGoeSampler:
 
 
 def assemble_tridiagonal(diag, off_sq):
-    """Dense stack of the symmetric tridiagonal matrices, for checks only."""
-    n, m = diag.shape
+    """Dense stack of the symmetric tridiagonal matrices of step-major rows, for checks only."""
+    m, n = diag.shape
     t = np.zeros((n, m, m))
     d = np.arange(m)
-    t[:, d, d] = diag
-    b = np.sqrt(off_sq)
+    t[:, d, d] = diag.T
+    b = np.sqrt(off_sq.T)
     t[:, d[:-1], d[1:]] = b
     t[:, d[1:], d[:-1]] = b
     return t
@@ -226,18 +225,19 @@ class TestTridiagonalSampler:
     def test_shapes_and_m1_draws(self):
         for m in (1, 2, 5):
             diag, off_sq = sample_goe_tridiagonal(m, 0.5, 7, substream(108))
-            assert diag.shape == (7, m) and off_sq.shape == (7, m - 1)
+            assert diag.shape == (m, 7) and off_sq.shape == (m - 1, 7)
+            assert diag.flags.c_contiguous and off_sq.flags.c_contiguous
             assert np.all(off_sq >= 0.0)
         # the diagonal block comes first, so m = 1 draws what the dense sampler draws
         diag, _ = sample_goe_tridiagonal(1, 0.5, 1000, substream(109))
-        assert np.array_equal(diag, sample_goe_batch(1, 0.5, 1000, substream(109))[:, :, 0])
+        assert np.array_equal(diag, sample_goe_batch(1, 0.5, 1000, substream(109))[:, 0, :].T)
 
     def test_off_diagonal_means(self):
         # E[b_k^2] = v (m - k)
         m, v, n = 4, 0.5, 100000
         _, off_sq = sample_goe_tridiagonal(m, v, n, substream(110))
-        se = off_sq.std(axis=0, ddof=1) / math.sqrt(n)
-        z = (off_sq.mean(axis=0) - v * np.arange(m - 1, 0, -1)) / se
+        se = off_sq.std(axis=1, ddof=1) / math.sqrt(n)
+        z = (off_sq.mean(axis=1) - v * np.arange(m - 1, 0, -1)) / se
         assert np.max(np.abs(z)) <= 4.0
 
     def test_spectrum_matches_dense_goe(self):
@@ -339,7 +339,7 @@ class TestCovarianceAudit:
 
     def test_reference_matrix_entries(self):
         ref = covariance_reference(EnsembleParams(2, 0.7, 0.3))
-        pairs = pair_indices(2)
+        pairs = list(zip(*np.triu_indices(2)))
         d0 = pairs.index((0, 0))
         d1 = pairs.index((1, 1))
         off = pairs.index((0, 1))
