@@ -196,12 +196,18 @@ def cmd_kacrice(args) -> dict:
     if args.curve:
         symspace.EnsembleParams(args.m, v=args.v)  # the (m, v) rule before L reads them
         L = 4.0 * math.sqrt(args.v * (args.m + 1))
-        rows = []
-        for t in np.linspace(-L, L, args.curve_points):
-            res = mehta.kacrice_density(
-                args.m, float(t), args.v, args.n, seed=args.seed, workers=args.workers
-            )
-            rows.append((float(t), res.estimate, res.std_error))
+        ts = np.linspace(-L, L, args.curve_points)
+
+        def weights(rng, size):
+            # kacrice_density's draws on its seed and stream, shifted once per level
+            mats, out = symspace.sample_goe_batch(args.m, args.v, size, rng), np.empty((len(ts), size))
+            for row, t in zip(out, ts):
+                row[:] = mehta._abs_det_shifted(mats.copy(), t)
+            return out.T
+
+        scale = mehta._kacrice_prefactor(args.m, args.v)
+        columns = mehta._column_results(weights, args.n, args.seed, args.workers, stream=0)
+        rows = [(float(t), scale * r.estimate, scale * r.std_error) for t, r in zip(ts, columns)]
         return {"op": "kacrice-curve", "curve": [{"t": t, "rho": rho, "stderr": se} for t, rho, se in rows],
                 "csv": ("t,rho,stderr", rows)}
     res = mehta.kacrice_vs_empirical(args.m, args.v, args.a, args.b, args.n, seed=args.seed,
@@ -217,14 +223,11 @@ def cmd_regress_demo(args) -> dict:
     )
 
     def block(rng, size):
-        w, h = regression.hessian_pair_samples(args.m, args.v, size, rng)
-        return Moments.of(np.hstack([w, h, (h[:, :, None] * w[:, None, :]).reshape(size, -1)]))
+        return Moments.of(np.hstack(regression.hessian_pair_samples(args.m, args.v, size, rng)), cross=True)
 
-    # the sample cross covariance on its own stream: (E[hw] - E[h]E[w]) n / (n - 1)
-    mean = map_chunks(block, args.n, args.seed, args.workers, stream=1).mean
-    dx, dy = pair.x.dim, pair.y.dim
-    cross = mean[dx + dy:].reshape(dy, dx) - np.outer(mean[dx:dx + dy], mean[:dx])
-    cross *= args.n / (args.n - 1)
+    # the sample cross covariance of h and w on its own stream, from their merged co-moment
+    dx = pair.x.dim
+    cross = map_chunks(block, args.n, args.seed, args.workers, stream=1).m2[dx:, :dx] / (args.n - 1)
     return {
         "op": "regress-demo",
         "regression": res.to_dict(),

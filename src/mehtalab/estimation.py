@@ -3,10 +3,11 @@
 Every estimator cuts its n draws into blocks of ``BLOCK`` draws.  Block b of
 stream s draws from its own counter-based Philox substream, a pure function
 of (seed, s, b) (Salmon et al., SC'11), and reduces to its count, mean and
-M2; blocks merge in block order (Chan, Golub & LeVeque 1983).  So variances
-do not cancel when |mean| >> sd, and the bits do not depend on the worker
-count.  ``workers`` defaults to, and is capped at, the CPUs the process may
-run on, and memory is about ``workers`` blocks in flight for any n.
+M2 or co-moment matrix; blocks merge in block order (Chan, Golub & LeVeque
+1983).  So variances do not cancel when |mean| >> sd, and the bits do not
+depend on the worker count.  ``workers`` defaults to, and is capped at, the
+CPUs the process may run on, and memory is about ``workers`` blocks in
+flight for any n.
 """
 
 from __future__ import annotations
@@ -63,21 +64,30 @@ def substream(seed: int, worker: int = 0) -> np.random.Generator:
 class Moments:
     """Count, mean and sum of squared deviations (M2) of a sample, elementwise.
 
-    The sample's values are exp(``shift``) times the stored ones; importance
-    weights keep their largest log weight there so that they cannot overflow.
+    With ``cross`` the sample has one column per variable and M2 is their
+    co-moment matrix, sum (y - mean)(y - mean)^T.  The sample's values are
+    exp(``shift``) times the stored ones; importance weights keep their
+    largest log weight there so that they cannot overflow.
     """
 
     count: int
     mean: np.ndarray
     m2: np.ndarray
     shift: float = 0.0
+    cross: bool = False
 
     @classmethod
-    def of(cls, y, shift: float = 0.0) -> Moments:
+    def of(cls, y, shift: float = 0.0, cross: bool = False) -> Moments:
         """Two-pass moments over the first axis of y (one row per draw)."""
         y = np.asarray(y, dtype=float)
         mean = y.mean(axis=0)
-        return cls(y.shape[0], mean, np.square(y - mean).sum(axis=0), shift)
+        dev = y - mean
+        co = dev.T @ dev if cross else None
+        m2 = np.square(dev, out=dev).sum(axis=0)
+        if cross:
+            np.fill_diagonal(co, m2)  # the diagonal keeps the elementwise bits
+            m2 = co
+        return cls(y.shape[0], mean, m2, shift, cross)
 
     def merge(self, other: Moments) -> Moments:
         """Moments of the union of two samples (Chan, Golub & LeVeque 1983)."""
@@ -86,13 +96,14 @@ class Moments:
         count = self.count + other.count
         delta = fb * other.mean - fa * self.mean
         mean = fa * self.mean + delta * (other.count / count)
-        m2 = fa * fa * self.m2 + fb * fb * other.m2 + delta * delta * (self.count * other.count / count)
-        return Moments(count, mean, m2, shift)
+        outer = np.outer(delta, delta) if self.cross else delta * delta
+        m2 = fa * fa * self.m2 + fb * fb * other.m2 + outer * (self.count * other.count / count)
+        return Moments(count, mean, m2, shift, self.cross)
 
     @property
     def std_error(self):
         """Standard error of the mean (unbiased variance over count)."""
-        return np.sqrt(self.m2 / (self.count - 1) / self.count)
+        return np.sqrt((np.diagonal(self.m2) if self.cross else self.m2) / (self.count - 1) / self.count)
 
     @property
     def ess(self) -> float:

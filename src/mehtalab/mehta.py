@@ -293,6 +293,25 @@ def _column_results(weight_fn, n_samples: int, seed: int, workers: int | None, s
     return [EstimatorResult(float(mu), float(se), n_samples, seed) for mu, se in zip(mom.mean, mom.std_error)]
 
 
+def _continuant(diag: np.ndarray, off_sq: np.ndarray, t, g, bufs: np.ndarray) -> np.ndarray:
+    """g det(T - t I) of step-major draws by p_0 = g, p_k = (a_k - t) p_{k-1} - b_{k-1}^2 p_{k-2}.
+
+    No division, so no zero-pivot guard.  The sweep runs in place in the three rows of ``bufs``
+    (3, n) and returns the row that holds p_m.
+    """
+    prev, det, tmp = bufs
+    prev.fill(g)
+    np.subtract(diag[0], t, out=det)
+    det *= g
+    for a, b_sq in zip(diag[1:], off_sq):
+        np.multiply(b_sq, prev, out=tmp)
+        np.subtract(a, t, out=prev)
+        prev *= det
+        prev -= tmp
+        prev, det = det, prev
+    return det
+
+
 def _kacrice_masses(
     m: int, v: float, ends: np.ndarray, n_samples: int, seed: int, workers: int | None, stream: int
 ) -> list[EstimatorResult]:
@@ -301,13 +320,13 @@ def _kacrice_masses(
     One common set of draws feeds every quadrature node of every interval, so each integral is a
     per-sample statistic with an honest standard error.  Each draw is a tridiagonal T with the
     GOE(m, v) spectrum (``sample_goe_tridiagonal``), and det(T - t I) is its continuant
-    p_k = (a_k - t) p_{k-1} - b_{k-1}^2 p_{k-2}, swept over the sampler's rows: no eigensolver
-    and no LU, so this estimator stays independent of the LU-based ``kacrice_density``.  It starts
-    at p_0 = g, the power of two just above exp(-t^2 / 4v), so p_m = g det(T - t I) stays finite
-    near the box's edge, and the node weight takes g back out exactly.  The route stays in the
-    float range up to m near 300, where det(T - t I) overflows in the bulk and the prefactor
-    underflows.  Each draw's node sum is added one node at a time, so a block holds
-    O(BLOCK (m + K)) floats whatever the node count.
+    (``_continuant``): no eigensolver and no LU, so this estimator stays independent of the
+    LU-based ``kacrice_density``.  It starts at p_0 = g, the power of two just above
+    exp(-t^2 / 4v), so p_m = g det(T - t I) stays finite near the box's edge, and the node
+    weight takes g back out exactly.  The route stays in the float range up to m near 300 (the
+    limit falls with v), where det(T - t I) overflows in the bulk and the prefactor underflows;
+    past it a block raises OverflowError.  Each draw's node sum is added one node at a time, so
+    a block holds O(BLOCK (m + K)) floats whatever the node count.
     """
 
     def node(t, w):
@@ -320,20 +339,14 @@ def _kacrice_masses(
 
     def weights(rng, size):
         diag, off_sq = sample_goe_tridiagonal(m, v, size, rng)
-        out, prev, det, tmp = np.zeros((len(nodes), size)), np.empty(size), np.empty(size), np.empty(size)
-        for row, (ts, gs, node_w) in zip(out, nodes):
-            for t, g, w in zip(ts, gs, node_w):
-                # the continuant, in place: det holds p_k and prev p_{k-1}
-                prev.fill(g)
-                np.subtract(diag[0], t, out=det)
-                det *= g
-                for a, b_sq in zip(diag[1:], off_sq):
-                    np.multiply(b_sq, prev, out=tmp)
-                    np.subtract(a, t, out=prev)
-                    prev *= det
-                    prev -= tmp
-                    prev, det = det, prev
-                row += np.multiply(np.abs(det, out=det), w, out=det)
+        out, bufs = np.zeros((len(nodes), size)), np.empty((3, size))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, once
+            for row, (ts, gs, node_w) in zip(out, nodes):
+                for t, g, w in zip(ts, gs, node_w):
+                    det = _continuant(diag, off_sq, t, g, bufs)
+                    row += np.multiply(np.abs(det, out=det), w, out=det)
+        if not np.isfinite(out).all():
+            raise OverflowError(f"the Kac-Rice continuant at m={m}, v={v:g} leaves the float range")
         return out.T
 
     return _column_results(weights, n_samples, seed, workers, stream)
@@ -398,7 +411,8 @@ def kacrice_intervals(
     whose draws serve every interval, so the comparisons are views of one set
     of draws, each bit-identical to its one-interval call.  The Kac-Rice route
     sums its nodes one at a time, a block holding O(BLOCK (m + K)) floats, and
-    stays in the float range up to m near 300.  Each comparison also carries
+    stays in the float range up to m near 300; it runs first, so past that it
+    raises OverflowError before any dense draw.  Each comparison also carries
     the exact mass (``_exact_masses``).
     """
     EnsembleParams(m, 0.0, v)
@@ -415,8 +429,9 @@ def kacrice_intervals(
         neg = [(tridiagonal_pivots(*tri, s) < 0.0).sum(axis=0) for s in ends.ravel()]  # a_1, b_1, a_2, ...
         return 2.0 * np.subtract(neg[1::2], neg[::2]).T
 
-    empirical = _column_results(counts, n_samples, seed, workers, stream=0)
+    # the Kac-Rice pass first: past its float range it raises before any dense block is drawn
     kacrice = _kacrice_masses(m, v, ends, n_samples, seed, workers, stream=1)
+    empirical = _column_results(counts, n_samples, seed, workers, stream=0)
     spectral = _column_results(sturm_counts, n_samples, seed, workers, stream=2)
     return [KacRiceComparison((float(a), float(b)), e, k, s, _pair_z(e, k), _pair_z(e, s), _pair_z(k, s), x)
             for (a, b), e, k, s, x in zip(ends, empirical, kacrice, spectral, _exact_masses(m, v, ends))]
@@ -439,47 +454,39 @@ def reproduce_zm(
     N(0, 2) level) and solve the total-mass balance equation for the ratio of
     consecutive integrals; cumulative products from the exact one-dimensional
     value sqrt(2 pi) then give every integral up to m_max + 1, with errors
-    propagated through the product.
+    propagated through the product by the ratios' covariance.
 
     The determinant depends on the spectrum only, so each draw is a
-    tridiagonal matrix with the GOE spectrum and its shifted determinant is
-    the product of its pivots (``tridiagonal_pivots``): no m x m array and no
-    LU.  The dense GOE + LU routes (``exp_abs_det_mc``,
-    ``detmoment_identity_check``) are its independent witness.
+    tridiagonal matrix with the GOE spectrum: no m x m array and no LU.  The
+    trailing m x m block of a Dumitriu-Edelman draw of size m_max is itself
+    one of size m, so one pass of size-m_max draws serves every m, each size
+    with its own level.  det(T_m - c) is the continuant D_k = (a_k - c)
+    D_{k+1} - b_k^2 D_{k+2} swept from the bottom row up, and the ratios
+    reduce to their means and co-moment matrix.  The dense GOE + LU routes
+    (``exp_abs_det_mc``, ``detmoment_identity_check``) are its independent
+    witness.
     """
     EnsembleParams(m_max)
     v = 1.0
-    results = []
-    log_z = 0.5 * math.log(2.0 * math.pi)
-    value = math.exp(log_z)
-    rel_var = 0.0
-    for m in range(1, m_max + 1):
-        def weights(rng, size, _m=m):
-            diag, off_sq = sample_goe_tridiagonal(_m, v, size, rng)
-            shifts = rng.normal(scale=math.sqrt(2.0 * v), size=size)
-            return np.abs(tridiagonal_pivots(diag, off_sq, shifts).prod(axis=0))
 
-        est = mc_estimate(
-            weights, n_samples, seed, workers,
-            scale=math.sqrt(4.0 * math.pi * v) / (2.0 * v) ** ((m + 1) / 2.0),
-            stream=m - 1,
-        )
-        ratio, ratio_se = est.estimate, est.std_error
-        value *= ratio
-        rel_var += (ratio_se / ratio) ** 2
-        results.append(
-            EstimatorResult(
-                estimate=value,
-                std_error=value * math.sqrt(rel_var),
-                n_samples=n_samples,
-                seed=seed,
-                reference=mehta_closed_form(m + 1),
-                meta={
-                    "m": m + 1,
-                    "ratio": ratio,
-                    "ratio_se": ratio_se,
-                    "ratio_reference": mehta_ratio(m),
-                },
-            )
-        )
-    return results
+    def block(rng, size):
+        diag, off_sq = sample_goe_tridiagonal(m_max, v, size, rng)
+        levels = rng.normal(scale=math.sqrt(2.0 * v), size=(m_max, size))  # row m - 1: the level of size m
+        bufs = np.empty((3, size))
+        for m, c in enumerate(levels, start=1):
+            # the trailing m rows swept from the bottom up, |det(T_m - c)| over the level in place
+            np.abs(_continuant(diag[:-m - 1:-1], off_sq[::-1], c, 1.0, bufs), out=c)
+        del diag, off_sq, bufs  # freed before the reduction copies the levels
+        return Moments.of(levels.T, cross=True)
+
+    mom = map_chunks(block, n_samples, seed, _worker_count(workers))
+    units = math.sqrt(4.0 * math.pi * v) / (2.0 * v) ** (np.arange(2, m_max + 2) / 2.0)  # by m = 1..m_max
+    ratios, ratio_ses = units * mom.mean, units * mom.std_error
+    # Var(log Z_{m+1}) to first order: the sum of Cov(r_j, r_k) / (r_j r_k) over j, k <= m
+    rel_cov = mom.m2 / np.outer(mom.mean, mom.mean) / ((mom.count - 1) * mom.count)
+    rel_var = np.cumsum(np.cumsum(rel_cov, axis=0), axis=1).diagonal()
+    values = math.sqrt(2.0 * math.pi) * np.cumprod(ratios)
+    return [EstimatorResult(float(value), float(value * math.sqrt(var)), n_samples, seed, mehta_closed_form(m + 1),
+                            meta={"m": m + 1, "ratio": float(ratio), "ratio_se": float(ratio_se),
+                                  "ratio_reference": mehta_ratio(m)})
+            for m, value, var, ratio, ratio_se in zip(range(1, m_max + 1), values, rel_var, ratios, ratio_ses)]

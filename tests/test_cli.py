@@ -152,6 +152,25 @@ class TestBasicCommands:
         assert payload["config"]["curve_points"] == 5
         assert not {"a", "b"} & set(payload["config"])
 
+    def test_kacrice_curve_levels_equal_density_calls(self, capsys):
+        # one pass serves every level; each level keeps the bits of its own kacrice_density call
+        n = estimation.BLOCK + 500
+        rc, payload = run_json(capsys, ["kacrice", "--curve", "--curve-points", "3", "--m", "2", "--v", "0.5",
+                                        "--n", str(n), "--seed", "21", "--workers", "2"])
+        assert rc == 0 and len(payload["curve"]) == 3
+        for point in payload["curve"]:
+            res = mehta.kacrice_density(2, point["t"], 0.5, n, seed=21, workers=1)
+            assert (point["rho"], point["stderr"]) == (res.estimate, res.std_error)
+
+    def test_kacrice_past_float_range_exits_2_before_dense_draws(self, monkeypatch, capsys):
+        # the Kac-Rice pass runs first and raises; the dense (m + 1)-dimensional sampler is never reached
+        _forbid(monkeypatch, "mehtalab.mehta.sample_goe_batch")
+        rc = main(["kacrice", "--m", "300", "--v", "1", "--n", "2000"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "m=300, v=1 " in err and "float range" in err
+
     def test_kacrice_full_line(self, capsys):
         # the unbounded ends are null, in the comparison and in the echo
         rc, payload = run_json(capsys, ["kacrice", "--m", "1", "--a=-inf", "--b=inf", "--n", "2000"])

@@ -31,6 +31,30 @@ class TestBlockCore:
         assert np.allclose(merged.mean, whole.mean, rtol=1e-13, atol=0.0)
         assert np.allclose(merged.m2, whole.m2, rtol=1e-12, atol=0.0)
 
+    def test_comoment_merge_matches_np_cov(self):
+        # uneven blocks, and a mean far above the spread
+        rng = np.random.default_rng(17)
+        y = 50.0 + rng.normal(size=(1000, 3)) @ np.array([[1.0, 0.5, 0.0], [0.0, 1.0, -0.3], [0.0, 0.0, 2.0]])
+        merged = functools.reduce(Moments.merge, (Moments.of(part, cross=True)
+                                                  for part in np.split(y, [1, 300, 301, 750])))
+        assert merged.m2.shape == (3, 3)
+        assert np.allclose(merged.m2, np.cov(y, rowvar=False) * 999, rtol=1e-12, atol=0.0)
+        assert np.allclose(merged.mean, y.mean(axis=0), rtol=1e-13, atol=0.0)
+        assert np.allclose(merged.std_error, Moments.of(y).std_error, rtol=1e-12, atol=0.0)
+
+    def test_two_dimensional_elementwise_m2_merges_elementwise(self):
+        # a (p, p) M2 of p x p products, as covariance_audit builds it, is not a co-moment
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(600, 3))
+        prods = (x[:, :, None] * x[:, None, :]).reshape(600, -1)
+
+        def of(part):
+            flat = Moments.of(part)
+            return Moments(flat.count, flat.mean.reshape(3, 3), flat.m2.reshape(3, 3))
+
+        merged = functools.reduce(Moments.merge, map(of, np.split(prods, [7, 200, 450])))
+        assert np.allclose(merged.m2.ravel(), Moments.of(prods).m2, rtol=1e-12, atol=0.0)
+
     def test_log_shift_merge(self):
         # weights exp(lw) far beyond the float range merge through their shifts
         rng = np.random.default_rng(8)

@@ -457,6 +457,11 @@ class TestKacRiceVsEmpirical:
         [exact] = mehta._exact_masses(m, 1.0, ends)
         assert abs(res.estimate - exact) <= 4.0 * res.std_error
 
+    @pytest.mark.parametrize("m, v", [(300, 1.0), (280, 4.0)])
+    def test_continuant_overflow_raises(self, m, v):
+        with pytest.raises(OverflowError, match=f"m={m}, v={v:g} "):
+            mehta._kacrice_masses(m, v, np.array([[-1.0, 1.0]]), 2000, 0, 1, 1)
+
     def test_exact_mass_in_artifact(self):
         res = kacrice_vs_empirical(2, 1.0, -1.0, 1.0, 20000, seed=538)
         out = res.to_dict()
@@ -506,6 +511,38 @@ class TestReproduce:
         ref = mc_estimate(dense, n, 535, scale=math.sqrt(4.0 * math.pi) / 2.0)
         row = reproduce_zm(1, n, seed=535)[0]
         assert (row.meta["ratio"], row.meta["ratio_se"]) == (ref.estimate, ref.std_error)
+
+    def test_trailing_blocks_match_dense_det(self):
+        # one block: rebuild its draws on the map's Philox key and take each trailing
+        # m x m block's det(T_m - c) by np.linalg.det of the assembled dense matrix
+        m_max, n, seed = 4, 3000, 540
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+        diag, off_sq = sample_goe_tridiagonal(m_max, 1.0, n, rng)
+        levels = rng.normal(scale=math.sqrt(2.0), size=(m_max, n))
+        dets = np.empty((n, m_max))
+        for m in range(1, m_max + 1):
+            mats = np.zeros((n, m, m))
+            d = np.arange(m)
+            mats[:, d, d] = diag[-m:].T - levels[m - 1][:, None]
+            off = np.sqrt(off_sq[m_max - m:]).T
+            mats[:, d[:-1], d[1:]] = mats[:, d[1:], d[:-1]] = off
+            dets[:, m - 1] = np.abs(np.linalg.det(mats))
+        units = math.sqrt(4.0 * math.pi) / 2.0 ** ((np.arange(1, m_max + 1) + 1) / 2.0)
+        ratios = units * dets.mean(axis=0)
+        rel_cov = np.cov(dets, rowvar=False) / n / np.outer(dets.mean(axis=0), dets.mean(axis=0))
+        values = math.sqrt(2.0 * math.pi) * np.cumprod(ratios)
+        for k, row in enumerate(reproduce_zm(m_max, n, seed=seed)):
+            se = values[k] * math.sqrt(rel_cov[:k + 1, :k + 1].sum())
+            assert row.meta["ratio"] == pytest.approx(ratios[k], rel=1e-10)
+            assert row.meta["ratio_se"] == pytest.approx(units[k] * dets[:, k].std(ddof=1) / math.sqrt(n), rel=1e-10)
+            assert (row.estimate, row.std_error) == pytest.approx((values[k], se), rel=1e-10)
+
+    def test_calibrated_over_seeds(self):
+        # every row's z over 40 seeds: mean z^2 near 1 and mean z near 0
+        z = np.array([[r.z_score for r in reproduce_zm(4, 4000, seed=s)] for s in range(40)])
+        for col in z.T:
+            assert 0.35 <= np.mean(col ** 2) <= 2.11, col
+            assert abs(np.mean(col)) <= 4.0 / math.sqrt(40), col
 
     def test_tridiagonal_route_matches_dense(self):
         # E|det(A - I)| by the dense GOE + LU route and by tridiagonal spectra
