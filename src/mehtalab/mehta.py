@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from mehtalab.spectral import (
     batched_det,
     batched_eigvals,
     goe_density,
-    tridiagonal_pivots,
 )
 from mehtalab.symspace import EnsembleParams, sample_goe_batch, sample_goe_tridiagonal
 
@@ -259,13 +258,17 @@ _legendre = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
 _KACRICE_NODES = 64
 
 
-def _clipped_legendre(m: int, v: float, a: float, b: float, count: int):
-    """``count`` Gauss-Legendre nodes and weights on [a, b] clipped to the Kac-Rice box.
+def _box_halfwidth(m: int, v: float) -> float:
+    """The Kac-Rice box |t| <= sqrt(2v) (sqrt(2(m+1)) + 10), the GOE(m+1, v) spectrum's edge plus 10 sqrt(2v)."""
+    return math.sqrt(2.0 * v) * (math.sqrt(2.0 * (m + 1)) + 10.0)
 
-    The box is the GOE(m+1, v) spectrum's edge plus 10 sqrt(2v), |t| <= sqrt(2v) (sqrt(2(m+1)) + 10),
-    past which the density of critical values is below rounding.  None outside the box.
+
+def _clipped_legendre(m: int, v: float, a: float, b: float, count: int):
+    """``count`` Gauss-Legendre nodes and weights on [a, b] clipped to the Kac-Rice box, none outside it.
+
+    Past the box the density of critical values is below rounding.
     """
-    halfwidth = math.sqrt(2.0 * v) * (math.sqrt(2.0 * (m + 1)) + 10.0)
+    halfwidth = _box_halfwidth(m, v)
     lo = max(a, -halfwidth)
     hi = min(b, halfwidth)
     if not hi > lo:
@@ -293,23 +296,60 @@ def _column_results(weight_fn, n_samples: int, seed: int, workers: int | None, s
     return [EstimatorResult(float(mu), float(se), n_samples, seed) for mu, se in zip(mom.mean, mom.std_error)]
 
 
-def _continuant(diag: np.ndarray, off_sq: np.ndarray, t, g, bufs: np.ndarray) -> np.ndarray:
+def _continuant(diag: np.ndarray, off_sq: np.ndarray, t, g, bufs: np.ndarray, neg: np.ndarray | None = None) -> np.ndarray:
     """g det(T - t I) of step-major draws by p_0 = g, p_k = (a_k - t) p_{k-1} - b_{k-1}^2 p_{k-2}.
 
-    No division, so no zero-pivot guard.  The sweep runs in place in the three rows of ``bufs``
-    (3, n) and returns the row that holds p_m.
+    The sweep runs in place in the three rows of ``bufs`` (3, n), with no division, and returns the
+    row that holds p_m.  Every 16 steps it scales both live rows of each draw by 2^-e, e the frexp
+    exponent of the larger, and p_m takes the summed e back at the end: a power of two scales
+    exactly, so p_m is the unscaled sweep's bit for bit wherever that is finite.  ``neg`` (n,), if
+    given, gains each draw's sign changes of (p_0, ..., p_m) with zeros dropped: the number of
+    eigenvalues of T below t (Sturm).
     """
     prev, det, tmp = bufs
     prev.fill(g)
     np.subtract(diag[0], t, out=det)
     det *= g
-    for a, b_sq in zip(diag[1:], off_sq):
+    exponent = 0
+    # a pair's sign change is its product's sign bit; a zero p_k, k < m, sits between opposite signs
+    # (p_{k+1} = -b_k^2 p_{k-1}), so its two pairs count once whatever its own sign bit
+    for k, (a, b_sq) in enumerate(zip(diag[1:], off_sq), start=2):
+        if neg is not None:  # the pair (p_{k-2}, p_{k-1})
+            neg += np.signbit(np.multiply(prev, det, out=tmp))
         np.multiply(b_sq, prev, out=tmp)
         np.subtract(a, t, out=prev)
         prev *= det
         prev -= tmp
         prev, det = det, prev
-    return det
+        if k % 16 == 0:
+            e = np.frexp(np.maximum(np.abs(prev), np.abs(det)))[1]
+            np.ldexp(prev, -e, out=prev)
+            np.ldexp(det, -e, out=det)
+            exponent = exponent + e
+    if neg is not None:  # the pair (p_{m-1}, p_m), only where p_m is not zero
+        neg += np.signbit(np.multiply(prev, det, out=tmp)) & (det != 0.0)
+    return np.ldexp(det, exponent, out=det) if len(diag) >= 16 else det
+
+
+def _sturm_counts(m: int, v: float, ends: np.ndarray, rng, size: int) -> np.ndarray:
+    """Twice the eigenvalue count of each interval of ``ends`` (K, 2) in tridiagonal GOE(m + 1, v) draws, (size, K).
+
+    The count below a finite end is the continuant's sign changes, the end clipped to the Kac-Rice
+    box; an infinite end reads 0 or m + 1 with no sweep (the continuant turns +-inf into NaN).  The
+    end and the draws are scaled by 2^-c, c the frexp exponent of sqrt(2v), the draws by drawing at
+    v 4^-c: exact, and the sweep stays in the float range whatever v and the end are.
+    """
+    c = math.frexp(math.sqrt(2.0 * v))[1]
+    diag, off_sq = sample_goe_tridiagonal(m + 1, math.ldexp(v, -2 * c), size, rng)
+    halfwidth, bufs = _box_halfwidth(m, v), np.empty((3, size))
+    neg = np.zeros((ends.size, size), dtype=np.int64)
+    for row, s in zip(neg, ends.ravel()):  # a_1, b_1, a_2, ...
+        if s == math.inf:
+            row.fill(m + 1)
+        elif s > -math.inf:
+            with np.errstate(over="ignore"):  # only the signs are read; det itself may pass the float range
+                _continuant(diag, off_sq, math.ldexp(min(max(s, -halfwidth), halfwidth), -c), 1.0, bufs, row)
+    return 2.0 * np.subtract(neg[1::2], neg[::2]).T
 
 
 def _kacrice_masses(
@@ -402,18 +442,17 @@ def kacrice_intervals(
     interval and doubled (each eigenvalue is an antipodal pair of critical
     points).  kacrice: the Gaussian-weighted quadrature of the Monte Carlo
     Kac-Rice density, det(T - t I) by the continuant of tridiagonal GOE(m)
-    draws.  spectral: the Sturm count 2 (neg(b) - neg(a)), neg(s) the negative
-    pivots of T - s I on tridiagonal GOE(m + 1) draws, one pivot sweep per
-    interval end.  Neither of the last two calls an eigensolver; they share the
-    Dumitriu-Edelman sampler, which the dense empirical count witnesses (the
-    dense LU route is ``kacrice_density``).  Pass requires all pairwise
+    draws.  spectral: the Sturm count 2 (neg(b) - neg(a)), neg(s) the sign
+    changes of the continuant of T - s I on tridiagonal GOE(m + 1) draws
+    (``_sturm_counts``).  Neither of the last two calls an eigensolver; they
+    share the Dumitriu-Edelman sampler and the continuant, which the dense
+    empirical count witnesses.  Pass requires all pairwise
     z-scores within 4.  Each route is one pass on its own stream (0, 1, 2)
     whose draws serve every interval, so the comparisons are views of one set
     of draws, each bit-identical to its one-interval call.  The Kac-Rice route
-    sums its nodes one at a time, a block holding O(BLOCK (m + K)) floats, and
-    stays in the float range up to m near 300; it runs first, so past that it
-    raises OverflowError before any dense draw.  Each comparison also carries
-    the exact mass (``_exact_masses``).
+    (``_kacrice_masses``) runs first, so past its float range it raises
+    OverflowError before any dense draw.  Each comparison also carries the
+    exact mass (``_exact_masses``).
     """
     EnsembleParams(m, 0.0, v)
     ends = np.array(intervals, dtype=float).reshape(-1, 2)
@@ -424,15 +463,9 @@ def kacrice_intervals(
         lam = batched_eigvals(sample_goe_batch(m + 1, v, size, rng))
         return 2.0 * ((lam >= ends[:, 0, None, None]) & (lam <= ends[:, 1, None, None])).sum(axis=2).T
 
-    def sturm_counts(rng, size):
-        tri = sample_goe_tridiagonal(m + 1, v, size, rng)
-        neg = [(tridiagonal_pivots(*tri, s) < 0.0).sum(axis=0) for s in ends.ravel()]  # a_1, b_1, a_2, ...
-        return 2.0 * np.subtract(neg[1::2], neg[::2]).T
-
-    # the Kac-Rice pass first: past its float range it raises before any dense block is drawn
     kacrice = _kacrice_masses(m, v, ends, n_samples, seed, workers, stream=1)
     empirical = _column_results(counts, n_samples, seed, workers, stream=0)
-    spectral = _column_results(sturm_counts, n_samples, seed, workers, stream=2)
+    spectral = _column_results(partial(_sturm_counts, m, v, ends), n_samples, seed, workers, stream=2)
     return [KacRiceComparison((float(a), float(b)), e, k, s, _pair_z(e, k), _pair_z(e, s), _pair_z(k, s), x)
             for (a, b), e, k, s, x in zip(ends, empirical, kacrice, spectral, _exact_masses(m, v, ends))]
 
@@ -464,10 +497,12 @@ def reproduce_zm(
     D_{k+1} - b_k^2 D_{k+2} swept from the bottom row up, and the ratios
     reduce to their means and co-moment matrix.  The dense GOE + LU routes
     (``exp_abs_det_mc``, ``detmoment_identity_check``) are its independent
-    witness.
+    witness.  The references come first, so past the float range (m_max >= 39)
+    it raises OverflowError before any draw.
     """
     EnsembleParams(m_max)
     v = 1.0
+    references = [mehta_closed_form(m + 1) for m in range(1, m_max + 1)]
 
     def block(rng, size):
         diag, off_sq = sample_goe_tridiagonal(m_max, v, size, rng)
@@ -486,7 +521,8 @@ def reproduce_zm(
     rel_cov = mom.m2 / np.outer(mom.mean, mom.mean) / ((mom.count - 1) * mom.count)
     rel_var = np.cumsum(np.cumsum(rel_cov, axis=0), axis=1).diagonal()
     values = math.sqrt(2.0 * math.pi) * np.cumprod(ratios)
-    return [EstimatorResult(float(value), float(value * math.sqrt(var)), n_samples, seed, mehta_closed_form(m + 1),
+    return [EstimatorResult(float(value), float(value * math.sqrt(var)), n_samples, seed, reference,
                             meta={"m": m + 1, "ratio": float(ratio), "ratio_se": float(ratio_se),
                                   "ratio_reference": mehta_ratio(m)})
-            for m, value, var, ratio, ratio_se in zip(range(1, m_max + 1), values, rel_var, ratios, ratio_ses)]
+            for m, value, var, ratio, ratio_se, reference
+            in zip(range(1, m_max + 1), values, rel_var, ratios, ratio_ses, references)]

@@ -34,7 +34,6 @@ __all__ = [
     "batched_eigvals",
     "eigenvalues",
     "batched_det",
-    "tridiagonal_pivots",
     "spectral_measure",
     "default_degeneracy_tol",
     "weyl_expectation_mc",
@@ -93,22 +92,6 @@ def batched_det(mats: np.ndarray) -> np.ndarray:
             + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
         )
     return np.linalg.det(a)
-
-
-def tridiagonal_pivots(diag: np.ndarray, off_sq: np.ndarray, shift) -> np.ndarray:
-    """LDL^T pivots d_1 = a_1 - s, d_k = (a_k - s) - b_{k-1}^2 / d_{k-1} of T - s I, shape (m, n).
-
-    T is step-major as ``sample_goe_tridiagonal`` draws it, ``diag`` (m, n) and ``off_sq``
-    (m - 1, n); the shift s is a scalar or one per draw (n,), and row k is swept in place from
-    row k - 1.  Their product is det(T - s I); by Sylvester's law of inertia the negative ones
-    count the eigenvalues below s.  A zero divisor becomes tiny * max(1, max b^2) (dstebz).
-    """
-    pivmin = np.finfo(float).tiny * max(1.0, off_sq.max(initial=0.0))
-    piv = np.subtract(diag, shift)
-    for prev, row, b_sq in zip(piv, piv[1:], off_sq):
-        prev[prev == 0.0] = pivmin
-        row -= b_sq / prev
-    return piv
 
 
 # ---------------------------------------------------------------------------

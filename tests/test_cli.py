@@ -287,6 +287,18 @@ class TestExitCodes:
         assert err.splitlines() == ["error: parameter out of range, the result overflows a float "
                                     "(mehta_ratio(340) overflows a float)"]
 
+    def test_overflowing_reproduce_reference(self, monkeypatch, capsys):
+        # Z_40 overflows a float: reproduce exits 2 with one line before any draw, and no numpy
+        # overflow warning from the product of the ratios
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before computing the references")
+
+        monkeypatch.setattr(mehta, "sample_goe_tridiagonal", no_draw)
+        rc = main(["mehta", "--method", "reproduce", "--m", "39", "--n", "2000"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: parameter out of range, the result overflows a float (math range error)"]
+
     @pytest.mark.parametrize("argv", [["kacrice", "--m", "0"], ["kacrice", "--m", "-1"],
                                       ["kacrice", "--curve", "--m", "0"], ["kacrice", "--curve", "--m", "-2"]])
     def test_inadmissible_kacrice_m(self, capsys, argv):

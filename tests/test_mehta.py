@@ -29,7 +29,6 @@ from mehtalab.spectral import (
     batched_eigvals,
     goe_density,
     one_point_correlation,
-    tridiagonal_pivots,
     weyl_expectation_mc,
     weyl_rhs_quadrature,
 )
@@ -485,9 +484,16 @@ class TestReproduce:
         rel = [r.std_error / r.estimate for r in rows]
         assert rel[0] < rel[1] < rel[2]
 
-    def test_rejects_bad_m(self):
+    def test_rejects_bad_m(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before computing the references")
+
         with pytest.raises(ValueError):
             reproduce_zm(0, 1000)
+        # Z_40 overflows a float: the references are computed before any draw
+        monkeypatch.setattr(mehta, "sample_goe_tridiagonal", no_draw)
+        with pytest.raises(OverflowError):
+            reproduce_zm(39, 2000)
 
     def test_builds_no_matrix_and_calls_no_lu(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -552,7 +558,7 @@ class TestReproduce:
         def tridiagonal(m):
             def weights(rng, size):
                 diag, off_sq = sample_goe_tridiagonal(m, 1.0, size, rng)
-                return np.abs(tridiagonal_pivots(diag, off_sq, c).prod(axis=0))
+                return np.abs(mehta._continuant(diag, off_sq, c, 1.0, np.empty((3, size))))
             return mc_estimate(weights, n, seed, stream=1)
 
         for m in range(3, 7):

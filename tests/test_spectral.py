@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from mehtalab.cli import main
 from mehtalab.estimation import Moments, map_chunks, substream
+from mehtalab.mehta import _continuant, _sturm_counts
 from mehtalab.spectral import (
     GOE_DENSITY_MAX_M,
     PointMeasure,
@@ -16,7 +18,6 @@ from mehtalab.spectral import (
     goe_density,
     one_point_correlation,
     spectral_measure,
-    tridiagonal_pivots,
     weyl_expectation_mc,
     weyl_rhs_quadrature,
     _cell_moments,
@@ -112,45 +113,56 @@ def assemble_tridiagonal(diag, off_sq):
 
 
 class TestTridiagonalPivots:
+    """The continuant sweep ``mehta._continuant``.  The LDL^T pivots of T - sI are p_k / p_{k-1}, so
+    their product is its p_m and their negative count its sign changes."""
+
     def test_recurrence_matches_lu(self):
-        # the pivot product against LU on the explicitly assembled T - sI, same
-        # draws; the scale is the product of the row sums of |T - sI|, which
-        # bounds |det| and keeps near-zero determinants from making this flaky
+        # the sweep against LU on the explicitly assembled T - sI, same draws;
+        # the scale is the product of the row sums of |T - sI|, which bounds
+        # |det| and keeps near-zero determinants from making this flaky; at
+        # m = 50 the sweep rescales three times and folds the exponent back,
+        # so it must equal the unscaled recurrence bit for bit
         rng = substream(205)
-        for m in range(1, 7):
+        for m in [*range(1, 7), 50]:
             diag, off_sq = sample_goe_tridiagonal(m, 0.5, 2000, rng)
             shifts = rng.normal(size=2000)
             t = assemble_tridiagonal(diag - shifts, off_sq)
             d_lu = np.linalg.det(t)
             scale = np.maximum(np.abs(d_lu), np.prod(np.abs(t).sum(axis=2), axis=1))
-            piv = tridiagonal_pivots(diag, off_sq, shifts)
-            assert piv.shape == (m, 2000)
-            rel = np.abs(piv.prod(axis=0) - d_lu) / scale
+            det = _continuant(diag, off_sq, shifts, 1.0, np.empty((3, 2000)))
+            rel = np.abs(det - d_lu) / scale
             assert rel.max() <= 1e-11, m
+            p_prev, p = np.ones(2000), diag[0] - shifts
+            for a, b_sq in zip(diag[1:], off_sq):
+                p_prev, p = p, (a - shifts) * p - b_sq * p_prev
+            assert np.array_equal(det, p), m
 
     def test_scalar_shift(self):
-        diag = np.array([[1.0], [2.0], [3.0]])
-        off_sq = np.array([[4.0], [9.0]])
-        # det [[1-s, 2, 0], [2, 2-s, 3], [0, 3, 3-s]] at s = 1, where the first
-        # pivot is exactly zero and is replaced by pivmin
-        piv = tridiagonal_pivots(diag, off_sq, 1.0)
-        assert piv.shape == (3, 1)
-        assert piv[0, 0] == np.finfo(float).tiny * 9.0
-        assert piv.prod(axis=0)[0] == pytest.approx(-8.0, abs=1e-14)
+        # exact zeros, counted as dstebz's guarded pivots count them: a zero p_1 once over its pair
+        # (det [[1-s, 2, 0], [2, 2-s, 3], [0, 3, 3-s]] at s = 1, which is -8), and a zero p_m not at
+        # all, after p_{m-1} > 0, after p_{m-1} < 0 and at m = 1
+        cases = [([1, 2, 3], [4, 9], 1.0, -8.0, 1), ([1, 1], [1], 0.0, 0.0, 0), ([1, 1], [1], 2.0, 0.0, 1),
+                 ([1], [], 1.0, 0.0, 0)]
+        for diag, off_sq, s, det, count in cases:
+            neg = np.zeros(1, dtype=np.int64)
+            p_m = _continuant(np.array(diag, dtype=float)[:, None], np.array(off_sq, dtype=float).reshape(-1, 1),
+                              s, 1.0, np.empty((3, 1)), neg)
+            assert (p_m[0], neg[0]) == (det, count), (diag, s)
 
-    @pytest.mark.parametrize("d", [2, 6, 50])
-    def test_sturm_counts_match_eigvalsh(self, d):
-        # negative pivots of T - sI against eigvalsh of the assembled T, for
-        # [-1, 1], [0, inf) and (-inf, inf), one sweep per end
-        diag, off_sq = sample_goe_tridiagonal(d, 1.0, 2000, substream(207, d))
-        lam = np.linalg.eigvalsh(assemble_tridiagonal(diag, off_sq))
-        for a, b in [(-1.0, 1.0), (0.0, math.inf), (-math.inf, math.inf)]:
-            piv_a, piv_b = (tridiagonal_pivots(diag, off_sq, s) for s in (a, b))
-            assert piv_a.shape == piv_b.shape == (d, 2000)
-            neg_a, neg_b = (piv_a < 0.0).sum(axis=0), (piv_b < 0.0).sum(axis=0)
-            assert np.array_equal(neg_b - neg_a, ((lam >= a) & (lam < b)).sum(axis=1))
-            if a == -math.inf:
-                assert np.all(neg_a == 0) and np.all(neg_b == d)
+    @pytest.mark.parametrize("d, v, n", [pytest.param(2, 1.0, 2000, id="2"), pytest.param(6, 1.0, 2000, id="6"),
+                                         pytest.param(50, 1.0, 2000, id="50"),
+                                         pytest.param(51, 1e-200, 2000, id="51-v1e-200"),
+                                         pytest.param(51, 1e200, 2000, id="51-v1e200"),
+                                         pytest.param(400, 1.0, 100, id="400")])
+    def test_sturm_counts_match_eigvalsh(self, d, v, n):
+        # the Sturm route's interval counts against LAPACK's eigenvalues of the same draws, at ends in
+        # the bulk, past the Kac-Rice box, at +-1e300 and infinite
+        r = math.sqrt(v)
+        ends = np.array([(-r, r), (0.0, math.inf), (-math.inf, math.inf), (0.3 * r, 1e8 * r), (-1e300, 1e300)])
+        diag, off_sq = sample_goe_tridiagonal(d, v, n, substream(207, d))
+        lam = np.array([eigvalsh_tridiagonal(a, np.sqrt(b_sq)) for a, b_sq in zip(diag.T, off_sq.T)])
+        inside = ((lam[:, None] >= ends[:, 0, None]) & (lam[:, None] < ends[:, 1, None])).sum(axis=2)
+        assert np.array_equal(_sturm_counts(d - 1, v, ends, substream(207, d), n), 2.0 * inside)
 
 
 class TestPointMeasure:
