@@ -197,17 +197,8 @@ def cmd_kacrice(args) -> dict:
         symspace.EnsembleParams(args.m, v=args.v)  # the (m, v) rule before L reads them
         L = 4.0 * math.sqrt(args.v * (args.m + 1))
         ts = np.linspace(-L, L, args.curve_points)
-
-        def weights(rng, size):
-            # kacrice_density's draws on its seed and stream, shifted once per level
-            mats, out = symspace.sample_goe_batch(args.m, args.v, size, rng), np.empty((len(ts), size))
-            for row, t in zip(out, ts):
-                row[:] = mehta._abs_det_shifted(mats.copy(), t)
-            return out.T
-
-        scale = mehta._kacrice_prefactor(args.m, args.v)
-        columns = mehta._column_results(weights, args.n, args.seed, args.workers, stream=0)
-        rows = [(float(t), scale * r.estimate, scale * r.std_error) for t, r in zip(ts, columns)]
+        columns = mehta.kacrice_density(args.m, ts, args.v, args.n, seed=args.seed, workers=args.workers)
+        rows = [(float(t), r.estimate, r.std_error) for t, r in zip(ts, columns)]
         return {"op": "kacrice-curve", "curve": [{"t": t, "rho": rho, "stderr": se} for t, rho, se in rows],
                 "csv": ("t,rho,stderr", rows)}
     res = mehta.kacrice_vs_empirical(args.m, args.v, args.a, args.b, args.n, seed=args.seed,

@@ -1,6 +1,9 @@
 """Seeded, block-streamed Monte Carlo plumbing shared by the estimator modules.
 
-Every estimator cuts its n draws into blocks of ``BLOCK`` draws.  Block b of
+``mc_estimate`` turns per-draw weights into results: one weight per draw
+gives one result, K weight columns give K results from the same draws.  Under
+it, and under the estimators that reduce their own co-moment matrices,
+``map_chunks`` cuts n draws into blocks of ``BLOCK`` draws.  Block b of
 stream s draws from its own counter-based Philox substream, a pure function
 of (seed, s, b) (Salmon et al., SC'11), and reduces to its count, mean and
 M2 or co-moment matrix; blocks merge in block order (Chan, Golub & LeVeque
@@ -180,22 +183,18 @@ class EstimatorResult:
         return out
 
 
-def mc_estimate(
-    weight_fn,
-    n_samples: int,
-    seed: int,
-    workers: int | None = None,
-    scale: float = 1.0,
-    reference: float | None = None,
-    log_weights: bool = False,
-    stream: int = 0,
-) -> EstimatorResult:
+def mc_estimate(weight_fn, n_samples: int, seed: int, workers: int | None = None, scale=1.0, reference=None,
+                log_weights: bool = False, stream: int = 0) -> EstimatorResult | list[EstimatorResult]:
     """Mean and standard error of scale * weight over n_samples draws.
 
-    ``weight_fn(rng, size)`` returns per-sample weights, or log-weights with
-    ``log_weights`` set, which keeps heavy-tailed products from overflowing
-    before they are averaged and puts their Kish ESS in ``meta["ess"]``, the
-    largest weight's share of their sum in ``meta["max_weight_share"]``, and
+    ``weight_fn(rng, size)`` returns per-sample weights (size,), and the
+    result is one EstimatorResult; or K weight columns (size, K), reduced in
+    the layout they come in, and the result is a list of K, column k scaled
+    by ``scale[k]`` and judged against ``reference[k]`` (a scalar serves
+    every column).  With ``log_weights`` the weights are logs, which keeps
+    heavy-tailed products from overflowing before they are averaged; one
+    column of them puts its Kish ESS in ``meta["ess"]``, the largest
+    weight's share of their sum in ``meta["max_weight_share"]``, and
     ``meta["degraded"]`` with a reason when ESS/n is below ``ESS_FLOOR``; the
     4-SE verdict ignores the flag.
     """
@@ -205,6 +204,12 @@ def mc_estimate(
         return Moments.of(np.exp(w - shift) if log_weights else w, shift)
 
     mom = map_chunks(block, n_samples, seed, _worker_count(workers), stream)
+    if np.ndim(mom.mean):
+        cols = mom.mean.size
+        units = [s * math.exp(mom.shift) for s in (scale if np.ndim(scale) else [scale] * cols)]
+        refs = reference if np.ndim(reference) else [reference] * cols
+        return [EstimatorResult(unit * float(mu), unit * float(se), n_samples, seed, ref)
+                for mu, se, unit, ref in zip(mom.mean, mom.std_error, units, refs, strict=True)]
     unit = scale * math.exp(mom.shift)
     meta = {}
     if log_weights:

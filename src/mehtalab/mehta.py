@@ -14,7 +14,7 @@ they stay independent checks on the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -147,24 +147,34 @@ def _abs_det_shifted(mats: np.ndarray, shifts: np.ndarray | float) -> np.ndarray
     return np.abs(batched_det(mats))
 
 
-def exp_abs_det_mc(
-    m: int,
-    v: float,
-    c: float,
-    n_samples: int,
-    seed: int = 0,
-    workers: int | None = None,
-    reference: float | None = None,
-) -> EstimatorResult:
-    """Monte Carlo E|det(A - c I)| over GOE(m, v)."""
+def exp_abs_det_mc(m: int, v: float, c, n_samples: int, seed: int = 0, workers: int | None = None,
+                   reference=None) -> EstimatorResult | list[EstimatorResult]:
+    """Monte Carlo E|det(A - c I)| over GOE(m, v) at one level c, or at each level of a 1-D array.
+
+    One pass of dense draws serves every level: the result is one EstimatorResult for a scalar c
+    and a list, one per level, for an array (``reference`` then a scalar or one per level).  A
+    |det| that leaves the float range raises OverflowError.
+    """
+    return mc_estimate(_abs_det_weights(m, v, c), n_samples, seed, workers, reference=reference)
+
+
+def _abs_det_weights(m: int, v: float, c):
+    """``exp_abs_det_mc``'s weight function, (size,) or one column per level, after the (m, v) rule and c's check."""
     EnsembleParams(m, 0.0, v)
-    if not math.isfinite(c):
-        raise ValueError("c must be a finite number")
+    levels = np.asarray(c, dtype=float)
+    if levels.ndim > 1 or not np.isfinite(levels).all():
+        raise ValueError("c must be a finite number or a 1-D array of them")
 
     def weights(rng, size):
-        return _abs_det_shifted(sample_goe_batch(m, v, size, rng), c)
+        mats = sample_goe_batch(m, v, size, rng)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, once
+            w = (_abs_det_shifted(mats, c) if levels.ndim == 0
+                 else np.array([_abs_det_shifted(mats.copy(), t) for t in levels]).T)
+        if not np.isfinite(w).all():
+            raise OverflowError(f"|det(A - c I)| at m={m}, v={v:g} leaves the float range")
+        return w
 
-    return mc_estimate(weights, n_samples, seed, workers, reference=reference)
+    return weights
 
 
 def detmoment_identity_check(
@@ -209,14 +219,16 @@ def exp_det_pointwise_check(
     with its standard error, also in ``meta["left_se"]``.  Reference:
     exp(c^2/4v) (2v)^((m+1)/2) ratio(m) times the exact (m+1)-dimensional
     one-point density at c (``goe_density``), a closed form independent of the
-    sampled side.  It is computed first, so an m out of its range fails before
-    any draw.
+    sampled side.  It is computed first, so an m out of its range, or a
+    reference that leaves the float range, fails before any draw.
     """
     EnsembleParams(m, 0.0, v)
     if not math.isfinite(c):
         raise ValueError("c must be a finite number")
     density = float(goe_density(m + 1, v, c))
     reference = math.exp(c * c / (4.0 * v)) * (2.0 * v) ** ((m + 1) / 2.0) * mehta_ratio(m) * density
+    if not math.isfinite(reference):
+        raise OverflowError(f"the pointwise reference at m={m}, v={v:g}, c={c:g} leaves the float range")
     res = exp_abs_det_mc(m, v, c, n_samples, seed, workers, reference=reference)
     res.meta["left_se"] = res.std_error
     return res
@@ -227,27 +239,20 @@ def _kacrice_prefactor(m: int, v: float) -> float:
     return (2.0 * math.pi * v) ** (-m / 2.0) * vol_sphere(m)
 
 
-def kacrice_density(
-    m: int,
-    t: float,
-    v: float,
-    n_samples: int,
-    seed: int = 0,
-    workers: int | None = None,
-    reference: float | None = None,
-) -> EstimatorResult:
-    """Kac-Rice density of critical values of the sphere field at level t.
+def kacrice_density(m: int, t, v: float, n_samples: int, seed: int = 0, workers: int | None = None,
+                    reference=None) -> EstimatorResult | list[EstimatorResult]:
+    """Kac-Rice density of critical values of the sphere field at level t, or at each level of a 1-D array.
 
     rho(t) = (2 pi v)^(-m/2) vol(S^m) E|det(A - t I)| with A from GOE(m, v):
     the conditional Hessian at a critical point with value t is a GOE(m, v)
     matrix shifted by -t on the diagonal.  (The shift is t, not v t; the two
     agree at v = 1 and the conditional Monte Carlo in the regression suite
-    pins the general case.)  The weight is ``exp_abs_det_mc``'s.
+    pins the general case.)  The weights are ``exp_abs_det_mc``'s, whose one
+    pass serves every level: an array t gives one result per level, judged
+    against ``reference``, a scalar or one per level.
     """
-    res = exp_abs_det_mc(m, v, t, n_samples, seed, workers)
-    scale = _kacrice_prefactor(m, v)
-    return replace(res, estimate=scale * res.estimate, std_error=scale * res.std_error,
-                   reference=reference)
+    weights = _abs_det_weights(m, v, t)  # the (m, v) rule before the prefactor reads them
+    return mc_estimate(weights, n_samples, seed, workers, scale=_kacrice_prefactor(m, v), reference=reference)
 
 
 # one rule per node count: a rule's eigen-solve run between two Monte Carlo
@@ -287,13 +292,6 @@ def _exact_masses(m: int, v: float, ends: np.ndarray) -> list[float]:
         return [math.nan] * len(ends)
     rules = (_clipped_legendre(m, v, a, b, max(256, 4 * (m + 1))) for a, b in ends)
     return [2.0 * (m + 1) * float(w @ goe_density(m + 1, v, t)) for t, w in rules]
-
-
-def _column_results(weight_fn, n_samples: int, seed: int, workers: int | None, stream: int) -> list[EstimatorResult]:
-    """One EstimatorResult per column of (size, K) weights; a contiguous column reduces as in ``mc_estimate``."""
-    mom = map_chunks(lambda rng, size: Moments.of(np.asfortranarray(weight_fn(rng, size))),
-                     n_samples, seed, _worker_count(workers), stream)
-    return [EstimatorResult(float(mu), float(se), n_samples, seed) for mu, se in zip(mom.mean, mom.std_error)]
 
 
 def _continuant(diag: np.ndarray, off_sq: np.ndarray, t, g, bufs: np.ndarray, neg: np.ndarray | None = None) -> np.ndarray:
@@ -389,7 +387,7 @@ def _kacrice_masses(
             raise OverflowError(f"the Kac-Rice continuant at m={m}, v={v:g} leaves the float range")
         return out.T
 
-    return _column_results(weights, n_samples, seed, workers, stream)
+    return mc_estimate(weights, n_samples, seed, workers, stream=stream)
 
 
 def _pair_z(x: EstimatorResult, y: EstimatorResult) -> float:
@@ -464,8 +462,8 @@ def kacrice_intervals(
         return 2.0 * ((lam >= ends[:, 0, None, None]) & (lam <= ends[:, 1, None, None])).sum(axis=2).T
 
     kacrice = _kacrice_masses(m, v, ends, n_samples, seed, workers, stream=1)
-    empirical = _column_results(counts, n_samples, seed, workers, stream=0)
-    spectral = _column_results(partial(_sturm_counts, m, v, ends), n_samples, seed, workers, stream=2)
+    empirical = mc_estimate(counts, n_samples, seed, workers, stream=0)
+    spectral = mc_estimate(partial(_sturm_counts, m, v, ends), n_samples, seed, workers, stream=2)
     return [KacRiceComparison((float(a), float(b)), e, k, s, _pair_z(e, k), _pair_z(e, s), _pair_z(k, s), x)
             for (a, b), e, k, s, x in zip(ends, empirical, kacrice, spectral, _exact_masses(m, v, ends))]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from mehtalab.estimation import EstimatorResult, Moments, _worker_count, map_chunks
+from mehtalab.estimation import EstimatorResult, mc_estimate
 from mehtalab.symspace import (
     EnsembleParams,
     covariance_reference,
@@ -306,30 +306,20 @@ def conditional_hessian_moments(
         return np.stack(stats, axis=1)
 
     if method == "conditional":
-        def block(rng, size):
+        def columns(rng, size):
             draws = conditional_sample(res, x, rng, size=size)
-            return Moments.of(moment_columns(draws, draws - cond_mean[None, :]))
+            return moment_columns(draws, draws - cond_mean[None, :])
 
         diag_mean_ref = -t
     else:
-        def block(rng, size):
+        def columns(rng, size):
             w, hess = hessian_pair_samples(m, v, size, rng, coords="omega")
             resid = hess - w @ res.operator.T
-            return Moments.of(moment_columns(resid, resid))
+            return moment_columns(resid, resid)
 
         diag_mean_ref = 0.0
 
-    mom = map_chunks(block, n_samples, seed, _worker_count(workers))
     names = ["diag_mean", "diag_var", "diag_diag_cov", "offdiag_var"]
-    refs = [diag_mean_ref, 2.0 * v, 0.0, 2.0 * v]
-    out = {}
     # at m = 1 there is neither a pair of diagonal coordinates nor an off-diagonal one
-    for k, (name, ref) in enumerate(zip(names[:mom.mean.size], refs)):
-        out[name] = EstimatorResult(
-            estimate=float(mom.mean[k]),
-            std_error=float(mom.std_error[k]),
-            n_samples=n_samples,
-            seed=seed,
-            reference=ref,
-        )
-    return out
+    refs = [diag_mean_ref, 2.0 * v, 0.0, 2.0 * v][:4 if m > 1 else 2]
+    return dict(zip(names, mc_estimate(columns, n_samples, seed, workers, reference=refs)))

@@ -395,13 +395,15 @@ def goe_density(m: int, v: float, x):
     phi_{m-1} / J_{m-1} at odd m, with phi_k the Hermite functions, I_k(y)
     the integral of phi_k up to y and J_k = I_k(inf), 0 at odd k.  phi_k and
     I_k run forward by three-term recurrences from phi_0 and I_0 (``ndtr``).
-    Returns rho_m(y) / (m sqrt(2v)), shaped like x.
+    Returns rho_m(y) / (m sqrt(2v)), shaped like x: 0 far from the spectrum.
     """
     if not 1 <= m <= GOE_DENSITY_MAX_M:
         raise ValueError(f"the exact GOE density needs 1 <= m <= {GOE_DENSITY_MAX_M}, got dimension {m}")
     EnsembleParams(m, 0.0, v)
     scale = math.sqrt(2.0 * v)
-    y = np.asarray(x, dtype=float) / scale
+    with np.errstate(over="ignore"):
+        # every phi_k is exactly 0 from |y| = 39 on, so the clip only keeps y * y finite
+        y = np.clip(np.asarray(x, dtype=float) / scale, -1e10, 1e10)
     j0 = math.pi ** -0.25 * math.sqrt(2.0 * math.pi)
     phi_prev, phi = 0.0, math.pi ** -0.25 * np.exp(-0.5 * y * y)
     i_prev, i_cur, total = 0.0, j0 * ndtr(y), 0.0

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +448,25 @@ class TestExitCodes:
         assert err.splitlines() == [f"error: the exact GOE density needs 1 <= m <= {m}, got dimension {m + 1}"]
 
 
+    @pytest.mark.parametrize("argv, names, forbidden", [
+        (["detmoment", "--mode", "pointwise", "--m", "1", "--n", "2000", "--c", "1e160"], "m=1, v=1, c=1e+160",
+         ["mehtalab.mehta.sample_goe_batch"]),
+        (["kacrice", "--curve", "--m", "3", "--v", "1e300", "--n", "2000", "--curve-points", "3"], "m=3, v=1e+300",
+         []),
+    ])
+    def test_float_range_exits_2(self, monkeypatch, capsys, argv, names, forbidden):
+        # one line naming the parameters, no numpy warning and no NaN artifact; the pointwise
+        # reference fails before any draw
+        _forbid(monkeypatch, *forbidden)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert names in err and "float range" in err
+
+
 def test_import_leaves_out_scipy_integrate():
     # only the ordered-region quadrature needs scipy.integrate, and imports it itself
     src = str(Path(spectral.__file__).resolve().parents[1])
@@ -565,7 +585,7 @@ class TestReportAndRender:
             keys.append((seed, stream))
             return real(fn, n, seed, workers, stream)
 
-        for module in (estimation, mehta, regression, spectral, symspace):
+        for module in (estimation, mehta, spectral, symspace):
             monkeypatch.setattr(module, "map_chunks", spy)
         t0 = time.perf_counter()
         rows = run_report(2000, 4, 1)["criteria"]

@@ -21,6 +21,22 @@ def test_z_scores_elementwise():
     assert z.tolist() == [4.0, 0.0, math.inf]
 
 
+def test_weight_columns_equal_one_column_calls():
+    # K column-contiguous weight columns reduce to the bits of K one-column calls on the same
+    # draws, each with its own scale and reference; n spans three blocks, the last one short
+    def columns(rng, size):
+        x = rng.normal(size=size)
+        return np.array([x, x * x, np.exp(x)]).T
+
+    n, scales, refs = 2 * BLOCK + 100, [1.0, 2.5, 0.3], [0.0, 2.5, None]
+    together = mc_estimate(columns, n, 41, 2, scale=scales, reference=refs, stream=3)
+    assert len(together) == 3
+    for k, res in enumerate(together):
+        alone = mc_estimate(lambda rng, size: columns(rng, size)[:, k], n, 41, 1, scale=scales[k],
+                            reference=refs[k], stream=3)
+        assert res.to_dict() == alone.to_dict()
+
+
 class TestBlockCore:
     def test_merge_matches_whole_sample(self):
         rng = np.random.default_rng(7)

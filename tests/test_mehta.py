@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mehtalab.mehta import (
     reproduce_zm,
     vol_sphere,
 )
-from mehtalab import estimation, mehta, regression, spectral, symspace
+from mehtalab import estimation, mehta, spectral, symspace
 from mehtalab.estimation import BLOCK, EstimatorResult, mc_estimate
 from mehtalab.regression import conditional_hessian_moments
 from mehtalab.spectral import (
@@ -189,7 +190,7 @@ class TestMehtaMC:
             assert isinstance(workers, int)
             return real(fn, n, seed, workers, stream)
 
-        for module in (estimation, mehta, regression, spectral, symspace):
+        for module in (estimation, mehta, spectral, symspace):
             monkeypatch.setattr(module, "map_chunks", counted)
         runs = {
             "mehta_mc": lambda **w: mehta_mc(3, n, seed=510, **w),
@@ -293,6 +294,17 @@ class TestDetmomentPointwise:
         assert res.reference == math.exp(0.7**2 / 4.0) * 2.0**2 * mehta_ratio(3) * float(goe_density(4, 1.0, 0.7))
         assert res.meta == {"left_se": res.std_error}
 
+    def test_reference_past_float_range_raises_before_any_draw(self, monkeypatch):
+        # c^2 overflows, exp(inf) is inf and the density is 0: their product would be a NaN reference
+        def no_draw(*args):
+            raise AssertionError("drew before the reference")
+
+        monkeypatch.setattr(mehta, "sample_goe_batch", no_draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"m=1, v=1, c=1e\+160 leaves the float range"):
+                exp_det_pointwise_check(1, 1.0, 1e160, 2000)
+
     @pytest.mark.parametrize("v,c", [(0.5, 0.0), (0.5, 1.0), (1.0, 0.7), (2.0, -1.3)])
     def test_identity_analytic_at_m1(self, v, c):
         # both sides in closed form: E|a - c| for a ~ N(0, 2v) must equal
@@ -318,6 +330,13 @@ class TestKacRiceDensity:
         assert analytic == pytest.approx(ref, rel=1e-13)
         res = kacrice_density(1, 0.0, 1.0, 200000, seed=524, reference=ref)
         assert res.passed, f"z = {res.z_score:.2f}"
+
+    def test_levels_equal_one_level_calls(self):
+        # one pass serves an array of levels; each keeps the bits of its own call and its reference
+        ts, refs = np.array([-1.0, 0.0, 2.0]), [1.0, 2.0, None]
+        together = kacrice_density(2, ts, 0.5, 3000, seed=528, reference=refs)
+        assert [r.to_dict() for r in together] == [
+            kacrice_density(2, float(t), 0.5, 3000, seed=528, reference=ref).to_dict() for t, ref in zip(ts, refs)]
 
     @pytest.mark.parametrize("m,v,seed", [(1, 1.0, 525), (2, 1.0, 526), (2, 0.5, 527)])
     def test_total_mass(self, m, v, seed):
@@ -384,7 +403,7 @@ class TestKacRiceVsEmpirical:
         # draws built as full matrices (m = 50 at a smaller block, to keep them small)
         size = BLOCK if m < 50 else 1000
         captured = []
-        monkeypatch.setattr(mehta, "_column_results", lambda fn, *args: captured.append(fn))
+        monkeypatch.setattr(mehta, "mc_estimate", lambda fn, *args, **kwargs: captured.append(fn))
         ends = np.array([[-1.0, 1.0], [0.0, math.inf], [50.0, 60.0]])
         mehta._kacrice_masses(m, 1.0, ends, size, 0, 1, 1)
         [weights] = captured

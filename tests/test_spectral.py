@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -426,6 +427,13 @@ def legendre_on(lo, hi, count):
 
 
 class TestGoeDensity:
+    def test_zero_far_from_the_spectrum(self):
+        # y * y overflows there; the density is 0 with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert goe_density(2, 0.5, np.array([1e160, -1e300, 1.7e308])).tolist() == [0.0] * 3
+            assert goe_density(5, 1e-300, 1e200) == 0.0
+
     def test_m1_is_standard_normal(self):
         x = np.linspace(-8.0, 8.0, 161)
         ref = np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
