@@ -167,8 +167,9 @@ def cmd_mehta(args) -> dict:
         value = (mehta.mehta_closed_form if args.method == "closed" else mehta.mehta_ratio)(args.m)
         body = {"estimate": value, "reference": value, "pass": True}
     elif args.method == "quadrature":
-        value = mehta.mehta_quadrature(args.m)
-        ref = mehta.mehta_closed_form(args.m)
+        if args.m not in QUADRATURE_GATE:  # the library runs at every m, the gates are set at these
+            raise ValueError(f"--method quadrature supports m in {set(QUADRATURE_GATE)}, got m={args.m}")
+        value, ref = mehta.mehta_quadrature(args.m), mehta.mehta_closed_form(args.m)
         body = {"estimate": value, "reference": ref, "pass": abs(value - ref) <= QUADRATURE_GATE[args.m]}
     elif args.method == "mc":
         body = mehta.mehta_mc(args.m, args.n, seed=args.seed, workers=args.workers).to_dict()
@@ -261,8 +262,7 @@ def _criteria(n: int, seed: int, workers: int):
                audit.passed, None)
 
     for m, gate in QUADRATURE_GATE.items():
-        quad = mehta.mehta_quadrature(m)
-        ref = mehta.mehta_closed_form(m)
+        quad, ref = mehta.mehta_quadrature(m), mehta.mehta_closed_form(m)
         yield f"mehta-quadrature m={m}", quad, ref, None, abs(quad - ref) <= gate, None
 
     for key, m in enumerate((2, 3, 4, 5), start=30):

@@ -1,6 +1,6 @@
 """The Mehta integral and its sphere-side reproduction.
 
-Closed form, exact ratio recursion, brute-force quadrature and Monte Carlo
+Closed form, exact ratio recursion, Pfaffian quadrature and Monte Carlo
 evaluation, the determinant-moment identity linking E|det(A - c)| over GOE to
 the ratio of consecutive Mehta integrals, the Kac-Rice density of critical
 values of the quadratic field on the sphere, and the end-to-end pipeline that
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from mehtalab.estimation import (
 from mehtalab.spectral import (
     GOE_DENSITY_MAX_M,
     QuadratureError,
-    _vandermonde_gauss_integral,
+    _legendre,
+    _pfaffian_log_integral,
     batched_det,
     batched_eigvals,
     goe_density,
@@ -89,20 +90,17 @@ def mehta_ratio(m: int) -> float:
     return ratio
 
 
-@lru_cache(maxsize=8)
 def mehta_quadrature(m: int, tol: float = 1e-6) -> float:
-    """Brute-force Mehta integral by adaptive quadrature; supports m <= 3.
+    """Brute-force Mehta integral: de Bruijn's Pfaffian with h = 1, to relative ``tol`` (else QuadratureError).
 
     This is the independent oracle for the closed form: nothing here knows
-    about gamma functions.
+    about gamma functions.  Past the float range (m >= 40) it raises OverflowError.
     """
     EnsembleParams(m)
-    if m not in (1, 2, 3):
-        raise ValueError("mehta_quadrature supports m in {1, 2, 3} (cost grows too fast beyond)")
-    value, err = _vandermonde_gauss_integral(m, 0.5, None, halfwidth=8.0, atol=0.5 * tol)
+    log_value, err = _pfaffian_log_integral(m)
     if not err <= tol:
         raise QuadratureError(f"requested {tol:.1e}, achieved only {err:.1e}", err)
-    return value
+    return math.exp(log_value)
 
 
 def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int | None = None) -> EstimatorResult:
@@ -205,14 +203,8 @@ def detmoment_identity_check(
     )
 
 
-def exp_det_pointwise_check(
-    m: int,
-    v: float,
-    c: float,
-    n_samples: int,
-    seed: int = 0,
-    workers: int | None = None,
-) -> EstimatorResult:
+def exp_det_pointwise_check(m: int, v: float, c: float, n_samples: int, seed: int = 0,
+                            workers: int | None = None) -> EstimatorResult:
     """Pointwise determinant-moment identity at shift c.
 
     Estimate: Monte Carlo E|det(A - c I)| over GOE(m, v) (``exp_abs_det_mc``),
@@ -222,14 +214,15 @@ def exp_det_pointwise_check(
     sampled side.  It is computed first, so an m out of its range, or a
     reference that leaves the float range, fails before any draw.
     """
-    EnsembleParams(m, 0.0, v)
-    if not math.isfinite(c):
-        raise ValueError("c must be a finite number")
+    weights = _abs_det_weights(m, v, c)  # the (m, v) rule and c's check come before the reference
     density = float(goe_density(m + 1, v, c))
-    reference = math.exp(c * c / (4.0 * v)) * (2.0 * v) ** ((m + 1) / 2.0) * mehta_ratio(m) * density
+    try:
+        reference = math.exp(c * c / (4.0 * v)) * (2.0 * v) ** ((m + 1) / 2.0) * mehta_ratio(m) * density
+    except OverflowError:  # from exp, the power or the ratio: named below
+        reference = math.inf
     if not math.isfinite(reference):
         raise OverflowError(f"the pointwise reference at m={m}, v={v:g}, c={c:g} leaves the float range")
-    res = exp_abs_det_mc(m, v, c, n_samples, seed, workers, reference=reference)
+    res = mc_estimate(weights, n_samples, seed, workers, reference=reference)
     res.meta["left_se"] = res.std_error
     return res
 
@@ -254,10 +247,6 @@ def kacrice_density(m: int, t, v: float, n_samples: int, seed: int = 0, workers:
     weights = _abs_det_weights(m, v, t)  # the (m, v) rule before the prefactor reads them
     return mc_estimate(weights, n_samples, seed, workers, scale=_kacrice_prefactor(m, v), reference=reference)
 
-
-# one rule per node count: a rule's eigen-solve run between two Monte Carlo
-# passes raised the report's peak RSS by about 7 MiB (measured at n = 1e5)
-_legendre = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
 
 # nodes of the sampled Kac-Rice rule on every interval
 _KACRICE_NODES = 64

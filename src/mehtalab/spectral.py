@@ -9,18 +9,19 @@ Every eigenvalue computation in the package goes through
 critical-point finder in ``spherefield`` does not use it to locate points, so
 it stays an independent check on the eigenvalues.
 
-The quadrature side of the Weyl formula is one adaptive Gauss-Kronrod
-``scipy.integrate.cubature`` call on the unit cube, mapped onto the ordered
-eigenvalue region; it uses no gamma function and no sampling, so it stays an
-independent check on the closed form.
+The quadrature side of the Weyl formula is de Bruijn's Pfaffian of Hermite-function
+integrals on one-dimensional Gauss-Legendre panels, for every m; it uses no gamma
+function and no sampling, so it stays an independent check on the closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import legendre
 from scipy import sparse
 from scipy.special import ndtr
 
@@ -45,10 +46,10 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """The ordered-region cubature missed its target tolerance.
+    """The Pfaffian quadrature missed its target tolerance.
 
-    ``achieved`` is the error estimate it reached, NaN when the integrand
-    returned NaN.
+    ``achieved`` is the relative error estimate it reached, NaN when the
+    integrand returned NaN.
     """
 
     def __init__(self, message: str, achieved: float):
@@ -182,76 +183,89 @@ def weyl_expectation_mc(
     return mc_estimate(weights, n_samples, seed, workers)
 
 
-# Relative target of every ordered-region integral: it bounds the work when
-# the caller's tolerance is out of reach, which then reports what it achieved.
-_QUAD_RTOL = 1e-12
-# Cap on the cubature's region subdivisions, so that a tolerance out of reach
-# fails in seconds; the kinked |prod(l - 1)| integrand at m = 2 needs about 400.
-_QUAD_MAX_SUBDIVISIONS = 2000
+def _hermite_functions(y, count: int):
+    """Yield the Hermite functions psi_0(y), ..., psi_{count-1}(y) by their forward three-term recurrence."""
+    phi_prev, phi = 0.0, math.pi ** -0.25 * np.exp(-0.5 * y * y)
+    for k in range(count):
+        yield phi
+        phi_prev, phi = phi, math.sqrt(2.0 / (k + 1)) * y * phi - math.sqrt(k / (k + 1)) * phi_prev
 
 
-def _vandermonde_gauss_integral(m: int, v: float, f, halfwidth: float, atol: float = 0.0):
-    """Integral of f * |Vandermonde| * prod exp(-l^2 / 4v) over [-H, H]^m.
+# one rule per node count, made on first use: a rule's eigen-solve at import raised peak RSS by
+# about 1.4 MiB, and one run between two Monte Carlo passes the report's by about 7 MiB (n = 1e5)
+_legendre = lru_cache(maxsize=8)(legendre.leggauss)
+_PANEL_RTOL, _MAX_PANELS = 1e-14, 1024
 
-    The integrand is symmetric, so this is m! times the integral over the
-    ordered region l1 < ... < lm, which the unit cube maps onto by
-    l_m = -H + 2H s_m and l_k = -H + (l_{k+1} + H) s_k.  One adaptive
-    Gauss-Kronrod cubature runs on the cube with absolute target ``atol``.
-    ``f`` receives (N, m) arrays of ascending eigenvalue rows.  Returns
-    (value, error_estimate).
+
+def _pfaffian_log_integral(m: int, h=None) -> tuple[float, float]:
+    """log of the integral of |Delta(x)| prod h(x_i) exp(-x_i^2 / 2) over R^m, and its error estimate.
+
+    De Bruijn's identity (J. Indian Math. Soc. 19, 1955; Mehta, Random Matrices, 3rd ed.): it is m! Pf[a] /
+    prod_k 2^k c_k, c_k = (2^k k! sqrt(pi))^(-1/2), with u_k = h psi_k, U_k its integral from -inf and
+    a_ij = int u_j U_i - int u_i U_j, bordered by int u_i at odd m.  The integrals run on panels of [-L, L],
+    L = sqrt(2m + 1) + 12, bisected while some int u_k moves by more than _PANEL_RTOL of sum |int u_k|, which
+    finds an unknown kink of h.  The estimate is on the panels' halves, its error the distance to the panels'
+    own rule plus one rounding; no gamma function enters.  ``h`` (None for 1) maps points to values alike.
     """
-    from scipy import integrate  # here, so that start-up does not pay for it
+    nodes, wts = _legendre(20)  # each panel's rule; cum[i, j] integrates node j's Lagrange polynomial to node i
+    cum = np.linalg.solve(legendre.legvander(nodes, 19).T,
+                          legendre.legval(nodes, legendre.legint(np.eye(20), lbnd=-1))).T
 
-    H = halfwidth
-    i, j = np.triu_indices(m, 1)
+    def panels(lo, hi):  # u_k at each panel's nodes (m, P, 20), the half-widths, each panel's int u_k (m, P)
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
+        u = np.array(list(_hermite_functions(x, m))) * (1.0 if h is None else h(x))
+        return u, half, (u @ wts) * half
 
-    def integrand(s):
-        lam = np.empty_like(s)
-        jac = np.ones(len(s))
-        top = np.full(len(s), H)
-        for k in range(m - 1, -1, -1):
-            width = top + H
-            lam[:, k] = top = -H + width * s[:, k]
-            jac *= width
-        vandermonde = np.prod(lam[:, j] - lam[:, i], axis=1)
-        w = jac * vandermonde * np.exp(-(lam * lam).sum(axis=1) / (4.0 * v))
-        return w if f is None else w * f(lam)
+    def log_pfaffian(edges):  # slogdet(a) / 2, U by cum inside a panel and a cumulative sum across
+        u, half, tot = panels(edges[:-1], edges[1:])
+        big_u = (u @ cum.T) * half[:, None] + (np.cumsum(tot, axis=1) - tot)[..., None]
+        b = big_u.reshape(m, -1) @ (u * wts * half[:, None]).reshape(m, -1).T  # a = b - b^T
+        if m % 2:  # the border: a column of int u_i over a row of zeros
+            b = np.vstack([np.column_stack([b, tot.sum(axis=1)]), np.zeros(m + 1)])
+        with np.errstate(invalid="ignore"):  # a NaN integrand reads as a NaN estimate
+            return 0.5 * float(np.linalg.slogdet(b - b.T)[1])
 
-    scale = math.factorial(m)
-    res = integrate.cubature(integrand, np.zeros(m), np.ones(m), atol=atol / scale,
-                             rtol=_QUAD_RTOL, max_subdivisions=_QUAD_MAX_SUBDIVISIONS)
-    return scale * float(res.estimate), scale * float(res.error)
-
-
-_WEYL_NORM_CACHE: dict = {}
+    half_l = math.sqrt(2.0 * m + 1.0) + 12.0
+    edges = np.linspace(-half_l, half_l, 2 * math.ceil(half_l) + 1)
+    while edges.size <= _MAX_PANELS:
+        lo, mid, hi = edges[:-1], 0.5 * (edges[:-1] + edges[1:]), edges[1:]
+        fine = panels(lo, mid)[2] + panels(mid, hi)[2]
+        split = (np.abs(panels(lo, hi)[2] - fine) > _PANEL_RTOL * np.abs(fine).sum(axis=1)[:, None]).any(axis=0)
+        if not split.any():
+            break
+        edges = np.sort(np.append(edges, mid[split]))
+    coarse, fine = log_pfaffian(edges), log_pfaffian(np.sort(np.append(edges, 0.5 * (edges[:-1] + edges[1:]))))
+    log_fact = np.append(0.0, np.cumsum(np.log(np.arange(1.0, m + 1.0))))  # log k!, k = 0..m: running sums
+    log_norm = 0.25 * math.log(2.0) * m * (m - 1) - 0.5 * log_fact[:-1].sum() - 0.25 * m * math.log(math.pi)
+    return float(log_fact[-1]) - log_norm + fine, abs(fine - coarse) + np.finfo(float).eps
 
 
 def weyl_rhs_quadrature(f, m: int, v: float, tol: float = 1e-6) -> float:
-    """Deterministic E[f] over GOE(m, v) by eigenvalue-density quadrature.
+    """Deterministic E[f] over GOE(m, v) by de Bruijn's Pfaffian, for f = prod_i f(lambda_i) >= 0.
 
-    This is the brute-force side of the Weyl formula: integrate f against the
-    Vandermonde-Gaussian density over the box |lambda_i| <= 8 sqrt(2v) and
-    normalize by the same quadrature run on the constant 1, which keeps the routine independent of any closed-form
-    normalization.  Supports m in {1, 2, 3}; raises QuadratureError with the
-    achieved error estimate when the target tolerance is missed or the
-    integrand returns NaN.
+    The quadrature side of the Weyl formula: with lambda = sqrt(2v) x, E[f] is ``_pfaffian_log_integral``
+    with h(x) = f(sqrt(2v) x), f read on one-eigenvalue rows, over the same with h = 1, so no closed-form
+    normalization enters.  ``f`` maps (N, k) arrays of ascending eigenvalue rows to (N,) values; its
+    factorization is checked on three fixed probe rows and h >= 0 on every node, each failure a ValueError.
+    ``tol`` is relative: QuadratureError carries the achieved relative error estimate, NaN for a NaN integrand.
     """
     EnsembleParams(m, 0.0, v)
-    if m not in (1, 2, 3):
-        raise ValueError("weyl_rhs_quadrature supports m in {1, 2, 3} (cost grows too fast beyond)")
-    H = 8.0 * math.sqrt(2.0 * v)
-    key = (m, float(v))
-    if key not in _WEYL_NORM_CACHE:
-        _WEYL_NORM_CACHE[key] = _vandermonde_gauss_integral(m, v, None, H)
-    den, den_err = _WEYL_NORM_CACHE[key]
-    num, num_err = _vandermonde_gauss_integral(m, v, f, H, atol=0.5 * tol * den)
-    value = num / den
-    achieved = num_err / den + abs(value) * den_err / den
-    if not achieved <= tol:
-        raise QuadratureError(
-            f"requested tolerance {tol:.1e}, achieved only {achieved:.1e}", achieved
-        )
-    return value
+    scale = math.sqrt(2.0 * v)
+
+    def h(lam):  # f on one-eigenvalue rows, shaped like lam
+        values = np.asarray(f(lam.reshape(-1, 1)), dtype=float).reshape(lam.shape)
+        if (values < 0.0).any():
+            raise ValueError(f"weyl_rhs_quadrature needs f >= 0, got {values.min():g}")
+        return values
+
+    probe = scale * (math.sqrt(2.0 * m) * np.linspace(-1.0, 1.0, m) + np.array([[-0.3], [0.1], [0.7]]))
+    if not np.allclose(f(probe), h(probe).prod(axis=1), rtol=1e-9, atol=0.0, equal_nan=True):
+        raise ValueError("weyl_rhs_quadrature needs f(lambda) = prod_i f(lambda_i), which f is not")
+    (num, num_err), (den, den_err) = _pfaffian_log_integral(m, lambda x: h(scale * x)), _pfaffian_log_integral(m)
+    if not num_err + den_err <= tol:
+        raise QuadratureError(f"requested {tol:.1e}, achieved only {num_err + den_err:.1e}", num_err + den_err)
+    return math.exp(num - den)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +419,11 @@ def goe_density(m: int, v: float, x):
         # every phi_k is exactly 0 from |y| = 39 on, so the clip only keeps y * y finite
         y = np.clip(np.asarray(x, dtype=float) / scale, -1e10, 1e10)
     j0 = math.pi ** -0.25 * math.sqrt(2.0 * math.pi)
-    phi_prev, phi = 0.0, math.pi ** -0.25 * np.exp(-0.5 * y * y)
     i_prev, i_cur, total = 0.0, j0 * ndtr(y), 0.0
-    for k in range(m):  # leaves phi_prev = phi_{m-1} and i_cur = I_m
+    for k, phi in enumerate(_hermite_functions(y, m)):  # leaves phi = phi_{m-1} and i_cur = I_m
         total = total + phi * phi
-        a, b = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))
-        i_prev, i_cur = i_cur, b * i_prev - a * phi
-        phi_prev, phi = phi, a * y * phi - b * phi_prev
+        i_prev, i_cur = i_cur, math.sqrt(k / (k + 1)) * i_prev - math.sqrt(2.0 / (k + 1)) * phi
     j_even = j0 * math.prod(math.sqrt((k - 1) / k) for k in range(2, m + 1, 2))  # J_m, or J_{m-1} at odd m
     if m % 2:
-        return (total + math.sqrt(m / 2.0) * phi_prev * i_cur + phi_prev / j_even) / (m * scale)
-    return (total + math.sqrt(m / 2.0) * phi_prev * (i_cur - 0.5 * j_even)) / (m * scale)
+        return (total + math.sqrt(m / 2.0) * phi * i_cur + phi / j_even) / (m * scale)
+    return (total + math.sqrt(m / 2.0) * phi * (i_cur - 0.5 * j_even)) / (m * scale)

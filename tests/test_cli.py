@@ -70,6 +70,15 @@ class TestBasicCommands:
         assert payload["config"]["command"] == "mehta"
         assert "n_samples" not in payload["config"]  # quadrature reads no n
 
+    @pytest.mark.parametrize("m", ["4", "40"])
+    def test_mehta_quadrature_outside_its_gates(self, monkeypatch, capsys, m):
+        # the library runs at every m, but the CLI has a gate only for m <= 3
+        _forbid(monkeypatch, "mehtalab.mehta.mehta_quadrature")
+        rc = main(["mehta", "--method", "quadrature", "--m", m])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: --method quadrature supports m in {{1, 2, 3}}, got m={m}"]
+
     def test_mehta_closed_and_ratio(self, capsys):
         rc, payload = run_json(capsys, ["mehta", "--m", "3", "--method", "closed"])
         assert rc == 0 and payload["estimate"] == pytest.approx(26.657298, abs=1e-5)
@@ -453,6 +462,9 @@ class TestExitCodes:
          ["mehtalab.mehta.sample_goe_batch"]),
         (["kacrice", "--curve", "--m", "3", "--v", "1e300", "--n", "2000", "--curve-points", "3"], "m=3, v=1e+300",
          []),
+        # c^2 / 4v past exp's range while c^2 is finite
+        (["detmoment", "--mode", "pointwise", "--m", "1", "--n", "2000", "--c", "60"], "m=1, v=1, c=60",
+         ["mehtalab.mehta.sample_goe_batch"]),
     ])
     def test_float_range_exits_2(self, monkeypatch, capsys, argv, names, forbidden):
         # one line naming the parameters, no numpy warning and no NaN artifact; the pointwise
@@ -468,10 +480,12 @@ class TestExitCodes:
 
 
 def test_import_leaves_out_scipy_integrate():
-    # only the ordered-region quadrature needs scipy.integrate, and imports it itself
+    # the Pfaffian quadrature runs on numpy alone: neither the import nor the quadrature loads scipy.integrate
     src = str(Path(spectral.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, mehtalab.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, numpy as np, mehtalab.cli; from mehtalab import mehta, spectral; "
+            "mehta.mehta_quadrature(3); spectral.weyl_rhs_quadrature(lambda l: np.abs(np.prod(l - 1.0, axis=1)), 2, 1.0); "
+            "print('scipy.integrate' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert run.stdout == "False\n"
 

@@ -85,13 +85,13 @@ class TestClosedForm:
             assert math.exp(log_mehta_closed_form(m)) == pytest.approx(mehta_closed_form(m), rel=1e-13)
 
     def test_scaling_law(self):
-        # the normaliser weyl_rhs_quadrature runs, at width v, is (2v)^(m(m+1)/4)
-        # times the Mehta integral
+        # the Vandermonde-Gaussian integral at width v is (2v)^(m(m+1)/4) Z_m; read at lambda = 2v y it is
+        # int |Delta(y)| prod exp(-v y_i^2) dy = (2v)^(-m(m+1)/4) Z_m, the Pfaffian with h(y) = exp((1/2 - v) y^2)
         for m in (1, 2, 3):
             for v in (0.5, 1.0, 2.0):
-                value, _ = spectral._vandermonde_gauss_integral(m, v, None, 8.0 * math.sqrt(2.0 * v))
-                want = (2.0 * v) ** (m * (m + 1) / 4.0) * mehta_closed_form(m)
-                assert value == pytest.approx(want, rel=1e-12)
+                log_value, _ = spectral._pfaffian_log_integral(m, lambda y: np.exp((0.5 - v) * y * y))
+                want = (2.0 * v) ** (-m * (m + 1) / 4.0) * mehta_closed_form(m)
+                assert math.exp(log_value) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -124,9 +124,21 @@ class TestQuadratureOracle:
     def test_m3(self):
         assert abs(mehta_quadrature(3) - mehta_closed_form(3)) <= 2e-6
 
-    def test_unsupported(self):
-        with pytest.raises(ValueError):
-            mehta_quadrature(4)
+    def test_negative_h_raises(self):
+        # prod lambda_i factors over the eigenvalues, but its one-body weight is negative below 0
+        with pytest.raises(ValueError, match="^weyl_rhs_quadrature needs f >= 0, got -"):
+            weyl_rhs_quadrature(lambda lam: np.prod(lam, axis=1), 2, 0.5)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 40, 150])
+    def test_pfaffian_log_against_closed_form(self, m):
+        # past m = 39 only the log is a float; the Pfaffian uses no gamma function
+        log_value, err = spectral._pfaffian_log_integral(m)
+        want = log_mehta_closed_form(m)
+        assert abs(log_value - want) <= 1e-12 * abs(want)
+        assert err <= 1e-12
+
+    def test_every_m_in_float_range(self):
+        assert mehta_quadrature(39) == pytest.approx(mehta_closed_form(39), rel=1e-12)
 
     def test_unreachable_tolerance_reports_achieved(self):
         from mehtalab.spectral import QuadratureError

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -254,8 +255,9 @@ class TestWeylQuadrature:
         assert abs(val - 1.0) <= 1e-6
 
     def test_second_moment_m2(self):
-        val = weyl_rhs_quadrature(lambda lam: (lam**2).mean(axis=1), 2, 0.5)
-        assert abs(val - 1.5) <= 1e-6
+        # E[det(A)^2] = E[(ac - b^2)^2] = 4v^2 + 3v^2 over GOE(2, v), a product over eigenvalues
+        val = weyl_rhs_quadrature(lambda lam: (lam**2).prod(axis=1), 2, 0.5)
+        assert abs(val - 7.0 * 0.5**2) <= 1e-6
 
     def test_abs_shift_m1_exact(self):
         # E|l - c| for l ~ N(0, 2v): a kink at c, away from the origin
@@ -273,27 +275,34 @@ class TestWeylQuadrature:
             params = EnsembleParams(m, 0.0, 0.5)
             for f in (
                 lambda lam: np.ones(lam.shape[0]),
-                lambda lam: (lam**2).mean(axis=1),
-                lambda lam: np.abs(lam).mean(axis=1),
+                lambda lam: (lam**2).prod(axis=1),
+                lambda lam: np.abs(lam).prod(axis=1),
             ):
                 quad = weyl_rhs_quadrature(f, m, 0.5)
                 mc = weyl_expectation_mc(f, params, 60000, seed=seed)
                 se = max(mc.std_error, 1e-12)
                 assert abs((mc.estimate - quad) / se) <= 4.0
 
-    def test_unsupported_m(self):
-        with pytest.raises(ValueError):
-            weyl_rhs_quadrature(lambda lam: np.ones(lam.shape[0]), 4, 1.0)
+    def test_non_product_f_raises(self):
+        # the mean of lambda^2 does not factor over the eigenvalues, so it has no one-body weight
+        with pytest.raises(ValueError, match="^weyl_rhs_quadrature needs f\\(lambda\\) = prod_i"):
+            weyl_rhs_quadrature(lambda lam: (lam**2).mean(axis=1), 2, 0.5)
 
     def test_unreachable_tolerance_reports_achieved(self):
+        t0 = time.perf_counter()
         with pytest.raises(QuadratureError) as info:
-            weyl_rhs_quadrature(lambda lam: (lam**2).mean(axis=1), 2, 0.5, tol=1e-30)
+            weyl_rhs_quadrature(lambda lam: (lam**2).prod(axis=1), 2, 0.5, tol=1e-30)
         assert 0.0 < info.value.achieved < 1e-6
+        assert time.perf_counter() - t0 < 1.0
 
     def test_nan_integrand_raises(self):
-        for m in (1, 2):
-            with pytest.raises(QuadratureError):
-                weyl_rhs_quadrature(lambda lam: np.full(lam.shape[0], np.nan), m, 0.5)
+        # a NaN one-body weight everywhere, and one that is NaN only past lambda = 0.5
+        for f in (lambda lam: np.full(lam.shape[0], np.nan),
+                  lambda lam: np.where(lam > 0.5, np.nan, 1.0).prod(axis=1)):
+            for m in (1, 2):
+                with pytest.raises(QuadratureError) as info:
+                    weyl_rhs_quadrature(f, m, 0.5)
+                assert math.isnan(info.value.achieved)
 
 
 def dense_kernel_density(m, v, points, h, n_samples, seed):
@@ -463,6 +472,15 @@ class TestGoeDensity:
         exact = math.exp(c * c / (4.0 * v)) * (2.0 * v) ** 1.5 * ratio * float(goe_density(3, v, c))
         quad = weyl_rhs_quadrature(lambda lam: np.abs(np.prod(lam - c, axis=1)), 2, v)
         assert quad == pytest.approx(exact, rel=1e-6)
+
+    @pytest.mark.parametrize("m", [2, 10, 50])
+    def test_pointwise_identity_to_1e10(self, m):
+        # the Pfaffian route at any m: E|det(A - c I)| over GOE(m, v) = exp(c^2/4v) (2v)^((m+1)/2) ratio(m) rho_{m+1}(c)
+        for v, c in ((0.5, 1.3), (2.0, -0.4)):
+            ratio = 2.0**1.5 * math.gamma((m + 3) / 2.0)
+            exact = math.exp(c * c / (4.0 * v)) * (2.0 * v) ** ((m + 1) / 2.0) * ratio * float(goe_density(m + 1, v, c))
+            quad = weyl_rhs_quadrature(lambda lam: np.abs(np.prod(lam - c, axis=1)), m, v)
+            assert quad == pytest.approx(exact, rel=1e-10)
 
     @pytest.mark.parametrize("m,v,seed", [(3, 1.0, 222), (6, 1.0, 223)])
     def test_histogram_matches_exact_bin_average(self, m, v, seed):
