@@ -40,7 +40,7 @@ COMMON_OPTIONS = (
     ("b", float, 1.0, True, {}),
     ("n", int, 100000, True, {"help": "sample count"}),
     ("seed", int, 0, True, {}),
-    ("workers", int, _worker_count(), True, {"help": "threads (default, and cap: the usable cores)"}),
+    ("workers", int, _worker_count(), True, {"help": "threads (default, and cap: the usable cores; 1 starts none)"}),
     ("out", str, None, True, {}),
     ("format", str, "json", True, {"choices": ("json", "csv")}),
     ("bin_width", float, None, False, {}),

@@ -10,7 +10,8 @@ M2 or co-moment matrix; blocks merge in block order (Chan, Golub & LeVeque
 1983).  So variances do not cancel when |mean| >> sd, and the bits do not
 depend on the worker count.  ``workers`` defaults to, and is capped at, the
 CPUs the process may run on, and memory is about ``workers`` blocks in
-flight for any n.
+flight for any n; one worker computes on the calling thread, one block at a
+time.
 """
 
 from __future__ import annotations
@@ -119,11 +120,11 @@ def map_chunks(fn, n: int, seed: int, workers: int | None = None, stream: int = 
     """Merge in block order the Moments that fn(rng, size) returns for every block of n draws.
 
     Block b draws from Philox key (seed, stream + 1), which no ``substream``
-    uses, at counter word b.  The pool has min(workers, usable CPUs) threads,
-    ``workers`` defaulting to the usable CPUs, and they pull blocks at most
-    two per thread ahead of the merge, so memory does not grow with n and the
-    result depends on neither.  Estimators run from one seed pass different
-    ``stream`` indices to draw disjoint samples.
+    uses, at counter word b.  One worker runs the blocks on the calling thread,
+    with no pool; more make a pool of min(workers, usable CPUs) threads, which
+    pull blocks at most two per thread ahead of the merge.  So memory does not
+    grow with n and the result depends on neither.  Estimators run from one
+    seed pass different ``stream`` indices to draw disjoint samples.
     """
     threads = min(_worker_count(workers), _worker_count())
     if threads < 1:
@@ -131,6 +132,7 @@ def map_chunks(fn, n: int, seed: int, workers: int | None = None, stream: int = 
     if n < 2:
         raise ValueError("n_samples must be at least 2: one draw has no standard error")
     n, key = int(n), np.array([seed, stream + 1], dtype=np.uint64)
+    blocks = range(-(-n // BLOCK))
 
     def run(block):
         rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, 0]))
@@ -138,12 +140,14 @@ def map_chunks(fn, n: int, seed: int, workers: int | None = None, stream: int = 
 
     def in_order(pool):
         ahead = deque()
-        for block in range(-(-n // BLOCK)):
+        for block in blocks:
             ahead.append(pool.submit(run, block))
             if len(ahead) > 2 * threads:
                 yield ahead.popleft().result()
         yield from (future.result() for future in ahead)
 
+    if threads == 1:
+        return functools.reduce(Moments.merge, map(run, blocks))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return functools.reduce(Moments.merge, in_order(pool))
 

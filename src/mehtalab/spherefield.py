@@ -332,9 +332,9 @@ def find_critical_points_batch(
 
 def _morse_indices(mats, points, values):
     """Negative-eigenvalue counts of the tangent Hessian at each point."""
-    n, c, d = points.shape
-    hess = _tangent_hessians(mats[:, None], points, values)
-    return (batched_eigvals(hess.reshape(n * c, d - 1, d - 1)) < 0.0).sum(axis=1).reshape(n, c)
+    # one point per matrix at a time: all of them at once hold (n, c, d, d) bases
+    return np.stack([(batched_eigvals(_tangent_hessians(mats, points[:, k], values[:, k])) < 0.0).sum(axis=1)
+                     for k in range(points.shape[1])], axis=1)
 
 
 def find_critical_points(

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -563,6 +564,15 @@ class TestReportAndRender:
         assert any("kacrice" in n for n in names)
         assert any("reproduce-zm" in n for n in names)
         assert any("regression-suite" in n for n in names)
+
+    def test_one_worker_report_starts_no_thread(self, monkeypatch):
+        # one worker computes every block on the calling thread
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(estimation, "ThreadPoolExecutor", no_thread)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert main(["report", "--n", "2000", "--workers", "1"]) == 0
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_rows_do_not_share_draws(self, seed):

@@ -94,8 +94,12 @@ class TestBlockCore:
 
         one_worker = _traced_peak(run, 200_000)
         assert _traced_peak(run, 2_000_000) <= 1.25 * one_worker
-        # at most `workers` blocks compute at once, whatever the thread timing
-        assert _traced_peak(functools.partial(run, workers=2), 2_000_000) <= 2 * one_worker
+        # at most `workers` blocks compute at once, whatever the thread timing; one
+        # worker builds no pool, so the bound adds the pool's own objects, read off
+        # the same two-worker pass over blocks that allocate nothing
+        idle = Moments.of(np.zeros(2))
+        pool = _traced_peak(lambda n: estimation.map_chunks(lambda rng, k: idle, n, 5, 2), 2_000_000)
+        assert _traced_peak(functools.partial(run, workers=2), 2_000_000) <= 2 * one_worker + pool
 
     # one worker in the next two: with two, the peak depends on whether two blocks'
     # allocations overlap; test_memory_does_not_grow_with_n holds the two-worker bound
@@ -165,8 +169,13 @@ class TestPool:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 100_000])
     def test_pool_never_exceeds_the_usable_cores(self, pools, workers):
         # neither the threads nor the blocks queued ahead of the merge grow past
-        # what the usable cores can run, and the bits stay those of one worker
+        # what the usable cores can run, and the bits stay those of one worker;
+        # one worker computes on the calling thread and builds no pool
         sums = self._sums(workers)
+        if workers == 1:
+            assert pools == []
+            assert sums == self._sums(2) == self._sums(3)
+            return
         threads = min(workers, 3)
         assert [p.size for p in pools] == [threads]
         assert pools[0].most_pending == 2 * threads + 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,20 @@ class TestFinder:
                 for i in range(2 * d):
                     hess = hess_phi(mats[k], batch.points[k, i])
                     assert batch.morse_indices[k, i] == int((np.linalg.eigvalsh(hess) < 0.0).sum())
+
+    def test_memory_is_one_point_per_matrix(self):
+        # the Morse step holds the tangent bases of one critical point per matrix
+        # at a time, not all d of them; the index of the k-th pair is k, the
+        # number of eigenvalues below its value
+        mats = sample_goe_batch(6, 1.0, 5000, substream(438))
+        tracemalloc.start()
+        try:
+            batch = find_critical_points_batch(mats, rng=438)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert np.array_equal(batch.morse_indices, np.broadcast_to(np.repeat(np.arange(6), 2), (5000, 12)))
 
     def test_input_validation(self):
         a = random_sym(3, substream(420))
