@@ -104,20 +104,19 @@ def mehta_quadrature(m: int, tol: float = 1e-6) -> float:
 
 
 def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int | None = None) -> EstimatorResult:
-    """Importance-sampled Mehta integral: iid standard Gaussian eigenvalues.
+    """Importance-sampled Mehta integral: iid N(0, s^2) eigenvalues, s^2 = (m + 1)/2, the ensemble's scale.
 
-    The integral equals (2 pi)^(m/2) E[prod_{i<j} |l_i - l_j|]; the product is
-    accumulated in log space so large m cannot overflow a sample weight.  The
-    integrand is even under l -> -l, so the antithetic pair of each draw has
-    the identical weight and the estimator is plain Monte Carlo over the
-    drawn points.  ``meta`` holds the Kish ESS and flags ``degraded`` when
-    ESS/n is below ``ESS_FLOOR``; the 4-SE verdict ignores the flag.
+    The integral is (2 pi s^2)^(m/2) E[prod_{i<j} |l_i - l_j| exp(-(1 - 1/s^2) sum l_i^2 / 2)], exact at m = 1,
+    with log weights so large m cannot overflow one.  The integrand is even, so each draw's antithetic pair has
+    the same weight and plain Monte Carlo over the drawn points serves.  ``meta`` holds the Kish ESS and flags
+    ``degraded`` when ESS/n is below ``ESS_FLOOR``; the 4-SE verdict ignores the flag.
     """
     EnsembleParams(m)
+    var = (m + 1) / 2.0
 
     def log_weights(rng, size):
-        lam = rng.normal(size=(size, m))
-        lw = np.zeros(size)
+        lam = rng.normal(0.0, math.sqrt(var), size=(size, m))
+        lw = (lam * lam) @ np.full(m, -0.5 * (1.0 - 1.0 / var))  # gemv: sum(axis=1) took 4x as long
         with np.errstate(divide="ignore"):
             for i in range(m - 1):
                 for j in range(i + 1, m):
@@ -129,7 +128,7 @@ def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int | None = None) 
         n_samples,
         seed,
         workers,
-        scale=(2.0 * math.pi) ** (m / 2.0),
+        scale=(2.0 * math.pi * var) ** (m / 2.0),
         reference=mehta_closed_form(m),
         log_weights=True,
     )

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from mehtalab.estimation import EstimatorResult, mc_estimate
+from mehtalab.spectral import batched_eigvals
 from mehtalab.symspace import (
     EnsembleParams,
     covariance_reference,
@@ -57,7 +58,7 @@ class DegenerateConditioningError(ValueError):
 
 
 def _min_eig(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(mat)[0])
+    return float(batched_eigvals(mat)[0, 0])
 
 
 @dataclass(frozen=True)

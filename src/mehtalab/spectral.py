@@ -122,16 +122,14 @@ class PointMeasure:
         object.__setattr__(self, "weights", wts)
 
     def merged(self, tol: float) -> "PointMeasure":
-        """Merge atom clusters closer than tol; cluster mass is the exact sum."""
+        """Merge runs of atoms each no more than tol from the next (tol = 0 merges ties); mass is the exact sum."""
         if not tol >= 0.0:
             raise ValueError("tol must be nonnegative")
-        if len(self.locations) == 0:
-            return self
         locs, wts = [], []
         start = 0
         n = len(self.locations)
         for i in range(1, n + 1):
-            if i == n or self.locations[i] - self.locations[i - 1] >= tol:
+            if i == n or self.locations[i] - self.locations[i - 1] > tol:
                 w = math.fsum(self.weights[start:i].tolist())
                 c = math.fsum((self.locations[start:i] * self.weights[start:i]).tolist()) / w
                 locs.append(c)
@@ -143,22 +141,25 @@ class PointMeasure:
         return PointMeasure(self.locations, factor * self.weights)
 
 
-def default_degeneracy_tol(a: SymMatrix) -> float:
-    return 1e-8 * (1.0 + math.sqrt(a.frobenius_sq()))
+def default_degeneracy_tol(a: SymMatrix | np.ndarray) -> float | np.ndarray:
+    """1e-8 (1 + ||A||_F) of a SymMatrix or of each matrix of a (..., d, d) stack, the norm by hypot, which squares
+    no entry.  Eigenvalues no more than this apart are one atom of the spectral measure and make the finder refuse A."""
+    mats = a.to_full() if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
+    return 1e-8 * (1.0 + np.hypot.reduce(mats.reshape(*mats.shape[:-2], -1), axis=-1))
 
 
 def spectral_measure(a: SymMatrix, degeneracy_tol: float | None = None) -> PointMeasure:
     """Eigenvalue measure with multiplicities: one atom per eigenvalue cluster.
 
-    Clusters are maximal runs of the sorted eigenvalues with gaps below the
-    tolerance (``PointMeasure.merged``); each atom carries the cluster size,
-    so total mass is m.
+    Clusters are maximal runs of the sorted eigenvalues with gaps no more than
+    the tolerance (``PointMeasure.merged``); each atom carries the cluster
+    size, so total mass is m.
     """
     if degeneracy_tol is None:
         degeneracy_tol = default_degeneracy_tol(a)
     if not degeneracy_tol >= 0.0:
         raise ValueError("degeneracy_tol must be nonnegative")
-    return PointMeasure(eigenvalues(a), np.ones(a.m)).merged(max(degeneracy_tol, 5e-324))
+    return PointMeasure(eigenvalues(a), np.ones(a.m)).merged(degeneracy_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +385,10 @@ def _cell_moments(lam, cells, weights, ncells):
     # off-grid cells go to a spare cell at either end of their matrix's row
     np.clip(cells, -1, ncells, out=cells)
     cells += 1
-    rows = np.broadcast_to(np.arange(size, dtype=np.int32)[:, None, None], cells.shape)
+    indptr = np.arange(0, cells.size + 1, cells[0].size)  # each matrix fills its row with as many entries
     # scipy adds up a row's entries on one cell in the order its (unstable) index
     # sort leaves them: fixed for a fixed block, not always the input order
-    c = sparse.csr_array((weights.reshape(-1), (rows.reshape(-1), cells.reshape(-1))), shape=(size, span))
+    c = sparse.csr_array((weights.reshape(-1), cells.reshape(-1), indptr), shape=(size, span))
     c.sum_duplicates()
     s1 = np.bincount(c.indices, c.data, minlength=span)[1:-1]
     s2 = np.bincount(c.indices, c.data ** 2, minlength=span)[1:-1]

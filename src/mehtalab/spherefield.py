@@ -257,8 +257,7 @@ class CriticalPointBatch:
 
 def _check_simple(mats: np.ndarray):
     lam = batched_eigvals(mats)
-    # Frobenius norms by hypot, which squares no entry and so cannot overflow
-    scale = 1e-8 * (1.0 + np.hypot.reduce(mats.reshape(len(mats), -1), axis=1))
+    scale = default_degeneracy_tol(mats)
     gaps = np.diff(lam, axis=1).min(axis=1)
     bad = np.nonzero(gaps <= scale)[0]
     if bad.size:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from mehtalab.mehta import exp_det_pointwise_check
+from mehtalab.mehta import exp_det_pointwise_check, mehta_mc
 
 SEEDS = range(40)
 
@@ -26,3 +26,9 @@ def _assert_calibrated(z):
 def test_detmoment_pointwise_rows(m, v, c):
     # the report's three pointwise rows, against the exact one-point density
     _assert_calibrated([exp_det_pointwise_check(m, v, c, 4000, seed=s, workers=1).z_score for s in SEEDS])
+
+
+@pytest.mark.parametrize("m", [3, 6, 8])
+def test_mehta_mc(m):
+    # the importance sampler at the ensemble's scale, against the closed form
+    _assert_calibrated([mehta_mc(m, 4000, seed=s, workers=1).z_score for s in SEEDS])

@@ -172,7 +172,7 @@ class TestMehtaMC:
             mehta_mc(3, 1, seed=537)
 
     def test_collapse_flagged_by_ess(self):
-        res = mehta_mc(12, 20000, seed=504)
+        res = mehta_mc(20, 20000, seed=504)
         assert res.meta["degraded"] is True
         assert res.meta["ess"] < ESS_FLOOR * 20000
         assert res.meta["reason"].startswith("Kish ESS/n = ")

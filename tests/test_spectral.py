@@ -1,11 +1,14 @@
+import ast
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
+import mehtalab
 from mehtalab.cli import main
 from mehtalab.estimation import Moments, map_chunks, substream
 from mehtalab.mehta import _continuant, _sturm_counts
@@ -101,6 +104,17 @@ class TestEigensolver:
         w = batched_eigvals(0.5 * (a + a.T)[None])[0]
         assert np.max(np.abs(w - w_true)) < 1e-12
 
+    def test_one_eigenvalue_entry(self):
+        # batched_eigvals chooses the eigensolver for every module; eigh, which
+        # also returns eigenvectors, is not an eigenvalue call
+        callers = set()
+        for path in Path(mehtalab.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                func = getattr(node, "func", None)
+                if getattr(func, "attr", getattr(func, "id", None)) == "eigvalsh":
+                    callers.add(path.name)
+        assert callers == {"spectral.py"}
+
 
 def assemble_tridiagonal(diag, off_sq):
     """Dense stack of the symmetric tridiagonal matrices of step-major rows, for checks only."""
@@ -191,6 +205,13 @@ class TestPointMeasure:
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             pm.merged(math.nan)
 
+    def test_merges_neighbours_no_more_than_tol_apart(self):
+        # the finder refuses a gap <= tau, so a gap of exactly tol is one atom
+        pm = PointMeasure(np.array([1.0, 1.0, 1.5, 3.0]), np.ones(4))
+        assert np.array_equal(pm.merged(0.0).weights, [2.0, 1.0, 1.0])
+        assert np.array_equal(pm.merged(0.5).weights, [3.0, 1.0])
+        assert np.array_equal(pm.merged(np.nextafter(0.5, 0.0)).weights, [2.0, 1.0, 1.0])
+
 
 class TestSpectralMeasure:
     def test_explicit_multiplicity(self):
@@ -218,6 +239,21 @@ class TestSpectralMeasure:
     def test_default_tolerance_scales(self):
         a = SymMatrix.from_diagonal([1.0, 1.0, 1.0])
         assert default_degeneracy_tol(a) == pytest.approx(1e-8 * (1.0 + math.sqrt(3.0)))
+
+    def test_default_tolerance_of_a_stack(self):
+        mats = sample_goe_batch(4, 1.0, 6, substream(208)).reshape(2, 3, 4, 4)
+        tau = default_degeneracy_tol(mats)
+        assert tau.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert tau[idx] == default_degeneracy_tol(SymMatrix.from_full(mats[idx]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_whose_squares_overflow(self):
+        pm = spectral_measure(SymMatrix.from_diagonal([1e200, -1e200]))
+        assert np.array_equal(pm.locations, [-1e200, 1e200])
+        assert np.array_equal(pm.weights, [1.0, 1.0])
+        pm = spectral_measure(SymMatrix.from_diagonal([1e160, 2e160, 3e160]))
+        assert np.array_equal(pm.weights, [1.0, 1.0, 1.0])
 
 
 class TestWeylExpectation:

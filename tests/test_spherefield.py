@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mehtalab.estimation import substream
-from mehtalab.spectral import batched_eigvals, eigenvalues, spectral_measure
+from mehtalab.spectral import batched_eigvals, default_degeneracy_tol, eigenvalues, spectral_measure
 from mehtalab.spherefield import (
     DegenerateMatrixError,
     IncompleteSearchError,
@@ -283,6 +283,44 @@ class TestDiscriminantMeasure:
         dm = discriminant_measure(a, method="analytic")
         assert np.array_equal(dm.locations, sm.locations)
         assert np.array_equal(dm.weights, 2.0 * sm.weights)
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_whose_squares_overflow(self):
+        a = SymMatrix.from_diagonal([1e200, -1e200])
+        for method in ("analytic", "search"):
+            pm = discriminant_measure(a, method=method, rng=436)
+            assert np.array_equal(pm.locations, [-1e200, 1e200])
+            assert np.array_equal(pm.weights, [2.0, 2.0])
+
+    def test_methods_agree_at_zero_tolerance(self):
+        # an antipodal pair shares one value exactly, so tol 0 still merges it
+        a = SymMatrix.from_diagonal([1.0, 2.0, 3.0])
+        for method in ("analytic", "search"):
+            pm = discriminant_measure(a, method=method, degeneracy_tol=0.0, rng=437)
+            assert np.array_equal(pm.locations, [1.0, 2.0, 3.0])
+            assert np.array_equal(pm.weights, [2.0, 2.0, 2.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_finder_refuses_what_the_measure_merges(self, d, scale):
+        # one gap at 0.5 tau or 2 tau in a rotated spectrum: the finder raises
+        # exactly when the spectral measure has fewer than d atoms
+        rng = substream(438 + d)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        w = scale * np.arange(0.0, d)
+        w[0] = w[1]
+        tau = float(default_degeneracy_tol(SymMatrix.from_diagonal(w)))
+        for factor in (0.5, 2.0):
+            w[0] = w[1] - factor * tau
+            a = SymMatrix.from_full((q * w) @ q.T)
+            merged = spectral_measure(a).locations.size < d
+            assert merged == (factor < 1.0)
+            if merged:
+                with pytest.raises(DegenerateMatrixError):
+                    find_critical_points(a, tol=None, rng=439)
+            else:
+                assert len(find_critical_points(a, tol=None, rng=439)) == 2 * d
 
     def test_nan_tolerance_rejected(self):
         a = SymMatrix.from_diagonal([1.0, 2.0, 3.0])
