@@ -31,10 +31,10 @@ from mehtalab.estimation import (
     z_scores,
 )
 from mehtalab.spectral import (
-    GOE_DENSITY_MAX_M,
     QuadratureError,
     _legendre,
     _pfaffian_log_integral,
+    _rescale,
     batched_det,
     batched_eigvals,
     goe_density,
@@ -210,8 +210,8 @@ def exp_det_pointwise_check(m: int, v: float, c: float, n_samples: int, seed: in
     with its standard error, also in ``meta["left_se"]``.  Reference:
     exp(c^2/4v) (2v)^((m+1)/2) ratio(m) times the exact (m+1)-dimensional
     one-point density at c (``goe_density``), a closed form independent of the
-    sampled side.  It is computed first, so an m out of its range, or a
-    reference that leaves the float range, fails before any draw.
+    sampled side.  It is computed first, so a reference that leaves the float
+    range (from m = 340 the ratio overflows) fails before any draw.
     """
     weights = _abs_det_weights(m, v, c)  # the (m, v) rule and c's check come before the reference
     density = float(goe_density(m + 1, v, c))
@@ -271,13 +271,8 @@ def _clipped_legendre(m: int, v: float, a: float, b: float, count: int):
 
 
 def _exact_masses(m: int, v: float, ends: np.ndarray) -> list[float]:
-    """Expected critical-value mass 2(m+1) int_a^b goe_density(m+1, v, .) of each interval (K, 2).
-
-    max(256, 4(m+1)) Gauss-Legendre nodes on the interval clipped to the Kac-Rice box; NaN past
-    ``GOE_DENSITY_MAX_M``.
-    """
-    if m + 1 > GOE_DENSITY_MAX_M:
-        return [math.nan] * len(ends)
+    """Expected critical-value mass 2(m+1) int_a^b goe_density(m+1, v, .) of each interval (K, 2), by
+    max(256, 4(m+1)) Gauss-Legendre nodes on the interval clipped to the Kac-Rice box."""
     rules = (_clipped_legendre(m, v, a, b, max(256, 4 * (m + 1))) for a, b in ends)
     return [2.0 * (m + 1) * float(w @ goe_density(m + 1, v, t)) for t, w in rules]
 
@@ -286,11 +281,10 @@ def _continuant(diag: np.ndarray, off_sq: np.ndarray, t, g, bufs: np.ndarray, ne
     """g det(T - t I) of step-major draws by p_0 = g, p_k = (a_k - t) p_{k-1} - b_{k-1}^2 p_{k-2}.
 
     The sweep runs in place in the three rows of ``bufs`` (3, n), with no division, and returns the
-    row that holds p_m.  Every 16 steps it scales both live rows of each draw by 2^-e, e the frexp
-    exponent of the larger, and p_m takes the summed e back at the end: a power of two scales
-    exactly, so p_m is the unscaled sweep's bit for bit wherever that is finite.  ``neg`` (n,), if
-    given, gains each draw's sign changes of (p_0, ..., p_m) with zeros dropped: the number of
-    eigenvalues of T below t (Sturm).
+    row that holds p_m.  Every 16 steps it ``_rescale``s both live rows, and p_m takes the summed
+    exponents back at the end: p_m is the unscaled sweep's bit for bit wherever that is finite.
+    ``neg`` (n,), if given, gains each draw's sign changes of (p_0, ..., p_m) with zeros dropped:
+    the number of eigenvalues of T below t (Sturm).
     """
     prev, det, tmp = bufs
     prev.fill(g)
@@ -308,10 +302,7 @@ def _continuant(diag: np.ndarray, off_sq: np.ndarray, t, g, bufs: np.ndarray, ne
         prev -= tmp
         prev, det = det, prev
         if k % 16 == 0:
-            e = np.frexp(np.maximum(np.abs(prev), np.abs(det)))[1]
-            np.ldexp(prev, -e, out=prev)
-            np.ldexp(det, -e, out=det)
-            exponent = exponent + e
+            exponent = exponent + _rescale(prev, det)
     if neg is not None:  # the pair (p_{m-1}, p_m), only where p_m is not zero
         neg += np.signbit(np.multiply(prev, det, out=tmp)) & (det != 0.0)
     return np.ldexp(det, exponent, out=det) if len(diag) >= 16 else det
@@ -469,11 +460,12 @@ def reproduce_zm(
     """Rebuild the Mehta integrals from sphere-side Monte Carlo alone.
 
     For each m up to m_max, simulate the conditional Hessian determinant at a
-    Gaussian critical value (an m x m GOE(1) draw shifted by an independent
-    N(0, 2) level) and solve the total-mass balance equation for the ratio of
-    consecutive integrals; cumulative products from the exact one-dimensional
-    value sqrt(2 pi) then give every integral up to m_max + 1, with errors
-    propagated through the product by the ratios' covariance.
+    Gaussian critical value (an m x m GOE(1) draw shifted by an N(0, 2) level
+    drawn at GOE(m + 1)'s scale N(0, m + 2) and reweighted, since at N(0, 2)
+    the weight is heavy-tailed from m near 6) and solve the total-mass balance
+    for the ratio of consecutive integrals; cumulative products from the exact
+    one-dimensional value sqrt(2 pi) then give every integral up to m_max + 1,
+    with errors propagated through the product by the ratios' covariance.
 
     The determinant depends on the spectrum only, so each draw is a
     tridiagonal matrix with the GOE spectrum: no m x m array and no LU.  The
@@ -492,11 +484,15 @@ def reproduce_zm(
 
     def block(rng, size):
         diag, off_sq = sample_goe_tridiagonal(m_max, v, size, rng)
-        levels = rng.normal(scale=math.sqrt(2.0 * v), size=(m_max, size))  # row m - 1: the level of size m
+        # row m - 1: the level of size m, N(0, v (m + 2)) like GOE(m + 1, v)'s eigenvalues; faster than a scale column
+        levels = rng.standard_normal(size=(m_max, size))
+        levels *= np.sqrt(v * np.arange(3.0, m_max + 3.0))[:, None]
         bufs = np.empty((3, size))
         for m, c in enumerate(levels, start=1):
-            # the trailing m rows swept from the bottom up, |det(T_m - c)| over the level in place
+            # N(0, 2v) over that law, then the trailing m rows swept from the bottom up: |det(T_m - c)| in place
+            ratio = np.exp(c * c * (1.0 / (2.0 * v * (m + 2)) - 1.0 / (4.0 * v)) + 0.5 * math.log((m + 2) / 2.0))
             np.abs(_continuant(diag[:-m - 1:-1], off_sq[::-1], c, 1.0, bufs), out=c)
+            c *= ratio
         del diag, off_sq, bufs  # freed before the reduction copies the levels
         return Moments.of(levels.T, cross=True)
 

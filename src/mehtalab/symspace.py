@@ -306,7 +306,7 @@ class CovarianceAudit:
             "n_samples": self.n_samples,
             "seed": self.seed,
             "max_abs_z": self.max_abs_z,
-            "n_moments": int(self.z_matrix.size),
+            "n_moments": len(self.z_matrix) * (len(self.z_matrix) + 1) // 2,  # the distinct pairs
             "pass": self.passed,
         }
 
@@ -314,22 +314,25 @@ class CovarianceAudit:
 def covariance_audit(
     params: EnsembleParams, n_samples: int, seed: int = 0, workers: int | None = None
 ) -> CovarianceAudit:
-    """Audit all p x p second moments of the flat coordinates at 4 SE each."""
+    """Audit the p (p + 1) / 2 distinct second moments of the flat coordinates at 4 SE each, mirrored to (p, p)."""
 
     def block(rng, size):
         coords = ell_coords_batch(sample_suv_batch(params, size, rng))
-        # one row of products x_a x_b at a time keeps the block at (size, p)
-        rows = [Moments.of(coords[:, a, None] * coords) for a in range(coords.shape[1])]
-        return Moments(size, np.array([r.mean for r in rows]), np.array([r.m2 for r in rows]))
+        # one row of distinct products x_a x_b, b >= a, at a time keeps the block at (size, p)
+        rows = [Moments.of(coords[:, a, None] * coords[:, a:]) for a in range(coords.shape[1])]
+        return Moments(size, np.concatenate([r.mean for r in rows]), np.concatenate([r.m2 for r in rows]))
 
     mom = map_chunks(block, n_samples, seed, _worker_count(workers))
     ref = covariance_reference(params)
+    pair = np.zeros(ref.shape, dtype=np.intp)  # pair[a, b]: the column of x_a x_b, mirrored below the diagonal
+    pair[np.triu_indices(len(ref))] = np.arange(mom.mean.size)
+    pair = np.maximum(pair, pair.T)
     return CovarianceAudit(
         params=params,
         n_samples=n_samples,
         seed=seed,
-        z_matrix=z_scores(mom.mean, ref, mom.std_error),
-        second_moments=mom.mean,
+        z_matrix=z_scores(mom.mean[pair], ref, mom.std_error[pair]),
+        second_moments=mom.mean[pair],
         reference=ref,
     )
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from mehtalab.mehta import exp_det_pointwise_check, mehta_mc
+from mehtalab.mehta import exp_det_pointwise_check, mehta_mc, reproduce_zm
 
 SEEDS = range(40)
 
@@ -32,3 +32,10 @@ def test_detmoment_pointwise_rows(m, v, c):
 def test_mehta_mc(m):
     # the importance sampler at the ensemble's scale, against the closed form
     _assert_calibrated([mehta_mc(m, 4000, seed=s, workers=1).z_score for s in SEEDS])
+
+
+def test_reproduce_zm_rows():
+    # every row m = 2..13 of the sphere-side table, each level drawn at GOE(m + 1)'s scale, against the closed form
+    z = np.array([[r.z_score for r in reproduce_zm(12, 4000, seed=s, workers=1)] for s in SEEDS])
+    for col in z.T:
+        _assert_calibrated(col)

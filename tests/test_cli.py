@@ -135,7 +135,7 @@ class TestBasicCommands:
         )
         assert rc == 0
         assert payload["pass"] is True
-        assert payload["result"]["n_moments"] == 36
+        assert payload["result"]["n_moments"] == 21  # the distinct pairs of p = 6 coordinates
 
     def test_detmoment_modes(self, capsys):
         rc, payload = run_json(
@@ -446,16 +446,16 @@ class TestExitCodes:
         assert err.splitlines() == ["error: n_samples must be at least 2: one draw has no standard error"]
 
     def test_pointwise_m_past_the_exact_density(self, monkeypatch, capsys):
-        # the reference is computed before any draw
+        # the reference is computed before any draw: the density of GOE(701) is exact, and the ratio overflows
         def no_run(*args, **kwargs):
             raise AssertionError("an estimator ran")
 
         monkeypatch.setattr(mehta, "exp_abs_det_mc", no_run)
-        m = spectral.GOE_DENSITY_MAX_M
-        rc = main(["detmoment", "--mode", "pointwise", "--m", str(m)])
+        rc = main(["detmoment", "--mode", "pointwise", "--m", "700"])
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
-        assert err.splitlines() == [f"error: the exact GOE density needs 1 <= m <= {m}, got dimension {m + 1}"]
+        assert err.splitlines() == ["error: parameter out of range, the result overflows a float "
+                                    "(the pointwise reference at m=700, v=1, c=0 leaves the float range)"]
 
 
     @pytest.mark.parametrize("argv, names, forbidden", [

@@ -13,7 +13,6 @@ from mehtalab.cli import main
 from mehtalab.estimation import Moments, map_chunks, substream
 from mehtalab.mehta import _continuant, _sturm_counts
 from mehtalab.spectral import (
-    GOE_DENSITY_MAX_M,
     PointMeasure,
     QuadratureError,
     batched_det,
@@ -26,6 +25,7 @@ from mehtalab.spectral import (
     weyl_expectation_mc,
     weyl_rhs_quadrature,
     _cell_moments,
+    _hermite_functions,
 )
 from mehtalab.symspace import EnsembleParams, SymMatrix, sample_goe_batch, sample_goe_tridiagonal
 
@@ -478,6 +478,7 @@ class TestGoeDensity:
             warnings.simplefilter("error")
             assert goe_density(2, 0.5, np.array([1e160, -1e300, 1.7e308])).tolist() == [0.0] * 3
             assert goe_density(5, 1e-300, 1e200) == 0.0
+            assert goe_density(1500, 1.0, np.array([math.inf, -math.inf, 1e300, -1e300])).tolist() == [0.0] * 4
 
     def test_m1_is_standard_normal(self):
         x = np.linspace(-8.0, 8.0, 161)
@@ -530,11 +531,25 @@ class TestGoeDensity:
         assert z[ref[mask] > 0.01].max() <= 4.0
 
     def test_shape_follows_x(self):
-        assert np.shape(goe_density(4, 1.0, 0.3)) == ()
+        # from m = 17 the recurrence rescales its rows in place, which a numpy scalar cannot take
+        for m in (4, 17, 40):
+            assert np.shape(goe_density(m, 1.0, 0.3)) == ()
+            assert float(goe_density(m, 1.0, 0.3)) == float(goe_density(m, 1.0, np.array([0.3]))[0])
         assert goe_density(4, 1.0, np.zeros((2, 3))).shape == (2, 3)
 
-    @pytest.mark.parametrize("m", [0, GOE_DENSITY_MAX_M + 1])
-    def test_dimension_out_of_range(self, m):
-        with pytest.raises(ValueError, match=f"^the exact GOE density needs 1 <= m <= {GOE_DENSITY_MAX_M}, "
-                                             f"got dimension {m}$"):
-            goe_density(m, 1.0, 0.0)
+    def test_hermite_functions_keep_the_plain_bits(self):
+        # wherever psi_0 = pi^(-1/4) exp(-y^2/2) is a normal float, the rescaled recurrence is the plain one bit for bit
+        y = np.linspace(-37.5, 37.5, 3001)
+        plain, phi_prev, phi = [], 0.0, math.pi ** -0.25 * np.exp(-0.5 * y * y)
+        for k in range(100):
+            plain.append(phi)
+            phi_prev, phi = phi, math.sqrt(2.0 / (k + 1)) * y * phi - math.sqrt(k / (k + 1)) * phi_prev
+        assert np.array_equal(np.array(list(_hermite_functions(y, 100))), np.array(plain))
+
+    def test_mass_one_at_m1500(self):
+        # psi_0 underflows inside the spectrum from m near 710; the trapezoid rule is spectrally accurate here
+        m, v = 1500, 0.5
+        t = np.linspace(-math.sqrt(2.0 * m) - 10.0, math.sqrt(2.0 * m) + 10.0, 8001)
+        rho = goe_density(m, v, t)
+        assert abs(np.trapezoid(rho, t) - 1.0) <= 1e-10
+        assert (rho >= -1e-12).all()

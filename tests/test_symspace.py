@@ -151,8 +151,6 @@ M_ONLY = ("log_mehta_closed_form", "mehta_closed_form", "mehta_ratio", "mehta_qu
 def _bad_ms(name):
     if name == "goe_log_density":
         return ()  # its m is the matrix's size
-    if name == "goe_density":
-        return (2.5,)  # its range 1 <= m <= GOE_DENSITY_MAX_M reads first
     return (0, -1, 2.5)
 
 
