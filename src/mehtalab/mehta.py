@@ -39,7 +39,7 @@ from mehtalab.spectral import (
     batched_eigvals,
     goe_density,
 )
-from mehtalab.symspace import EnsembleParams, sample_goe_batch, sample_goe_tridiagonal
+from mehtalab.symspace import EnsembleParams, map_goe_slabs, sample_goe_batch, sample_goe_tridiagonal
 
 __all__ = [
     "ESS_FLOOR",
@@ -115,13 +115,9 @@ def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int | None = None) 
     var = (m + 1) / 2.0
 
     def log_weights(rng, size):
-        lam = rng.normal(0.0, math.sqrt(var), size=(size, m))
-        lw = (lam * lam) @ np.full(m, -0.5 * (1.0 - 1.0 / var))  # gemv: sum(axis=1) took 4x as long
-        with np.errstate(divide="ignore"):
-            for i in range(m - 1):
-                for j in range(i + 1, m):
-                    lw += np.log(np.abs(lam[:, i] - lam[:, j]))
-        return lw
+        lam = rng.standard_normal(size=(size, m))
+        lam *= math.sqrt(var)  # normal(0, s)'s bits, with no second array
+        return (lam * lam) @ np.full(m, -0.5 * (1.0 - 1.0 / var)) + _log_vandermonde(lam)  # gemv: sum took 4x as long
 
     return mc_estimate(
         log_weights,
@@ -132,6 +128,18 @@ def mehta_mc(m: int, n_samples: int, seed: int = 0, workers: int | None = None) 
         reference=mehta_closed_form(m),
         log_weights=True,
     )
+
+
+def _log_vandermonde(lam: np.ndarray) -> np.ndarray:
+    """log prod_{i<j} |lam_i - lam_j| of each row of lam (n, m), -inf at a tie: one running product per row,
+    ``frexp``-rescaled every 16 factors so it stays in the float range, and one log (a log per pair cost more)."""
+    prod, tmp, exponent = np.ones(len(lam)), np.empty(len(lam)), 0
+    for k, (i, j) in enumerate(zip(*np.triu_indices(lam.shape[1], 1)), start=1):
+        prod *= np.abs(np.subtract(lam[:, i], lam[:, j], out=tmp), out=tmp)
+        if k % 16 == 0:
+            exponent = exponent + np.frexp(prod, out=(prod, None))[1]
+    with np.errstate(divide="ignore"):
+        return np.log(prod) + exponent * math.log(2.0)
 
 
 def _abs_det_shifted(mats: np.ndarray, shifts: np.ndarray | float) -> np.ndarray:
@@ -156,17 +164,20 @@ def exp_abs_det_mc(m: int, v: float, c, n_samples: int, seed: int = 0, workers: 
 
 
 def _abs_det_weights(m: int, v: float, c):
-    """``exp_abs_det_mc``'s weight function, (size,) or one column per level, after the (m, v) rule and c's check."""
+    """``exp_abs_det_mc``'s weight function, (size,) or one column per level, after the (m, v) rule and c's check;
+    the draws come slab by slab (``map_goe_slabs``), and each level shifts a copy of one slab."""
     EnsembleParams(m, 0.0, v)
     levels = np.asarray(c, dtype=float)
     if levels.ndim > 1 or not np.isfinite(levels).all():
         raise ValueError("c must be a finite number or a 1-D array of them")
 
+    def shifted(mats):
+        return (_abs_det_shifted(mats, c) if levels.ndim == 0
+                else np.array([_abs_det_shifted(mats.copy(), t) for t in levels]).T)
+
     def weights(rng, size):
-        mats = sample_goe_batch(m, v, size, rng)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below, once
-            w = (_abs_det_shifted(mats, c) if levels.ndim == 0
-                 else np.array([_abs_det_shifted(mats.copy(), t) for t in levels]).T)
+            w = map_goe_slabs(shifted, m, v, size, rng)
         if not np.isfinite(w).all():
             raise OverflowError(f"|det(A - c I)| at m={m}, v={v:g} leaves the float range")
         return w
@@ -183,7 +194,8 @@ def detmoment_identity_check(
     independent N(0, 2v) draw; integrating the pointwise identity against the
     Gaussian weight (and using that the one-point density has unit mass)
     shows this equals (2v)^((m+1)/2) times the ratio of consecutive Mehta
-    integrals, which serves as the reference.
+    integrals, which serves as the reference.  Its shifts are drawn after the
+    matrices, so it keeps whole blocks (``sample_goe_batch``), not slabs.
     """
     EnsembleParams(m, 0.0, v)
 
@@ -415,21 +427,21 @@ def kacrice_intervals(
 ) -> list[KacRiceComparison]:
     """Expected critical-value mass of each interval (a, b), three independent ways.
 
-    empirical: eigenvalues of an (m+1)-dimensional GOE(v) draw counted in the
-    interval and doubled (each eigenvalue is an antipodal pair of critical
-    points).  kacrice: the Gaussian-weighted quadrature of the Monte Carlo
-    Kac-Rice density, det(T - t I) by the continuant of tridiagonal GOE(m)
-    draws.  spectral: the Sturm count 2 (neg(b) - neg(a)), neg(s) the sign
-    changes of the continuant of T - s I on tridiagonal GOE(m + 1) draws
-    (``_sturm_counts``).  Neither of the last two calls an eigensolver; they
-    share the Dumitriu-Edelman sampler and the continuant, which the dense
-    empirical count witnesses.  Pass requires all pairwise
-    z-scores within 4.  Each route is one pass on its own stream (0, 1, 2)
-    whose draws serve every interval, so the comparisons are views of one set
-    of draws, each bit-identical to its one-interval call.  The Kac-Rice route
-    (``_kacrice_masses``) runs first, so past its float range it raises
-    OverflowError before any dense draw.  Each comparison also carries the
-    exact mass (``_exact_masses``).
+    empirical: eigenvalues of an (m+1)-dimensional GOE(v) draw, taken slab by
+    slab (``map_goe_slabs``), counted in the interval and doubled (each
+    eigenvalue is an antipodal pair of critical points).  kacrice: the
+    Gaussian-weighted quadrature of the Monte Carlo Kac-Rice density,
+    det(T - t I) by the continuant of tridiagonal GOE(m) draws.  spectral: the
+    Sturm count 2 (neg(b) - neg(a)), neg(s) the sign changes of the continuant
+    of T - s I on tridiagonal GOE(m + 1) draws (``_sturm_counts``).  Neither
+    of the last two calls an eigensolver; they share the Dumitriu-Edelman
+    sampler and the continuant, which the dense empirical count witnesses.
+    Pass requires all pairwise z-scores within 4.  Each route is one pass on
+    its own stream (0, 1, 2) whose draws serve every interval, so the
+    comparisons are views of one set of draws, each bit-identical to its
+    one-interval call.  The Kac-Rice route (``_kacrice_masses``) runs first,
+    so past its float range it raises OverflowError before any dense draw.
+    Each comparison also carries the exact mass (``_exact_masses``).
     """
     EnsembleParams(m, 0.0, v)
     ends = np.array(intervals, dtype=float).reshape(-1, 2)
@@ -437,7 +449,7 @@ def kacrice_intervals(
         raise ValueError("need at least one interval, each with a < b")
 
     def counts(rng, size):
-        lam = batched_eigvals(sample_goe_batch(m + 1, v, size, rng))
+        lam = map_goe_slabs(batched_eigvals, m + 1, v, size, rng)
         return 2.0 * ((lam >= ends[:, 0, None, None]) & (lam <= ends[:, 1, None, None])).sum(axis=2).T
 
     kacrice = _kacrice_masses(m, v, ends, n_samples, seed, workers, stream=1)

@@ -31,6 +31,7 @@ __all__ = [
     "ell_coords_batch",
     "omega_coords_batch",
     "inner_product",
+    "map_goe_slabs",
     "sample_goe_batch",
     "sample_goe_tridiagonal",
     "sample_suv",
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 FILE_SYMMETRY_TOL = 1e-9
+# the matrices one dense slab holds, so routes that keep only eigenvalues or determinants hold O(m) per draw
+SLAB_BYTES = 2**20
 
 
 def sym_dim(m: int) -> int:
@@ -205,22 +208,37 @@ class EnsembleParams:
         return self.u == 0.0
 
 
-def sample_goe_batch(m: int, v: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent GOE(m, v) draws as a stack of full matrices, shape (n, m, m).
+def map_goe_slabs(fn, m: int, v: float, n: int, rng: np.random.Generator, slab: int | None = None):
+    """fn on n GOE(m, v) draws taken ``slab`` at a time (default: about SLAB_BYTES of matrices), rows in draw order.
 
-    Draw order is fixed (diagonal block first, then off-diagonal block) so a
-    given stream state always produces the same matrices.
+    The diagonal block (n, m) is drawn first, then each slab's off-diagonal rows: consecutive row-chunks of
+    one generator call are that call's numbers, so every matrix, and the generator's state after, is the
+    whole block's.  fn maps an (s, m, m) slab, which it may overwrite, to s rows; they are stacked in an
+    array laid out like fn's own (``empty_like``), so a reduction over them reads the bits of fn on the
+    whole block.  One slab returns fn's result itself.
     """
     EnsembleParams(m, 0.0, v)
-    a = np.zeros((n, m, m))
-    d = np.arange(m)
-    a[:, d, d] = rng.normal(scale=math.sqrt(2.0 * v), size=(n, m))
-    if m > 1:
-        iu, ju = np.triu_indices(m, 1)
-        off = rng.normal(scale=math.sqrt(v), size=(n, iu.size))
-        a[:, iu, ju] = off
-        a[:, ju, iu] = off
-    return a
+    slab = max(1, SLAB_BYTES // (8 * m * m)) if slab is None else slab
+    diag, out = rng.normal(scale=math.sqrt(2.0 * v), size=(n, m)), None
+    d, (iu, ju) = np.arange(m), _pair_arrays(m, 1)
+    for start in range(0, max(n, 1), slab):
+        a = np.zeros((min(slab, n - start), m, m))
+        a[:, d, d] = diag[start:start + len(a)]
+        diag = None if start + len(a) == n else diag  # freed, like the off-diagonal draws, before fn runs
+        a[:, iu, ju] = rng.normal(scale=math.sqrt(v), size=(len(a), iu.size))
+        a[:, ju, iu] = a[:, iu, ju]
+        rows = fn(a)
+        if len(a) == n:
+            return rows
+        out = np.empty_like(rows, shape=(n, *rows.shape[1:])) if out is None else out
+        out[start:start + len(a)] = rows
+    return out
+
+
+def sample_goe_batch(m: int, v: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n independent GOE(m, v) draws as a stack of full matrices, shape (n, m, m): ``map_goe_slabs``' one slab,
+    so a given stream state always produces the same matrices (diagonal block first, then off-diagonal block)."""
+    return map_goe_slabs(lambda a: a, m, v, n, rng, slab=max(n, 1))
 
 
 def sample_goe_tridiagonal(m: int, v: float, n: int, rng: np.random.Generator):

@@ -175,7 +175,7 @@ class TestBasicCommands:
 
     def test_kacrice_past_float_range_exits_2_before_dense_draws(self, monkeypatch, capsys):
         # the Kac-Rice pass runs first and raises; the dense (m + 1)-dimensional sampler is never reached
-        _forbid(monkeypatch, "mehtalab.mehta.sample_goe_batch")
+        _forbid(monkeypatch, "mehtalab.mehta.sample_goe_batch", "mehtalab.mehta.map_goe_slabs")
         rc = main(["kacrice", "--m", "300", "--v", "1", "--n", "2000"])
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
@@ -460,12 +460,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, names, forbidden", [
         (["detmoment", "--mode", "pointwise", "--m", "1", "--n", "2000", "--c", "1e160"], "m=1, v=1, c=1e+160",
-         ["mehtalab.mehta.sample_goe_batch"]),
+         ["mehtalab.mehta.sample_goe_batch", "mehtalab.mehta.map_goe_slabs"]),
         (["kacrice", "--curve", "--m", "3", "--v", "1e300", "--n", "2000", "--curve-points", "3"], "m=3, v=1e+300",
          []),
         # c^2 / 4v past exp's range while c^2 is finite
         (["detmoment", "--mode", "pointwise", "--m", "1", "--n", "2000", "--c", "60"], "m=1, v=1, c=60",
-         ["mehtalab.mehta.sample_goe_batch"]),
+         ["mehtalab.mehta.sample_goe_batch", "mehtalab.mehta.map_goe_slabs"]),
     ])
     def test_float_range_exits_2(self, monkeypatch, capsys, argv, names, forbidden):
         # one line naming the parameters, no numpy warning and no NaN artifact; the pointwise

@@ -116,6 +116,10 @@ class TestBlockCore:
 
         assert _traced_peak(run, 2_000_000) <= 1.25 * _traced_peak(run, 200_000)
 
+    def test_dense_block_memory_is_bounded_in_m(self):
+        # dense draws come in slabs of about 1 MiB: a block of 4000 GOE(60) matrices alone would be 115 MB
+        assert _traced_peak(lambda n: mehta.exp_abs_det_mc(60, 1.0, 0.0, n, seed=3, workers=1), 4000) < 64 * 2**20
+
     @pytest.mark.parametrize("k", [1, 8])
     def test_kacrice_block_has_no_node_axis(self, k):
         # a block holds O(BLOCK (m + K)) floats; one (BLOCK, 64) float buffer alone is 8.4 MB

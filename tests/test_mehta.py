@@ -188,6 +188,37 @@ class TestMehtaMC:
         assert res.meta["ess"] > 0.1 * 20000
         assert res.meta["max_weight_share"] < 0.01
 
+    def test_log_vandermonde_is_the_sum_of_logs(self):
+        # one running product per draw, rescaled every 16 factors, against a log per pair
+        rng = np.random.default_rng(538)
+        for m in range(2, 40):
+            lam = rng.normal(scale=math.sqrt((m + 1) / 2.0), size=(500, m))
+            want = sum(np.log(np.abs(lam[:, i] - lam[:, j])) for i in range(m) for j in range(i + 1, m))
+            np.testing.assert_allclose(mehta._log_vandermonde(lam), want, rtol=1e-12, atol=1e-12)
+
+    def _log_weights(self, monkeypatch, m):
+        captured = []
+        monkeypatch.setattr(mehta, "mc_estimate", lambda fn, *args, **kwargs: captured.append(fn))
+        mehta_mc(m, 1000)
+        return captured[0]
+
+    def test_log_weights_draw_the_normal_bits(self, monkeypatch):
+        # standard normals scaled in place are normal(0, s)'s numbers
+        m, var = 5, 3.0
+        lam = np.random.default_rng(539).normal(0.0, math.sqrt(var), size=(1000, m))
+        want = (lam * lam) @ np.full(m, -0.5 * (1.0 - 1.0 / var)) + mehta._log_vandermonde(lam)
+        assert np.array_equal(self._log_weights(monkeypatch, m)(np.random.default_rng(539), 1000), want)
+
+    def test_tied_pair_weighs_zero(self, monkeypatch):
+        # a tie is log weight -inf, so weight 0, with no divide warning (RuntimeWarnings are errors here)
+        class Tied:
+            def standard_normal(self, size):
+                return np.array([[0.5, 0.5, -1.0], [0.1, 0.2, 0.3]])
+
+        lw = self._log_weights(monkeypatch, 3)(Tied(), 2)
+        assert lw[0] == -math.inf and math.isfinite(lw[1])
+        assert np.exp(lw - lw.max()).tolist()[0] == 0.0
+
     def test_se_sqrt2_decay(self):
         # doubling the sample count shrinks the reported error near 1/sqrt(2)
         ratios = []
@@ -318,6 +349,7 @@ class TestDetmomentPointwise:
             raise AssertionError("drew before the reference")
 
         monkeypatch.setattr(mehta, "sample_goe_batch", no_draw)
+        monkeypatch.setattr(mehta, "map_goe_slabs", no_draw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=r"m=1, v=1, c=1e\+160 leaves the float range"):
@@ -447,6 +479,7 @@ class TestKacRiceVsEmpirical:
             raise AssertionError("drew before validating the intervals")
 
         monkeypatch.setattr(mehta, "sample_goe_batch", no_draw)
+        monkeypatch.setattr(mehta, "map_goe_slabs", no_draw)
         monkeypatch.setattr(mehta, "sample_goe_tridiagonal", no_draw)
         with pytest.raises(ValueError, match="a < b"):
             kacrice_intervals(1, 1.0, intervals, 1000, seed=0)
@@ -533,7 +566,7 @@ class TestReproduce:
         def forbidden(*args, **kwargs):
             raise AssertionError("dense route called")
 
-        for name in ("sample_goe_batch", "batched_det", "batched_eigvals"):
+        for name in ("sample_goe_batch", "map_goe_slabs", "batched_det", "batched_eigvals"):
             monkeypatch.setattr(mehta, name, forbidden)
         monkeypatch.setattr(np.linalg, "det", forbidden)
         assert len(reproduce_zm(5, 2000, seed=534)) == 5

@@ -1,5 +1,7 @@
+import ast
 import io
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from mehtalab.symspace import (
     ell_coords,
     goe_log_density,
     inner_product,
+    map_goe_slabs,
     omega_coords,
     omega_coords_batch,
     read_matrices,
@@ -167,8 +170,9 @@ def test_every_entry_point_raises_the_rule(monkeypatch, name, m, v):
 
     for module in (estimation, mehta, spectral, symspace):
         monkeypatch.setattr(module, "map_chunks", spy)
-    for module in (mehta, spectral, regression):
-        monkeypatch.setattr(module, "sample_goe_batch", spy)
+    for module, sampler in ((mehta, "sample_goe_batch"), (mehta, "map_goe_slabs"), (spectral, "map_goe_slabs"),
+                            (regression, "sample_goe_batch")):
+        monkeypatch.setattr(module, sampler, spy)
     monkeypatch.setattr(mehta, "sample_goe_tridiagonal", spy)
     with pytest.raises(ValueError) as want:
         EnsembleParams(m, 0.0, v)
@@ -205,6 +209,51 @@ class TestGoeSampler:
         assert np.array_equal(a, b)
         c = sample_goe_batch(3, 1.0, 5, substream(107, 3))
         assert not np.array_equal(a, c)
+
+
+class TestGoeSlabs:
+    @pytest.mark.parametrize("slab", [7, None])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 17])
+    def test_slabs_are_the_whole_block(self, m, slab):
+        # eigenvalues and determinants slab by slab, the last slab short, are the whole block's
+        # bits, and the generator ends where the whole-block call leaves it (its next draw is
+        # the same); at m = 17 the default slab is 453 draws
+        n = 1000
+        for fn in (spectral.batched_eigvals, spectral.batched_det, lambda a: a):
+            rng, whole_rng = substream(115), substream(115)
+            got = map_goe_slabs(fn, m, 0.5, n, rng, slab)
+            assert np.array_equal(got, fn(sample_goe_batch(m, 0.5, n, whole_rng)))
+            assert repr(rng.bit_generator.state) == repr(whole_rng.bit_generator.state)
+            assert rng.normal() == whole_rng.normal()
+
+    def test_rows_keep_the_layout_of_fn(self):
+        # column-contiguous rows (one column per level) stay column-contiguous, so
+        # their moments are the whole block's bits
+        def levels(a):
+            return np.array([spectral.batched_det(a - t * np.eye(a.shape[-1])) for t in (-1.0, 0.5)]).T
+
+        got = map_goe_slabs(levels, 5, 1.0, 1000, substream(116), slab=300)
+        want = levels(sample_goe_batch(5, 1.0, 1000, substream(116)))
+        assert got.flags.f_contiguous and np.array_equal(got, want)
+        mom, ref = estimation.Moments.of(got), estimation.Moments.of(want)
+        assert np.array_equal(mom.mean, ref.mean) and np.array_equal(mom.m2, ref.m2)
+
+    def test_no_dense_block_goes_straight_to_the_eigensolver(self):
+        # batched_eigvals(sample_goe_batch(...)) holds the block's (n, m, m) matrices at once;
+        # routes that keep only eigenvalues or determinants map them over slabs instead
+        src = pathlib.Path(symspace.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and _called_name(node) in ("batched_eigvals", "batched_det"):
+                    found += [f"{path.name}:{node.lineno}" for arg in node.args
+                              if isinstance(arg, ast.Call) and _called_name(arg) == "sample_goe_batch"]
+        assert found == []
+
+
+def _called_name(call):
+    """The called function's name, for f(...) and module.f(...)."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
 
 
 def assemble_tridiagonal(diag, off_sq):
