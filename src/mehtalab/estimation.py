@@ -68,8 +68,8 @@ def substream(seed: int, worker: int = 0) -> np.random.Generator:
 class Moments:
     """Count, mean and sum of squared deviations (M2) of a sample, elementwise.
 
-    With ``cross`` the sample has one column per variable and M2 is their
-    co-moment matrix, sum (y - mean)(y - mean)^T.  The sample's values are
+    An M2 with one axis more than the mean is the co-moment matrix of one
+    column per variable, sum (y - mean)(y - mean)^T.  The sample's values are
     exp(``shift``) times the stored ones; importance weights keep their
     largest log weight there so that they cannot overflow.
     """
@@ -78,11 +78,10 @@ class Moments:
     mean: np.ndarray
     m2: np.ndarray
     shift: float = 0.0
-    cross: bool = False
 
     @classmethod
     def of(cls, y, shift: float = 0.0, cross: bool = False) -> Moments:
-        """Two-pass moments over the first axis of y (one row per draw)."""
+        """Two-pass moments over the first axis of y (one row per draw); ``cross`` asks for the co-moment matrix."""
         y = np.asarray(y, dtype=float)
         mean = y.mean(axis=0)
         dev = y - mean
@@ -91,7 +90,12 @@ class Moments:
         if cross:
             np.fill_diagonal(co, m2)  # the diagonal keeps the elementwise bits
             m2 = co
-        return cls(y.shape[0], mean, m2, shift, cross)
+        return cls(y.shape[0], mean, m2, shift)
+
+    @property
+    def cross(self) -> bool:
+        """Whether M2 is a co-moment matrix: it has one axis more than the mean."""
+        return np.ndim(self.m2) > np.ndim(self.mean)
 
     def merge(self, other: Moments) -> Moments:
         """Moments of the union of two samples (Chan, Golub & LeVeque 1983)."""
@@ -102,7 +106,7 @@ class Moments:
         mean = fa * self.mean + delta * (other.count / count)
         outer = np.outer(delta, delta) if self.cross else delta * delta
         m2 = fa * fa * self.m2 + fb * fb * other.m2 + outer * (self.count * other.count / count)
-        return Moments(count, mean, m2, shift, self.cross)
+        return Moments(count, mean, m2, shift)
 
     @property
     def std_error(self):
@@ -111,9 +115,9 @@ class Moments:
 
     @property
     def ess(self) -> float:
-        """Kish effective sample size (sum w)^2 / sum w^2 of a weight sample."""
-        mean2 = float(self.mean) ** 2
-        return self.count * mean2 / (mean2 + float(self.m2) / self.count)
+        """Kish effective sample size (sum w)^2 / sum w^2 of a one-variable weight sample."""
+        mean2 = self.mean.item() ** 2
+        return self.count * mean2 / (mean2 + self.m2.item() / self.count)
 
 
 def map_chunks(fn, n: int, seed: int, workers: int | None = None, stream: int = 0) -> Moments:
@@ -193,11 +197,11 @@ def mc_estimate(weight_fn, n_samples: int, seed: int, workers: int | None = None
 
     ``weight_fn(rng, size)`` returns per-sample weights (size,), and the
     result is one EstimatorResult; or K weight columns (size, K), reduced in
-    the layout they come in, and the result is a list of K, column k scaled
-    by ``scale[k]`` and judged against ``reference[k]`` (a scalar serves
-    every column).  With ``log_weights`` the weights are logs, which keeps
-    heavy-tailed products from overflowing before they are averaged; one
-    column of them puts its Kish ESS in ``meta["ess"]``, the largest
+    the layout they come in, and the result is a list of K.  Column k is
+    scaled by ``scale[k]`` and judged against ``reference[k]``; a scalar
+    serves every column.  With ``log_weights`` the weights are logs, which
+    keeps heavy-tailed products from overflowing before they are averaged;
+    one column of them puts its Kish ESS in ``meta["ess"]``, the largest
     weight's share of their sum in ``meta["max_weight_share"]``, and
     ``meta["degraded"]`` with a reason when ESS/n is below ``ESS_FLOOR``; the
     4-SE verdict ignores the flag.
@@ -208,26 +212,16 @@ def mc_estimate(weight_fn, n_samples: int, seed: int, workers: int | None = None
         return Moments.of(np.exp(w - shift) if log_weights else w, shift)
 
     mom = map_chunks(block, n_samples, seed, _worker_count(workers), stream)
-    if np.ndim(mom.mean):
-        cols = mom.mean.size
-        units = [s * math.exp(mom.shift) for s in (scale if np.ndim(scale) else [scale] * cols)]
-        refs = reference if np.ndim(reference) else [reference] * cols
-        return [EstimatorResult(unit * float(mu), unit * float(se), n_samples, seed, ref)
-                for mu, se, unit, ref in zip(mom.mean, mom.std_error, units, refs, strict=True)]
-    unit = scale * math.exp(mom.shift)
-    meta = {}
-    if log_weights:
+    cols = np.size(mom.mean)
+    units = [s * math.exp(mom.shift) for s in (scale if np.ndim(scale) else [scale] * cols)]
+    refs = reference if np.ndim(reference) else [reference] * cols
+    results = [EstimatorResult(unit * float(mu), unit * float(se), n_samples, seed, ref)
+               for mu, se, unit, ref in zip(np.ravel(mom.mean), np.ravel(mom.std_error), units, refs, strict=True)]
+    if log_weights and cols == 1:
         # the merged shift is the largest log weight, so that weight is stored as exp(0) = 1
         share = mom.ess / n_samples
-        meta = {"ess": mom.ess, "max_weight_share": 1.0 / (mom.count * float(mom.mean)),
-                "degraded": share < ESS_FLOOR}
+        meta = results[0].meta
+        meta.update(ess=mom.ess, max_weight_share=1.0 / (mom.count * mom.mean.item()), degraded=share < ESS_FLOOR)
         if meta["degraded"]:
             meta["reason"] = f"Kish ESS/n = {share:.3g} is below {ESS_FLOOR:g}: the proposal has collapsed"
-    return EstimatorResult(
-        estimate=unit * float(mom.mean),
-        std_error=unit * float(mom.std_error),
-        n_samples=n_samples,
-        seed=seed,
-        reference=reference,
-        meta=meta,
-    )
+    return results if np.ndim(mom.mean) else results[0]

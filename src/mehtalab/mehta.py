@@ -36,8 +36,8 @@ from mehtalab.spectral import (
     _pfaffian_log_integral,
     _rescale,
     batched_det,
-    batched_eigvals,
     goe_density,
+    weyl_expectation_mc,
 )
 from mehtalab.symspace import EnsembleParams, map_goe_slabs, sample_goe_batch, sample_goe_tridiagonal
 
@@ -427,8 +427,8 @@ def kacrice_intervals(
 ) -> list[KacRiceComparison]:
     """Expected critical-value mass of each interval (a, b), three independent ways.
 
-    empirical: eigenvalues of an (m+1)-dimensional GOE(v) draw, taken slab by
-    slab (``map_goe_slabs``), counted in the interval and doubled (each
+    empirical: eigenvalues of an (m+1)-dimensional GOE(v) draw
+    (``weyl_expectation_mc``), counted in the interval and doubled (each
     eigenvalue is an antipodal pair of critical points).  kacrice: the
     Gaussian-weighted quadrature of the Monte Carlo Kac-Rice density,
     det(T - t I) by the continuant of tridiagonal GOE(m) draws.  spectral: the
@@ -448,12 +448,11 @@ def kacrice_intervals(
     if not (len(ends) and (ends[:, 1] > ends[:, 0]).all()):
         raise ValueError("need at least one interval, each with a < b")
 
-    def counts(rng, size):
-        lam = map_goe_slabs(batched_eigvals, m + 1, v, size, rng)
+    def counts(lam):
         return 2.0 * ((lam >= ends[:, 0, None, None]) & (lam <= ends[:, 1, None, None])).sum(axis=2).T
 
     kacrice = _kacrice_masses(m, v, ends, n_samples, seed, workers, stream=1)
-    empirical = mc_estimate(counts, n_samples, seed, workers, stream=0)
+    empirical = weyl_expectation_mc(counts, EnsembleParams(m + 1, 0.0, v), n_samples, seed, workers)
     spectral = mc_estimate(partial(_sturm_counts, m, v, ends), n_samples, seed, workers, stream=2)
     return [KacRiceComparison((float(a), float(b)), e, k, s, _pair_z(e, k), _pair_z(e, s), _pair_z(k, s), x)
             for (a, b), e, k, s, x in zip(ends, empirical, kacrice, spectral, _exact_masses(m, v, ends))]

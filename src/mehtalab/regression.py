@@ -105,13 +105,7 @@ class JointGaussian:
             raise ValueError("joint covariance block has an eigenvalue below -1e-10")
 
     def block(self) -> np.ndarray:
-        dx, dy = self.x.dim, self.y.dim
-        b = np.zeros((dx + dy, dx + dy))
-        b[:dx, :dx] = self.x.cov
-        b[dx:, dx:] = self.y.cov
-        b[dx:, :dx] = self.cross
-        b[:dx, dx:] = self.cross.T
-        return b
+        return np.block([[self.x.cov, self.cross.T], [self.cross, self.y.cov]])
 
 
 @dataclass
@@ -157,24 +151,17 @@ def empirical_correlator(xs: np.ndarray, ys: np.ndarray) -> JointGaussian:
     """Joint Gaussian with empirical means, covariances, and cross covariance.
 
     ``xs`` and ``ys`` are (n, dim_x) and (n, dim_y) sample stacks with n >= 2.
+    The three covariances are blocks of one ``np.cov``, which is exactly symmetric.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if xs.shape[0] != ys.shape[0]:
         raise ValueError("x and y sample counts differ")
-    n = xs.shape[0]
-    if n < 2:
+    if xs.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    mx = xs.mean(axis=0)
-    my = ys.mean(axis=0)
-    xc = xs - mx
-    yc = ys - my
-    cov_x = xc.T @ xc / (n - 1)
-    cov_y = yc.T @ yc / (n - 1)
-    cross = yc.T @ xc / (n - 1)
-    cov_x = 0.5 * (cov_x + cov_x.T)
-    cov_y = 0.5 * (cov_y + cov_y.T)
-    return JointGaussian(GaussianVector(mx, cov_x), GaussianVector(my, cov_y), cross)
+    cov, dx = np.cov(np.hstack([xs, ys]), rowvar=False), xs.shape[1]
+    x, y = GaussianVector(xs.mean(axis=0), cov[:dx, :dx]), GaussianVector(ys.mean(axis=0), cov[dx:, dx:])
+    return JointGaussian(x, y, cov[dx:, :dx])
 
 
 def regress(j: JointGaussian) -> RegressionResult:

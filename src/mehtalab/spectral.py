@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 from scipy import sparse
-from scipy.special import ndtr
+from scipy.special import ndtr, roots_legendre
 
 from mehtalab.estimation import EstimatorResult, Moments, _worker_count, map_chunks, mc_estimate
 from mehtalab.symspace import EnsembleParams, SymMatrix, map_goe_slabs
@@ -167,11 +167,12 @@ def spectral_measure(a: SymMatrix, degeneracy_tol: float | None = None) -> Point
 
 def weyl_expectation_mc(
     f, params: EnsembleParams, n_samples: int, seed: int = 0, workers: int | None = None
-) -> EstimatorResult:
-    """Monte Carlo E[f] over GOE(m, v) for a conjugation-invariant f.
+) -> EstimatorResult | list[EstimatorResult]:
+    """Monte Carlo E[f] over GOE(m, v) for a conjugation-invariant f, on stream 0.
 
     ``f`` takes an (k, m) array of ascending eigenvalue rows and returns a
-    (k,) array; the eigenvalues come slab by slab (``map_goe_slabs``).
+    (k,) array, or K columns (k, K) for a list of K results (``mc_estimate``);
+    the eigenvalues come slab by slab (``map_goe_slabs``).
     """
     if not params.is_goe:
         raise ValueError("Weyl expectations are implemented for the u = 0 ensemble")
@@ -205,9 +206,9 @@ def _hermite_functions(y, count: int):
             exponent += _rescale(phi_prev, phi)
 
 
-# one rule per node count, made on first use: a rule's eigen-solve at import raised peak RSS by
-# about 1.4 MiB, and one run between two Monte Carlo passes the report's by about 7 MiB (n = 1e5)
-_legendre = lru_cache(maxsize=8)(legendre.leggauss)
+# one rule per node count, made on first use from the banded Jacobi matrix's eigenvalues and one Newton step;
+# numpy's leggauss takes a dense eigen-solve, which OpenBLAS threads: 0.5 s at 256 nodes on two threads
+_legendre = lru_cache(maxsize=8)(roots_legendre)
 _PANEL_RTOL, _MAX_PANELS = 1e-14, 1024
 
 

@@ -175,7 +175,8 @@ class TestBasicCommands:
 
     def test_kacrice_past_float_range_exits_2_before_dense_draws(self, monkeypatch, capsys):
         # the Kac-Rice pass runs first and raises; the dense (m + 1)-dimensional sampler is never reached
-        _forbid(monkeypatch, "mehtalab.mehta.sample_goe_batch", "mehtalab.mehta.map_goe_slabs")
+        _forbid(monkeypatch, "mehtalab.mehta.sample_goe_batch", "mehtalab.mehta.map_goe_slabs",
+                "mehtalab.spectral.map_goe_slabs")
         rc = main(["kacrice", "--m", "300", "--v", "1", "--n", "2000"])
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""

@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import functools
 import io
 import math
 import os
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -37,6 +39,52 @@ def test_weight_columns_equal_one_column_calls():
         assert res.to_dict() == alone.to_dict()
 
 
+def test_one_weight_column_is_the_one_weight_call():
+    # a (size, 1) column gives a list of one result with the (size,) call's bits, z included
+    def column(rng, size):
+        return rng.normal(size=(size, 1))
+
+    [res] = mc_estimate(column, BLOCK + 100, 42, 1, scale=2.0, reference=0.1)
+    alone = mc_estimate(lambda rng, size: column(rng, size)[:, 0], BLOCK + 100, 42, 1, scale=2.0, reference=0.1)
+    assert (res.estimate, res.std_error, res.z_score) == (alone.estimate, alone.std_error, alone.z_score)
+    assert res.to_dict() == alone.to_dict()
+
+
+def test_one_log_weight_column_carries_its_diagnostics():
+    # a one-column log-weight pass keeps ESS, the largest weight's share and the degraded flag;
+    # log-normal weights of log-sd 8 leave a few draws with most of the mass, so this pass has collapsed
+    def column(rng, size):
+        return 300.0 + 8.0 * rng.normal(size=(size, 1))
+
+    [res] = mc_estimate(column, BLOCK + 100, 43, 1, log_weights=True)
+    alone = mc_estimate(lambda rng, size: column(rng, size)[:, 0], BLOCK + 100, 43, 1, log_weights=True)
+    assert res.to_dict() == alone.to_dict()
+    assert res.meta["degraded"] and "reason" in res.meta
+    assert 1.0 <= res.meta["ess"] < 20.0 and 0.0 < res.meta["max_weight_share"] <= 1.0
+
+
+def test_map_chunks_callers_and_no_dense_legendre_rule():
+    # every Monte Carlo pass reduces through mc_estimate, except these, each for its reason; and no
+    # Gauss-Legendre rule comes from numpy's leggauss, whose dense eigen-solve OpenBLAS threads
+    allowed = {
+        "mc_estimate": "the one reduction path",
+        "reproduce_zm": "needs the ratios' co-moment matrix",
+        "cmd_regress_demo": "needs the co-moment matrix's cross block",
+        "covariance_audit": "hand-built moments, one product row at a time, so a block stays (size, p)",
+        "one_point_correlation": "hand-built moments of sparse per-matrix cell sums",
+    }
+    callers, leggauss = set(), []
+    for path in sorted(pathlib.Path(estimation.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _name(node.func) == "map_chunks":
+                    callers.add(getattr(top, "name", None))
+                if _name(node) == "leggauss":
+                    leggauss.append(f"{path.name}:{node.lineno}")
+    assert callers == set(allowed)
+    assert leggauss == []
+
+
 class TestBlockCore:
     def test_merge_matches_whole_sample(self):
         rng = np.random.default_rng(7)
@@ -57,6 +105,20 @@ class TestBlockCore:
         assert np.allclose(merged.m2, np.cov(y, rowvar=False) * 999, rtol=1e-12, atol=0.0)
         assert np.allclose(merged.mean, y.mean(axis=0), rtol=1e-13, atol=0.0)
         assert np.allclose(merged.std_error, Moments.of(y).std_error, rtol=1e-12, atol=0.0)
+
+    def test_comoment_told_by_shape(self):
+        # a (K,) mean with a (K, K) M2 is a co-moment pair, built without any flag, and merges as one
+        rng = np.random.default_rng(19)
+        y = 2.0 + rng.normal(size=(900, 4)) @ rng.normal(size=(4, 4))
+
+        def of(part):
+            dev = part - part.mean(axis=0)
+            return Moments(len(part), part.mean(axis=0), dev.T @ dev)
+
+        merged = functools.reduce(Moments.merge, map(of, np.split(y, [5, 400, 650])))
+        assert merged.cross and not Moments.of(y).cross
+        np.testing.assert_allclose(merged.m2, np.cov(y, rowvar=False) * 899, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(merged.std_error, Moments.of(y).std_error, rtol=1e-12, atol=0.0)
 
     def test_two_dimensional_elementwise_m2_merges_elementwise(self):
         # a (p, p) M2 of p x p products, as covariance_audit builds it, is not a co-moment
@@ -189,6 +251,11 @@ class TestPool:
     def test_usable_cores_is_the_affinity_mask(self):
         assert estimation._worker_count() == len(os.sched_getaffinity(0)) >= 1
         assert estimation._worker_count(5) == 5
+
+
+def _name(node):
+    """The name a node refers to: f for f and for module.f, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
 
 
 def _traced_peak(run, n):

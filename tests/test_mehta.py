@@ -428,12 +428,22 @@ class TestKacRiceVsEmpirical:
             calls.append(mats.shape)
             return batched_eigvals(mats)
 
-        monkeypatch.setattr(mehta, "batched_eigvals", counting)
+        monkeypatch.setattr(spectral, "batched_eigvals", counting)
         n = 2 * BLOCK + 1000
         res = kacrice_vs_empirical(1, 1.0, -1.0, 1.0, n, seed=536)
         blocks = [BLOCK, BLOCK, 1000]
         assert sorted(calls) == sorted([(k, 2, 2) for k in blocks])
         assert res.passed
+
+    def test_empirical_route_is_weyl_expectation_mc(self):
+        # the dense empirical mass of each interval is E[2 count] by weyl_expectation_mc over
+        # GOE(m + 1, v), bit for bit, whatever the worker count
+        m, v, n, intervals = 2, 0.8, BLOCK + 1000, [(-1.0, 1.0), (0.0, math.inf), (-math.inf, -0.5)]
+        together = kacrice_intervals(m, v, intervals, n, seed=538, workers=2)
+        for (a, b), res in zip(intervals, together, strict=True):
+            alone = spectral.weyl_expectation_mc(lambda lam: 2.0 * ((lam >= a) & (lam <= b)).sum(axis=1),
+                                                 EnsembleParams(m + 1, 0.0, v), n, seed=538, workers=1)
+            assert res.empirical.to_dict() == alone.to_dict()
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_kacrice_intervals_match_single(self, m):
@@ -480,6 +490,7 @@ class TestKacRiceVsEmpirical:
 
         monkeypatch.setattr(mehta, "sample_goe_batch", no_draw)
         monkeypatch.setattr(mehta, "map_goe_slabs", no_draw)
+        monkeypatch.setattr(spectral, "map_goe_slabs", no_draw)  # the dense count's draws
         monkeypatch.setattr(mehta, "sample_goe_tridiagonal", no_draw)
         with pytest.raises(ValueError, match="a < b"):
             kacrice_intervals(1, 1.0, intervals, 1000, seed=0)
@@ -566,8 +577,9 @@ class TestReproduce:
         def forbidden(*args, **kwargs):
             raise AssertionError("dense route called")
 
-        for name in ("sample_goe_batch", "map_goe_slabs", "batched_det", "batched_eigvals"):
+        for name in ("sample_goe_batch", "map_goe_slabs", "batched_det"):
             monkeypatch.setattr(mehta, name, forbidden)
+        monkeypatch.setattr(spectral, "batched_eigvals", forbidden)  # where mehta's dense count finds it
         monkeypatch.setattr(np.linalg, "det", forbidden)
         assert len(reproduce_zm(5, 2000, seed=534)) == 5
 

@@ -134,6 +134,19 @@ class TestEmpiricalCorrelator:
         with pytest.raises(ValueError):
             empirical_correlator(np.zeros((1, 2)), np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("n, dx, dy", [(7, 2, 3), (1000, 3, 6), (20000, 4, 10)])
+    def test_covariances_are_symmetric_and_centred_products(self, n, dx, dy):
+        # the blocks of one np.cov are exactly symmetric, and they are the centred products over n - 1
+        rng = substream(309)
+        xs = 5.0 + rng.normal(size=(n, dx))
+        ys = rng.normal(size=(n, dy)) + xs[:, :1]
+        j = empirical_correlator(xs, ys)
+        assert np.array_equal(j.x.cov, j.x.cov.T) and np.array_equal(j.y.cov, j.y.cov.T)
+        xc, yc = xs - xs.mean(axis=0), ys - ys.mean(axis=0)
+        for got, want in ((j.x.cov, xc.T @ xc), (j.y.cov, yc.T @ yc), (j.cross, yc.T @ xc)):
+            np.testing.assert_allclose(got, want / (n - 1), rtol=1e-13, atol=1e-15)
+        assert np.array_equal(j.x.mean, xs.mean(axis=0)) and np.array_equal(j.y.mean, ys.mean(axis=0))
+
     def test_paper_pair_diagonal_cross(self):
         # cov(diag Hessian coordinate, value coordinate) = -v at v = 1
         w, h = hessian_pair_samples(2, 1.0, 200000, substream(306))
