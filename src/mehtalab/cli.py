@@ -12,11 +12,13 @@ except for wall_time_s and the echoed workers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,9 @@ ENV_PREFIX = "MEHTA_"
 
 # largest passing |mehta_quadrature(m) - closed form|, by m
 QUADRATURE_GATE = {1: 2e-6, 2: 2e-6, 3: 1e-4}
+# matrices per block of a critical-points-exact row: one worker's traced peak at m = 3 is
+# 1.2 MiB at any --n (5.7 MiB for 5000 matrices in one batch); blocks of 512 run 2-16% slower
+_FINDER_BLOCK = 1024
 
 
 # (name, type, default, has a MEHTA_* variable, extra argparse keywords) of
@@ -244,6 +249,25 @@ def _criterion_seed(seed: int, key: int) -> int:
     return int(np.random.SeedSequence([seed, key]).generate_state(1)[0])
 
 
+class _FinderCheck(NamedTuple):
+    """Largest |critical value - eigenvalue| of a critical-points-exact row, and whether all Morse indices are right."""
+
+    max_value_deviation: float
+    morse_ok: bool
+
+    def merge(self, other: _FinderCheck) -> _FinderCheck:
+        return _FinderCheck(max(self.max_value_deviation, other.max_value_deviation), self.morse_ok and other.morse_ok)
+
+
+def _finder_check(d: int, rng, size: int) -> _FinderCheck:
+    """The finder against the eigensolver on ``size`` GOE(d, 1) draws; rng draws the matrices, then the starts."""
+    mats = symspace.sample_goe_batch(d, 1.0, size, rng)
+    batch = spherefield.find_critical_points_batch(mats, rng=rng)
+    dev = np.abs(np.sort(batch.values, axis=1) - np.repeat(spectral.batched_eigvals(mats), 2, axis=1))
+    morse = np.sort(batch.morse_indices, axis=1) == np.repeat(np.arange(d), 2)
+    return _FinderCheck(float(dev.max()), bool(morse.all()))
+
+
 def _criteria(n: int, seed: int, workers: int):
     """Yield (name, estimate, reference, z, pass, detail) for every report row, in order.
 
@@ -290,17 +314,10 @@ def _criteria(n: int, seed: int, workers: int):
 
     for key, m in enumerate((1, 2, 3), start=70):
         count = _scaled(n, 10000, 100)
-        # one generator draws the matrices, then the finder's starts
-        rng = substream(_criterion_seed(seed, key))
-        mats = symspace.sample_goe_batch(m + 1, 1.0, count, rng)
         try:
-            batch = spherefield.find_critical_points_batch(mats, rng=rng)
-            lam = spectral.batched_eigvals(mats)
-            dev = float(np.max(np.abs(np.sort(batch.values, axis=1) - np.repeat(lam, 2, axis=1))))
-            want = np.repeat(np.arange(m + 1), 2)[None, :]
-            morse_ok = bool((np.sort(batch.morse_indices, axis=1) == want).all())
-            ok = dev <= 1e-8 and morse_ok
-            detail = {"samples": count, "max_value_deviation": dev, "morse_ok": morse_ok}
+            dev, morse_ok = map_chunks(functools.partial(_finder_check, m + 1), count, _criterion_seed(seed, key),
+                                       workers, block=_FINDER_BLOCK)
+            ok, detail = dev <= 1e-8 and morse_ok, {"samples": count, "max_value_deviation": dev, "morse_ok": morse_ok}
         except (spherefield.IncompleteSearchError, spherefield.DegenerateMatrixError) as exc:
             ok, dev, detail = False, None, {"error": str(exc)}
         yield f"critical-points-exact m={m}", dev, 0.0, None, ok, detail
@@ -478,6 +495,8 @@ def main(argv=None) -> int:
             # a count below 1 would run nothing and report it as a pass
             if getattr(args, name, 1) < 1:
                 raise ValueError(f"{_flag(name)} must be a positive integer, got {getattr(args, name)}")
+        if not 0 <= getattr(args, "seed", 0) < 2**64:  # a Philox key word
+            raise ValueError(f"--seed must be an integer in [0, 2^64), got {args.seed}")
         t0 = time.perf_counter()
         body = args.fn(args)
         if isinstance(body, int):

@@ -2,16 +2,16 @@
 
 ``mc_estimate`` turns per-draw weights into results: one weight per draw
 gives one result, K weight columns give K results from the same draws.  Under
-it, and under the estimators that reduce their own co-moment matrices,
-``map_chunks`` cuts n draws into blocks of ``BLOCK`` draws.  Block b of
-stream s draws from its own counter-based Philox substream, a pure function
-of (seed, s, b) (Salmon et al., SC'11), and reduces to its count, mean and
-M2 or co-moment matrix; blocks merge in block order (Chan, Golub & LeVeque
-1983).  So variances do not cancel when |mean| >> sd, and the bits do not
-depend on the worker count.  ``workers`` defaults to, and is capped at, the
-CPUs the process may run on, and memory is about ``workers`` blocks in
-flight for any n; one worker computes on the calling thread, one block at a
-time.
+it, and under the passes that reduce their own results, ``map_chunks`` cuts
+n draws into blocks of ``BLOCK`` draws, or of a caller's ``block``.  Block b
+of stream s draws from its own counter-based Philox substream, a pure
+function of (seed, s, b) (Salmon et al., SC'11), and reduces to its count,
+mean and M2 or co-moment matrix (or a record with its own ``merge``); blocks
+merge in block order (Chan, Golub & LeVeque 1983).  So variances do not
+cancel when |mean| >> sd, and the bits do not depend on the worker count.
+``workers`` defaults to, and is capped at, the CPUs the process may run on,
+and memory is about ``workers`` blocks in flight for any n; one worker
+computes on the calling thread, one block at a time.
 """
 
 from __future__ import annotations
@@ -120,15 +120,16 @@ class Moments:
         return self.count * mean2 / (mean2 + self.m2.item() / self.count)
 
 
-def map_chunks(fn, n: int, seed: int, workers: int | None = None, stream: int = 0) -> Moments:
-    """Merge in block order the Moments that fn(rng, size) returns for every block of n draws.
+def map_chunks(fn, n: int, seed: int, workers: int | None = None, stream: int = 0, block: int = BLOCK):
+    """Merge in block order the results that fn(rng, size) returns for every block of n draws.
 
-    Block b draws from Philox key (seed, stream + 1), which no ``substream``
-    uses, at counter word b.  One worker runs the blocks on the calling thread,
-    with no pool; more make a pool of min(workers, usable CPUs) threads, which
-    pull blocks at most two per thread ahead of the merge.  So memory does not
-    grow with n and the result depends on neither.  Estimators run from one
-    seed pass different ``stream`` indices to draw disjoint samples.
+    Block b holds draws [b * block, (b + 1) * block) and draws from Philox key
+    (seed, stream + 1), which no ``substream`` uses, at counter word b; results
+    merge by their own ``merge``, as ``Moments`` do.  One worker runs the blocks
+    on the calling thread; more make a pool of min(workers, usable CPUs)
+    threads, which pull blocks at most two per thread ahead of the merge.  So
+    memory does not grow with n and the result depends on neither.  Estimators
+    run from one seed pass different ``stream`` indices to draw disjoint samples.
     """
     threads = min(_worker_count(workers), _worker_count())
     if threads < 1:
@@ -136,24 +137,24 @@ def map_chunks(fn, n: int, seed: int, workers: int | None = None, stream: int = 
     if n < 2:
         raise ValueError("n_samples must be at least 2: one draw has no standard error")
     n, key = int(n), np.array([seed, stream + 1], dtype=np.uint64)
-    blocks = range(-(-n // BLOCK))
+    blocks = range(-(-n // block))
 
-    def run(block):
-        rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, 0]))
-        return fn(rng, min(BLOCK, n - block * BLOCK))
+    def run(b):
+        rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, b, 0]))
+        return fn(rng, min(block, n - b * block))
 
     def in_order(pool):
         ahead = deque()
-        for block in blocks:
-            ahead.append(pool.submit(run, block))
+        for b in blocks:
+            ahead.append(pool.submit(run, b))
             if len(ahead) > 2 * threads:
                 yield ahead.popleft().result()
         yield from (future.result() for future in ahead)
 
     if threads == 1:
-        return functools.reduce(Moments.merge, map(run, blocks))
+        return functools.reduce(lambda a, b: a.merge(b), map(run, blocks))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return functools.reduce(Moments.merge, in_order(pool))
+        return functools.reduce(lambda a, b: a.merge(b), in_order(pool))
 
 
 @dataclass

@@ -397,6 +397,7 @@ def _cell_moments(lam, cells, weights, ncells):
     """
     size, span = lam.shape[0], ncells + 2
     escaped = ((cells[..., -1] < 0) | (cells[..., 0] >= ncells)).sum(axis=1)
+    tail = Moments.of(np.column_stack([(lam * lam) @ np.full(lam.shape[1], 1.0 / lam.shape[1]), escaped]))
     # off-grid cells go to a spare cell at either end of their matrix's row
     np.clip(cells, -1, ncells, out=cells)
     cells += 1
@@ -405,10 +406,13 @@ def _cell_moments(lam, cells, weights, ncells):
     # sort leaves them: fixed for a fixed block, not always the input order
     c = sparse.csr_array((weights.reshape(-1), cells.reshape(-1), indptr), shape=(size, span))
     c.sum_duplicates()
-    s1 = np.bincount(c.indices, c.data, minlength=span)[1:-1]
-    s2 = np.bincount(c.indices, c.data ** 2, minlength=span)[1:-1]
-    tail = Moments.of(np.column_stack([(lam * lam) @ np.full(lam.shape[1], 1.0 / lam.shape[1]), escaped]))
-    return Moments(size, np.append(s1 / size, tail.mean), np.append(s2 - s1 * s1 / size, tail.m2))
+    mean = np.bincount(c.indices, c.data, minlength=span) / size
+    # two-pass M2: a cell's stored sums deviate from its mean, each matrix with no entry there by -mean
+    dev = mean[c.indices]
+    dev -= c.data
+    m2 = np.bincount(c.indices, np.square(dev, out=dev), minlength=span)
+    m2 += (size - np.bincount(c.indices, minlength=span)) * mean * mean
+    return Moments(size, np.append(mean[1:-1], tail.mean), np.append(m2[1:-1], tail.m2))
 
 
 def goe_density(m: int, v: float, x):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mehtalab import estimation, mehta, regression, spectral, symspace
+from mehtalab import cli, estimation, mehta, regression, spectral, spherefield, symspace
 from mehtalab.cli import (COMMON_OPTIONS, _criterion_seed, _flag, _resolve, build_parser, main, render_report,
                           run_report)
 from mehtalab.symspace import read_matrices
@@ -253,6 +253,18 @@ class TestExitCodes:
         err = [line for line in capsys.readouterr().err.splitlines()
                if not line.startswith("config:")]
         assert err == [f"error: workers must be at least 1, got {workers}"]
+
+    @pytest.mark.parametrize("seed, env", [("-1", None), ("18446744073709551616", None), ("-1", "MEHTA_SEED")])
+    def test_seed_outside_the_key_range(self, capsys, monkeypatch, seed, env):
+        # a seed is one 64-bit Philox key word
+        argv = ["mehta", "--method", "mc", "--n", "2000"]
+        if env:
+            monkeypatch.setenv(env, seed)
+        else:
+            argv += ["--seed", seed]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: --seed must be an integer in [0, 2^64), got {seed}"]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("flag, extra", [("--bin-width", []),
@@ -606,11 +618,11 @@ class TestReportAndRender:
         keys = []
         real = estimation.map_chunks
 
-        def spy(fn, n, seed, workers=None, stream=0):
+        def spy(fn, n, seed, workers=None, stream=0, block=estimation.BLOCK):
             keys.append((seed, stream))
-            return real(fn, n, seed, workers, stream)
+            return real(fn, n, seed, workers, stream, block)
 
-        for module in (estimation, mehta, spectral, symspace):
+        for module in (estimation, mehta, spectral, symspace, cli):
             monkeypatch.setattr(module, "map_chunks", spy)
         t0 = time.perf_counter()
         rows = run_report(2000, 4, 1)["criteria"]
@@ -620,6 +632,35 @@ class TestReportAndRender:
         wall = [r["wall_time_s"] for r in rows]
         assert min(wall) >= 0.0
         assert sum(wall) <= elapsed
+
+    def test_finder_rows_equal_across_workers(self):
+        # each finder block draws from its own generator, so the pool changes no bit
+        def finder_rows(workers):
+            rows = run_report(2000, 6, workers)["criteria"]
+            return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows
+                    if r["name"].startswith("critical-points-exact")]
+
+        assert finder_rows(1) == finder_rows(2)
+
+    def test_finder_error_in_a_later_block_fails_its_row(self, monkeypatch, capsys):
+        # a search that fails in the second block of the m=1 row fails that row, not the run
+        calls, real = [], spherefield.find_critical_points_batch
+
+        def second_block_fails(mats, rng):
+            calls.append(len(mats))
+            if len(calls) == 2:
+                raise spherefield.IncompleteSearchError(2, 4, sample_index=3)
+            return real(mats, rng=rng)
+
+        monkeypatch.setattr(spherefield, "find_critical_points_batch", second_block_fails)
+        monkeypatch.setattr(cli, "_FINDER_BLOCK", 60)
+        rc, payload = run_json(capsys, ["report", "--n", "2000", "--workers", "1"])
+        rows = {r["name"]: r for r in payload["criteria"] if r["name"].startswith("critical-points-exact")}
+        assert rc == 1 and calls[:2] == [60, 40]
+        assert rows["critical-points-exact m=1"]["pass"] is False
+        assert rows["critical-points-exact m=1"]["detail"] == {
+            "error": "critical point search found 2 of 4 points (sample 3)"}
+        assert all(rows[f"critical-points-exact m={m}"]["pass"] for m in (2, 3))
 
     def test_render_pass_and_fail(self, tmp_path, capsys):
         report = {

@@ -6,11 +6,12 @@ import math
 import os
 import pathlib
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from mehtalab import estimation, mehta
+from mehtalab import cli, estimation, mehta
 from mehtalab.cli import main
 from mehtalab.estimation import BLOCK, Moments, mc_estimate, z_scores
 from mehtalab.spectral import one_point_correlation
@@ -72,6 +73,7 @@ def test_map_chunks_callers_and_no_dense_legendre_rule():
         "cmd_regress_demo": "needs the co-moment matrix's cross block",
         "covariance_audit": "hand-built moments, one product row at a time, so a block stays (size, p)",
         "one_point_correlation": "hand-built moments of sparse per-matrix cell sums",
+        "_criteria": "the finder rows reduce a max and an all, not moments",
     }
     callers, leggauss = set(), []
     for path in sorted(pathlib.Path(estimation.__file__).parent.glob("*.py")):
@@ -182,11 +184,38 @@ class TestBlockCore:
         # dense draws come in slabs of about 1 MiB: a block of 4000 GOE(60) matrices alone would be 115 MB
         assert _traced_peak(lambda n: mehta.exp_abs_det_mc(60, 1.0, 0.0, n, seed=3, workers=1), 4000) < 64 * 2**20
 
+    def test_finder_rows_memory_does_not_grow_with_n(self):
+        # a critical-points-exact row holds one block of _FINDER_BLOCK matrices, whatever its count
+        def run(count):
+            check = estimation.map_chunks(functools.partial(cli._finder_check, 2), count, 5, 1,
+                                          block=cli._FINDER_BLOCK)
+            assert check.max_value_deviation <= 1e-8 and check.morse_ok
+
+        assert _traced_peak(run, 10 * 2048) <= 1.25 * _traced_peak(run, 2048)
+
     @pytest.mark.parametrize("k", [1, 8])
     def test_kacrice_block_has_no_node_axis(self, k):
         # a block holds O(BLOCK (m + K)) floats; one (BLOCK, 64) float buffer alone is 8.4 MB
         ends = np.array([(a, a + 1.0) for a in np.linspace(-4.0, 3.0, k)])
         assert _traced_peak(lambda n: mehta._kacrice_masses(2, 1.0, ends, n, 3, 1, 1), 50000) < 4 * 2**20
+
+
+class _Log(NamedTuple):
+    """A record that merges by concatenation: each block's (size, first draw), in merge order."""
+
+    blocks: tuple
+
+    def merge(self, other):
+        return _Log(self.blocks + other.blocks)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_chunks_merges_any_record_in_block_order(workers):
+    # block b of a custom size holds draws [b * block, (b + 1) * block) on counter word b
+    log = estimation.map_chunks(lambda rng, size: _Log(((size, rng.random()),)), 2500, 11, workers, block=1000)
+    firsts = [np.random.Generator(np.random.Philox(key=np.array([11, 1], dtype=np.uint64),
+                                                   counter=[0, 0, b, 0])).random() for b in range(3)]
+    assert log.blocks == ((1000, firsts[0]), (1000, firsts[1]), (500, firsts[2]))
 
 
 class TestPool:

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import time
 import warnings
@@ -341,6 +342,10 @@ class TestWeylQuadrature:
                 assert math.isnan(info.value.achieved)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def dense_kernel_density(m, v, points, h, n_samples, seed):
     """Gaussian-kernel density estimate at the points with no cut-off, and its cluster standard errors."""
 
@@ -397,6 +402,29 @@ class TestOnePointCorrelation:
         assert mom.count == size and escaped.sum() > 0
         np.testing.assert_allclose(mom.mean, ref.mean(axis=0), rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(mom.m2, ((ref - ref.mean(axis=0)) ** 2).sum(axis=0), rtol=1e-12, atol=1e-12)
+
+    def test_cell_moments_do_not_cancel(self):
+        # every matrix puts 1 + O(1e-7) on cells 0..4, so a cell's mean is about 5e6 of its sd
+        rng = np.random.default_rng(222)
+        size, ncells = 500, 5
+        cells = np.array([[0, 1, 2], [2, 3, 4]]) + np.zeros((size, 1, 1), dtype=int)
+        weights = 1.0 + 1e-7 * rng.random(cells.shape)
+        sums = np.zeros((size, ncells))
+        for i, j in np.ndindex(size, 2):
+            sums[i, cells[i, j]] += weights[i, j]
+        mom = _cell_moments(rng.normal(size=(size, 2)), cells.copy(), weights, ncells)
+        np.testing.assert_allclose(mom.m2[:ncells], Moments.of(sums).m2, rtol=1e-10)
+
+    def test_huge_bandwidth_has_finite_errors(self, capsys):
+        # a bandwidth past the spectrum puts nearly equal weights on every cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = one_point_correlation(2, 1.0, 1000, estimator="kernel", bandwidth=1e10, seed=0)
+            assert main(["correlation", "--m", "2", "--n", "1000", "--estimator", "kernel",
+                         "--bandwidth", "1e10"]) == 0
+        assert np.isfinite(est.stderr).all() and (est.stderr >= 0.0).all()
+        stderr = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["stderr"]
+        assert all(isinstance(se, float) and se >= 0.0 for se in stderr)
 
     def test_kernel_meta_equals_histogram(self):
         # both estimators reduce the same draws through one path
