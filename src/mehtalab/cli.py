@@ -510,6 +510,10 @@ def main(argv=None) -> int:
         # a parameter so large that the result leaves the float range
         sys.stderr.write(f"error: parameter out of range, the result overflows a float ({exc})\n")
         return 2
+    except MemoryError as exc:
+        # a parameter so fine (a --bin-width of 1e-9) that the run's arrays cannot be allocated
+        sys.stderr.write(f"error: parameter out of range, the run needs more memory than is available ({exc})\n")
+        return 2
     except (OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

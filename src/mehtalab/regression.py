@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from mehtalab.estimation import EstimatorResult, mc_estimate
 from mehtalab.spectral import batched_eigvals
@@ -167,19 +166,18 @@ def empirical_correlator(xs: np.ndarray, ys: np.ndarray) -> JointGaussian:
 def regress(j: JointGaussian) -> RegressionResult:
     """Regression operator, residual covariance, and offset for a joint law.
 
-    The inverse of Var[X] is never formed; both the operator and the residual
-    correction are computed through a Cholesky solve.
+    The inverse of Var[X] is never formed: its one eigendecomposition q diag(lam) q^T
+    gives the degeneracy check (the smallest lam), the operator and the residual correction.
     """
     thr = j.x.degeneracy_threshold()
-    mineig = _min_eig(j.x.cov)
-    if not mineig > thr:
-        raise DegenerateConditioningError(mineig, thr)
-    chol = np.linalg.cholesky(j.x.cov)
-    # W = L^{-1} C_{X,Y}; then D = W^T W and R = (L^{-T} W)^T
-    w = solve_triangular(chol, j.cross.T, lower=True)
-    operator = solve_triangular(chol.T, w, lower=False).T
-    explained = w.T @ w
-    residual = j.y.cov - explained
+    lam, q = np.linalg.eigh(j.x.cov)
+    if not lam[0] > thr:
+        raise DegenerateConditioningError(float(lam[0]), thr)
+    scale = 1.0 / np.sqrt(lam)[:, None]
+    # W = diag(lam)^{-1/2} q^T C_{X,Y}; then D = W^T W and R = (q diag(lam)^{-1/2} W)^T
+    w = scale * (q.T @ j.cross.T)
+    operator = (q @ (scale * w)).T
+    residual = j.y.cov - w.T @ w
     residual = 0.5 * (residual + residual.T)
     offset = j.y.mean - operator @ j.x.mean
     return RegressionResult(operator=operator, residual_cov=residual, offset=offset)

@@ -2,10 +2,10 @@
 on the line, Weyl-formula expectations by Monte Carlo and by quadrature, and
 the one-point correlation estimator.
 
-Eigenvalues come from numpy's LAPACK symmetric solver (``eigvalsh``/``eigh``),
-the same library that already backs ``det``, ``solve`` and ``cholesky`` here.
-Every eigenvalue computation in the package goes through
-:func:`batched_eigvals`, so the solver is chosen in one place.  The
+Eigenvalues come from numpy's LAPACK symmetric solver (``eigvalsh``), the library
+that backs ``det`` and ``solve`` here.  Every eigenvalue-only computation goes through
+:func:`batched_eigvals`, so the solver is chosen in one place; the eigenvector
+factorizations in ``regression`` call numpy's ``eigh`` directly.  The
 critical-point finder in ``spherefield`` does not use it to locate points, so
 it stays an independent check on the eigenvalues.
 

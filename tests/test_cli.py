@@ -470,6 +470,21 @@ class TestExitCodes:
         assert err.splitlines() == ["error: parameter out of range, the result overflows a float "
                                     "(the pointwise reference at m=700, v=1, c=0 leaves the float range)"]
 
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        # `correlation --bin-width 1e-9` asks numpy for 186 GiB of histogram edges. The estimator
+        # is stood in for: on a host that overcommits memory the real allocation fills pages
+        # instead of failing fast
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 186. GiB for an array with shape (24995000001,) "
+                              "and data type float64")
+
+        monkeypatch.setattr(spectral, "one_point_correlation", no_memory)
+        rc = main(["correlation", "--m", "2", "--n", "1000", "--bin-width", "1e-9"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: parameter out of range, the run needs more memory than is available "
+                                    "(Unable to allocate 186. GiB for an array with shape (24995000001,) "
+                                    "and data type float64)"]
 
     @pytest.mark.parametrize("argv, names, forbidden", [
         (["detmoment", "--mode", "pointwise", "--m", "1", "--n", "2000", "--c", "1e160"], "m=1, v=1, c=1e+160",
@@ -494,14 +509,18 @@ class TestExitCodes:
 
 
 def test_import_leaves_out_scipy_integrate():
-    # the Pfaffian quadrature runs on numpy alone: neither the import nor the quadrature loads scipy.integrate
+    # the Pfaffian quadrature runs on numpy alone: neither the import nor the quadrature loads
+    # scipy.integrate. Regression and every solve run on numpy's LAPACK, so the import leaves out
+    # scipy.linalg too; only the import is checked for it, because scipy's own roots_legendre loads
+    # scipy.linalg for its banded eigen-solve on the first rule it builds
     src = str(Path(spectral.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, numpy as np, mehtalab.cli; from mehtalab import mehta, spectral; "
+            "print('scipy.linalg' in sys.modules); "
             "mehta.mehta_quadrature(3); spectral.weyl_rhs_quadrature(lambda l: np.abs(np.prod(l - 1.0, axis=1)), 2, 1.0); "
             "print('scipy.integrate' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout == "False\n"
+    assert run.stdout == "False\nFalse\n"
 
 
 @pytest.mark.parametrize("module", ["estimation", "symspace", "spectral", "regression", "spherefield", "mehta"])

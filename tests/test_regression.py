@@ -85,6 +85,22 @@ class TestRegress:
             explained = j.cross @ np.linalg.solve(j.x.cov, j.cross.T)
             dev = np.max(np.abs(j.y.cov - res.residual_cov - explained))
             assert dev <= 1e-10 * (1.0 + np.max(np.abs(j.y.cov)))
+            # the operator solves R Var[X] = C
+            assert np.max(np.abs(res.operator @ j.x.cov - j.cross)) <= 1e-10 * (1.0 + np.max(np.abs(j.cross)))
+        # Var[X] at condition number 1e6: both identities lose O(eps * cond), far inside 1e-8 relative
+        rng = substream(303)
+        for _ in range(50):
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+            cov_x = (q * np.geomspace(1.0, 1e-6, 4)) @ q.T
+            cov_x = 0.5 * (cov_x + cov_x.T)
+            cross = 1e-3 * rng.normal(size=(3, 4))
+            cov_y = cross @ np.linalg.solve(cov_x, cross.T) + np.eye(3)
+            j = JointGaussian(GaussianVector(np.zeros(4), cov_x), GaussianVector(np.zeros(3), 0.5 * (cov_y + cov_y.T)),
+                              cross)
+            res = regress(j)
+            explained = j.cross @ np.linalg.solve(j.x.cov, j.cross.T)
+            assert np.max(np.abs(j.y.cov - res.residual_cov - explained)) <= 1e-8 * np.max(np.abs(j.y.cov))
+            assert np.max(np.abs(res.operator @ j.x.cov - j.cross)) <= 1e-8 * np.max(np.abs(j.cross))
 
     def test_residual_psd(self):
         rng = substream(302)
