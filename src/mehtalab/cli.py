@@ -250,22 +250,29 @@ def _criterion_seed(seed: int, key: int) -> int:
 
 
 class _FinderCheck(NamedTuple):
-    """Largest |critical value - eigenvalue| of a critical-points-exact row, and whether all Morse indices are right."""
+    """A critical-points-exact row's largest |value - eigenvalue|, Morse check, size and first (index, finder error)."""
 
     max_value_deviation: float
     morse_ok: bool
+    size: int
+    failure: tuple[int, Exception] | None = None
 
     def merge(self, other: _FinderCheck) -> _FinderCheck:
-        return _FinderCheck(max(self.max_value_deviation, other.max_value_deviation), self.morse_ok and other.morse_ok)
+        failure = self.failure or other.failure and (self.size + other.failure[0], other.failure[1])
+        return _FinderCheck(max(self.max_value_deviation, other.max_value_deviation), self.morse_ok and other.morse_ok,
+                            self.size + other.size, failure)
 
 
 def _finder_check(d: int, rng, size: int) -> _FinderCheck:
     """The finder against the eigensolver on ``size`` GOE(d, 1) draws; rng draws the matrices, then the starts."""
     mats = symspace.sample_goe_batch(d, 1.0, size, rng)
-    batch = spherefield.find_critical_points_batch(mats, rng=rng)
+    try:
+        batch = spherefield.find_critical_points_batch(mats, rng=rng)
+    except (spherefield.IncompleteSearchError, spherefield.DegenerateMatrixError) as exc:
+        return _FinderCheck(0.0, True, size, (exc.sample_index, exc))
     dev = np.abs(np.sort(batch.values, axis=1) - np.repeat(spectral.batched_eigvals(mats), 2, axis=1))
     morse = np.sort(batch.morse_indices, axis=1) == np.repeat(np.arange(d), 2)
-    return _FinderCheck(float(dev.max()), bool(morse.all()))
+    return _FinderCheck(float(dev.max()), bool(morse.all()), size)
 
 
 def _criteria(n: int, seed: int, workers: int):
@@ -314,12 +321,12 @@ def _criteria(n: int, seed: int, workers: int):
 
     for key, m in enumerate((1, 2, 3), start=70):
         count = _scaled(n, 10000, 100)
-        try:
-            dev, morse_ok = map_chunks(functools.partial(_finder_check, m + 1), count, _criterion_seed(seed, key),
-                                       workers, block=_FINDER_BLOCK)
-            ok, detail = dev <= 1e-8 and morse_ok, {"samples": count, "max_value_deviation": dev, "morse_ok": morse_ok}
-        except (spherefield.IncompleteSearchError, spherefield.DegenerateMatrixError) as exc:
-            ok, dev, detail = False, None, {"error": str(exc)}
+        dev, morse_ok, _, failure = map_chunks(functools.partial(_finder_check, m + 1), count,
+                                               _criterion_seed(seed, key), workers, block=_FINDER_BLOCK)
+        ok, detail = dev <= 1e-8 and morse_ok, {"samples": count, "max_value_deviation": dev, "morse_ok": morse_ok}
+        if failure:
+            failure[1].sample_index = failure[0]  # the matrix's index in the row, not in its block
+            ok, dev, detail = False, None, {"error": str(failure[1])}
         yield f"critical-points-exact m={m}", dev, 0.0, None, ok, detail
 
     # the three intervals of one m are views of one set of draws

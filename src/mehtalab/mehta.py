@@ -35,9 +35,9 @@ from mehtalab.spectral import (
     _legendre,
     _pfaffian_log_integral,
     _rescale,
+    batched_count_below,
     batched_det,
     goe_density,
-    weyl_expectation_mc,
 )
 from mehtalab.symspace import EnsembleParams, map_goe_slabs, sample_goe_batch, sample_goe_tridiagonal
 
@@ -425,34 +425,29 @@ class KacRiceComparison:
 def kacrice_intervals(
     m: int, v: float, intervals, n_samples: int, seed: int = 0, workers: int | None = None
 ) -> list[KacRiceComparison]:
-    """Expected critical-value mass of each interval (a, b), three independent ways.
+    """Expected critical-value mass of each interval (a, b), three independent ways, each a count on [a, b).
 
-    empirical: eigenvalues of an (m+1)-dimensional GOE(v) draw
-    (``weyl_expectation_mc``), counted in the interval and doubled (each
-    eigenvalue is an antipodal pair of critical points).  kacrice: the
-    Gaussian-weighted quadrature of the Monte Carlo Kac-Rice density,
-    det(T - t I) by the continuant of tridiagonal GOE(m) draws.  spectral: the
-    Sturm count 2 (neg(b) - neg(a)), neg(s) the sign changes of the continuant
-    of T - s I on tridiagonal GOE(m + 1) draws (``_sturm_counts``).  Neither
-    of the last two calls an eigensolver; they share the Dumitriu-Edelman
-    sampler and the continuant, which the dense empirical count witnesses.
-    Pass requires all pairwise z-scores within 4.  Each route is one pass on
-    its own stream (0, 1, 2) whose draws serve every interval, so the
-    comparisons are views of one set of draws, each bit-identical to its
-    one-interval call.  The Kac-Rice route (``_kacrice_masses``) runs first,
-    so past its float range it raises OverflowError before any dense draw.
-    Each comparison also carries the exact mass (``_exact_masses``).
+    empirical: 2 (below(b) - below(a)) in dense GOE(m + 1, v) draws, below(s) the negative pivots of A - s I
+    (``batched_count_below``): each eigenvalue is an antipodal pair of critical points.  kacrice: the Gaussian-weighted
+    quadrature of the Monte Carlo Kac-Rice density, det(T - t I) by the continuant of tridiagonal GOE(m) draws.
+    spectral: 2 (neg(b) - neg(a)), neg(s) the continuant's sign changes on tridiagonal GOE(m + 1) draws
+    (``_sturm_counts``).  The dense count shares neither the Dumitriu-Edelman sampler nor the continuant with the
+    other two, and below ``batched_count_below``'s crossover no route calls an eigensolver.  Pass requires all
+    pairwise z-scores within 4.  Each route is one pass on its own stream (0, 1, 2) whose draws serve every interval,
+    each comparison bit-identical to its one-interval call.  The Kac-Rice route (``_kacrice_masses``) runs first,
+    so past its float range it raises OverflowError before any dense draw.  Each also carries the exact mass.
     """
     EnsembleParams(m, 0.0, v)
     ends = np.array(intervals, dtype=float).reshape(-1, 2)
     if not (len(ends) and (ends[:, 1] > ends[:, 0]).all()):
         raise ValueError("need at least one interval, each with a < b")
 
-    def counts(lam):
-        return 2.0 * ((lam >= ends[:, 0, None, None]) & (lam <= ends[:, 1, None, None])).sum(axis=2).T
+    def counts(rng, size):  # laid out (K, size).T, as counts of eigenvalues were, so the moments keep their bits
+        below = map_goe_slabs(lambda a: batched_count_below(a, ends.ravel()).T, m + 1, v, size, rng)
+        return 2.0 * (below[:, 1::2] - below[:, ::2])
 
     kacrice = _kacrice_masses(m, v, ends, n_samples, seed, workers, stream=1)
-    empirical = weyl_expectation_mc(counts, EnsembleParams(m + 1, 0.0, v), n_samples, seed, workers)
+    empirical = mc_estimate(counts, n_samples, seed, workers)
     spectral = mc_estimate(partial(_sturm_counts, m, v, ends), n_samples, seed, workers, stream=2)
     return [KacRiceComparison((float(a), float(b)), e, k, s, _pair_z(e, k), _pair_z(e, s), _pair_z(k, s), x)
             for (a, b), e, k, s, x in zip(ends, empirical, kacrice, spectral, _exact_masses(m, v, ends))]

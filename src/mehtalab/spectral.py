@@ -2,12 +2,11 @@
 on the line, Weyl-formula expectations by Monte Carlo and by quadrature, and
 the one-point correlation estimator.
 
-Eigenvalues come from numpy's LAPACK symmetric solver (``eigvalsh``), the library
-that backs ``det`` and ``solve`` here.  Every eigenvalue-only computation goes through
-:func:`batched_eigvals`, so the solver is chosen in one place; the eigenvector
-factorizations in ``regression`` call numpy's ``eigh`` directly.  The
-critical-point finder in ``spherefield`` does not use it to locate points, so
-it stays an independent check on the eigenvalues.
+Eigenvalues come from numpy's LAPACK symmetric solver (``eigvalsh``), the library that backs ``det`` and
+``solve`` here.  Every eigenvalue-only computation goes through :func:`batched_eigvals`, so the solver is chosen
+in one place; the eigenvector factorizations in ``regression`` call numpy's ``eigh`` directly, and counts of
+eigenvalues below a shift are pivot signs (:func:`batched_count_below`).  The critical-point finder in
+``spherefield`` locates its points with neither, so it stays an independent check on the eigenvalues.
 
 The quadrature side of the Weyl formula is de Bruijn's Pfaffian of Hermite-function
 integrals on one-dimensional Gauss-Legendre panels, for every m; it uses no gamma
@@ -35,6 +34,7 @@ __all__ = [
     "batched_eigvals",
     "eigenvalues",
     "batched_det",
+    "batched_count_below",
     "spectral_measure",
     "default_degeneracy_tol",
     "weyl_expectation_mc",
@@ -92,6 +92,36 @@ def batched_det(mats: np.ndarray) -> np.ndarray:
             + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
         )
     return np.linalg.det(a)
+
+
+# sqrt(eps) balances a raised pivot's change to A against the growth it allows; the crossover is on 1 MiB slabs
+_PIVOT_FLOOR, _ELIMINATION_MAX = 2.0**-26, 64
+
+
+def batched_count_below(mats: np.ndarray, shifts) -> np.ndarray:
+    """#(lambda < s) of each symmetric matrix of a (n, d, d) stack at each shift s, shape (len(shifts), n).
+
+    Sylvester's law of inertia: the negative pivots of the unpivoted LDL^T of 2^-e (A - s I), e the frexp exponent of
+    A's largest entry and s's exponent clipped past every eigenvalue's, on the lower triangles of a step-major copy;
+    a pivot below _PIVOT_FLOOR is raised to it, so an eigenvalue at s is not below s.  Finite shifts but the last
+    overwrite ``mats``; an infinite one reads 0 or d.  Past d x (distinct finite shifts) = _ELIMINATION_MAX, eigvalsh.
+    """
+    a, shifts = np.asarray(mats, dtype=float), np.asarray(shifts, dtype=float).reshape(-1)
+    (n, d), ends = a.shape[::2], np.unique(shifts[np.isfinite(shifts)])
+    if d * ends.size > _ELIMINATION_MAX:
+        return (batched_eigvals(a) < shifts[:, None, None]).sum(axis=2)
+    e, lim = np.frexp(np.abs(a).max(axis=(1, 2)))[1], math.frexp(2.0 * d)[1]  # 2^lim > 2d > every scaled |lambda|
+    steps = np.ldexp(a.transpose(1, 2, 0), -e, out=np.empty((d, d, n)))
+    counts = np.where(shifts == math.inf, d, 0)[:, None].repeat(n, axis=1)
+    for s, work in zip(ends, [a.reshape(d, d, n)] * (ends.size - 1) + [steps]):  # the last shift in place
+        np.copyto(work, steps)
+        work[range(d), range(d)] -= np.ldexp(math.frexp(s)[0], np.minimum(math.frexp(s)[1] - e, lim))
+        for k in range(d):
+            np.copyto(work[k, k], _PIVOT_FLOOR, where=np.abs(work[k, k]) < _PIVOT_FLOOR)
+            for i in range(k + 1, d):
+                work[i, k + 1:i + 1] -= work[i, k] / work[k, k] * work[k + 1:i + 1, k]
+        counts[shifts == s] = (np.diagonal(work) < 0.0).sum(axis=1)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import numpy as np
 from mehtalab.estimation import substream
 from mehtalab.spectral import (
     PointMeasure,
+    batched_count_below,
     batched_eigvals,
     default_degeneracy_tol,
     spectral_measure,
@@ -48,25 +49,30 @@ __all__ = [
 
 
 class DegenerateMatrixError(ValueError):
-    """Matrix has an eigenvalue gap below the degeneracy tolerance."""
+    """Matrix ``sample_index`` of a stack has an eigenvalue gap below the degeneracy tolerance."""
+
+    def __init__(self, gap: float, tol: float, sample_index: int):
+        super().__init__(gap, tol, sample_index)
+        self.gap, self.tol, self.sample_index = gap, tol, sample_index
+
+    def __str__(self):  # read at print time, so a caller may renumber the matrix
+        return f"matrix {self.sample_index} has eigenvalue gap {self.gap:.3e}, below degeneracy tolerance {self.tol:.3e}"
 
 
 class IncompleteSearchError(RuntimeError):
     """A deflated Newton solve did not certify a new critical point.
 
-    Raised when a solve ends with a gradient norm above the tolerance or on a
-    point that overlaps one already found; ``found`` counts the points
-    certified before it.
+    Raised when a solve ends with a gradient norm above the tolerance or on a point that overlaps one already
+    found; ``found`` counts the points certified before it, in sample ``sample_index`` of a stack.
     """
 
     def __init__(self, found: int, expected: int, sample_index: int | None = None):
-        where = "" if sample_index is None else f" (sample {sample_index})"
-        super().__init__(
-            f"critical point search found {found} of {expected} points{where}"
-        )
-        self.found = found
-        self.expected = expected
-        self.sample_index = sample_index
+        super().__init__(found, expected, sample_index)
+        self.found, self.expected, self.sample_index = found, expected, sample_index
+
+    def __str__(self):  # read at print time, so a caller may renumber the sample
+        where = "" if self.sample_index is None else f" (sample {self.sample_index})"
+        return f"critical point search found {self.found} of {self.expected} points{where}"
 
 
 class SpherePoint:
@@ -261,10 +267,7 @@ def _check_simple(mats: np.ndarray):
     gaps = np.diff(lam, axis=1).min(axis=1)
     bad = np.nonzero(gaps <= scale)[0]
     if bad.size:
-        raise DegenerateMatrixError(
-            f"matrix {bad[0]} has eigenvalue gap {gaps[bad[0]]:.3e}, below "
-            f"degeneracy tolerance {scale[bad[0]]:.3e}"
-        )
+        raise DegenerateMatrixError(gaps[bad[0]], scale[bad[0]], int(bad[0]))
 
 
 def find_critical_points_batch(
@@ -332,7 +335,7 @@ def find_critical_points_batch(
 def _morse_indices(mats, points, values):
     """Negative-eigenvalue counts of the tangent Hessian at each point."""
     # one point per matrix at a time: all of them at once hold (n, c, d, d) bases
-    return np.stack([(batched_eigvals(_tangent_hessians(mats, points[:, k], values[:, k])) < 0.0).sum(axis=1)
+    return np.stack([batched_count_below(_tangent_hessians(mats, points[:, k], values[:, k]), [0.0])[0]
                      for k in range(points.shape[1])], axis=1)
 
 

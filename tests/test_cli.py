@@ -662,7 +662,8 @@ class TestReportAndRender:
         assert finder_rows(1) == finder_rows(2)
 
     def test_finder_error_in_a_later_block_fails_its_row(self, monkeypatch, capsys):
-        # a search that fails in the second block of the m=1 row fails that row, not the run
+        # a search that fails in the second block of the m=1 row fails that row, not the run, and
+        # names the matrix by its index in the row: 60 in the first block, then 3
         calls, real = [], spherefield.find_critical_points_batch
 
         def second_block_fails(mats, rng):
@@ -678,8 +679,30 @@ class TestReportAndRender:
         assert rc == 1 and calls[:2] == [60, 40]
         assert rows["critical-points-exact m=1"]["pass"] is False
         assert rows["critical-points-exact m=1"]["detail"] == {
-            "error": "critical point search found 2 of 4 points (sample 3)"}
+            "error": "critical point search found 2 of 4 points (sample 63)"}
         assert all(rows[f"critical-points-exact m={m}"]["pass"] for m in (2, 3))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failure_in_row_order_is_named(self, monkeypatch, workers):
+        # of each finder row's blocks 0-3 (30, 30, 30 and 10 matrices) the second fails at its matrix 7
+        # and the last at its matrix 4: the row names matrix 37, on the pool too, where the last block
+        # may finish first; map_chunks gives block b counter word b, which the stand-in reads
+        real = spherefield.find_critical_points_batch
+
+        def stand_in(mats, rng):
+            block = int(rng.bit_generator.state["state"]["counter"][2])
+            if block == 1:
+                raise spherefield.DegenerateMatrixError(1e-12, 1e-8, 7)
+            if block == 3:
+                raise spherefield.IncompleteSearchError(0, 4, sample_index=4)
+            return real(mats, rng=rng)
+
+        monkeypatch.setattr(spherefield, "find_critical_points_batch", stand_in)
+        monkeypatch.setattr(cli, "_FINDER_BLOCK", 30)
+        rows = [r for r in run_report(2000, 3, workers)["criteria"] if r["name"].startswith("critical-points-exact")]
+        assert [(r["pass"], r["estimate"]) for r in rows] == [(False, None)] * 3
+        assert {r["detail"]["error"] for r in rows} == {
+            "matrix 37 has eigenvalue gap 1.000e-12, below degeneracy tolerance 1.000e-08"}
 
     def test_render_pass_and_fail(self, tmp_path, capsys):
         report = {

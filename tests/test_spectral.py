@@ -10,12 +10,14 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 import mehtalab
+from mehtalab import spectral
 from mehtalab.cli import main
 from mehtalab.estimation import Moments, map_chunks, substream
 from mehtalab.mehta import _continuant, _sturm_counts
 from mehtalab.spectral import (
     PointMeasure,
     QuadratureError,
+    batched_count_below,
     batched_det,
     batched_eigvals,
     default_degeneracy_tol,
@@ -180,6 +182,58 @@ class TestTridiagonalPivots:
         lam = np.array([eigvalsh_tridiagonal(a, np.sqrt(b_sq)) for a, b_sq in zip(diag.T, off_sq.T)])
         inside = ((lam[:, None] >= ends[:, 0, None]) & (lam[:, None] < ends[:, 1, None])).sum(axis=2)
         assert np.array_equal(_sturm_counts(d - 1, v, ends, substream(207, d), n), 2.0 * inside)
+
+
+def eigvalsh_counts(mats, shifts):
+    """#(lambda < s) of every matrix at every shift from LAPACK's eigenvalues, (len(shifts), n)."""
+    return (np.linalg.eigvalsh(mats) < np.asarray(shifts, dtype=float)[:, None, None]).sum(axis=2)
+
+
+class TestCountBelow:
+    """``batched_count_below``: the negative pivots of A - sI, or the eigensolver past the crossover."""
+
+    @pytest.mark.parametrize("v", [1e-200, 1.0, 1e200])
+    def test_matches_eigvalsh_to_one_past_the_crossover(self, v):
+        # three distinct finite shifts: elimination up to d = _ELIMINATION_MAX // 3, the eigensolver one past;
+        # the shifts at +-1e300 are past every eigenvalue at every v and the infinite ones need no elimination
+        shifts = [-math.inf, -1e300, 0.0, 1e300, math.inf, 0.0]
+        rng = substream(208)
+        for d in range(1, spectral._ELIMINATION_MAX // 3 + 2):
+            mats = sample_goe_batch(d, v, 300, rng)
+            got = batched_count_below(mats.copy(), shifts)
+            assert got.shape == (6, 300) and np.array_equal(got, eigvalsh_counts(mats, shifts)), d
+            assert np.array_equal(got[:2], [[0] * 300, [0] * 300]) and np.array_equal(got[3:5], [[d] * 300] * 2)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_shift_at_an_eigenvalue_is_not_below_it(self, scale):
+        # exact zero pivots: #(lambda < s) leaves out an eigenvalue at s, in a diagonal matrix and in one whose
+        # zero pivots have nonzero columns (its eigenvalues -1, -1, 2; at s = 0 the first pivot is 0, at s = -1
+        # the second and at s = 2 the last)
+        diag = np.diag([-1.0, 2.0, 3.0]) * scale
+        assert np.array_equal(batched_count_below(diag[None].copy(), np.array([-1.0, 2.0, 3.0, 2.5]) * scale),
+                              [[0], [1], [2], [2]])
+        ones = (np.ones((3, 3)) - np.eye(3)) * scale
+        assert np.array_equal(batched_count_below(ones[None].copy(), np.array([0.0, -0.5, 1.0, -1.0, 2.0]) * scale),
+                              [[2], [2], [2], [0], [2]])
+
+    def test_both_methods_at_one_d(self, monkeypatch):
+        # at d = _ELIMINATION_MAX // 2 + 1 one finite shift is eliminated and two go to the eigensolver;
+        # both give the same integers, and the report's sizes (d <= 4, three finite shifts) eliminate
+        d = spectral._ELIMINATION_MAX // 2 + 1
+        assert 4 * 3 <= d <= spectral._ELIMINATION_MAX < 2 * d
+        calls = []
+
+        def counting(mats):
+            calls.append(len(mats))
+            return batched_eigvals(mats)
+
+        monkeypatch.setattr(spectral, "batched_eigvals", counting)
+        mats = sample_goe_batch(d, 1.0, 200, substream(209))
+        one = batched_count_below(mats.copy(), [0.5])
+        assert calls == []
+        two = batched_count_below(mats.copy(), [0.5, -0.5])
+        assert calls == [200]
+        assert np.array_equal(one[0], two[0]) and np.array_equal(two, eigvalsh_counts(mats, [0.5, -0.5]))
 
 
 class TestPointMeasure:
