@@ -264,14 +264,15 @@ class _FinderCheck(NamedTuple):
 
 
 def _finder_check(d: int, rng, size: int) -> _FinderCheck:
-    """The finder against the eigensolver on ``size`` GOE(d, 1) draws; rng draws the matrices, then the starts."""
+    """The finder against the eigensolver on ``size`` GOE(d, 1) draws, read in the finder's value order, where pair k
+    has the k-th eigenvalue and Morse index k; rng draws the matrices, then the starts."""
     mats = symspace.sample_goe_batch(d, 1.0, size, rng)
     try:
         batch = spherefield.find_critical_points_batch(mats, rng=rng)
     except (spherefield.IncompleteSearchError, spherefield.DegenerateMatrixError) as exc:
         return _FinderCheck(0.0, True, size, (exc.sample_index, exc))
-    dev = np.abs(np.sort(batch.values, axis=1) - np.repeat(spectral.batched_eigvals(mats), 2, axis=1))
-    morse = np.sort(batch.morse_indices, axis=1) == np.repeat(np.arange(d), 2)
+    dev = np.abs(batch.values - np.repeat(spectral.batched_eigvals(mats), 2, axis=1))
+    morse = batch.morse_indices == np.repeat(np.arange(d), 2)
     return _FinderCheck(float(dev.max()), bool(morse.all()), size)
 
 

@@ -6,13 +6,14 @@ eigenvalues, each hit by an antipodal pair of points.  This module computes
 the gradient and the Riemannian Hessian, finds all critical points, and builds
 the discriminant measure, which for simple A equals twice the spectral measure.
 
-The finder is deflated Newton: d damped Newton solves with sphere retraction
-per matrix, each started in the orthogonal complement of the points already
-found.  That complement is A-invariant, so every solve lands on a new pair
-x, -x.  No eigenvector feeds the search; the count 2d is certified by
-checking each new point's gradient norm and its overlap with earlier points,
-and the Morse indices come from the Riemannian Hessian, not from the value
-ranks.
+The finder is deflated Newton: d damped Riemannian Newton solves with sphere
+retraction per matrix, each started in the orthogonal complement of the points
+already found.  That complement is A-invariant, so every solve lands on a new
+pair x, -x.  No eigenvector feeds the search; the count 2d is certified by
+checking each new point's gradient norm and its overlap with earlier points.
+The Riemannian Hessian Q^T (A - theta I) Q is built in one place: the Newton
+steps solve with it, and the Morse indices and ``hess_phi`` read it, so the
+indices come from that Hessian, not from the value ranks.
 """
 
 from __future__ import annotations
@@ -159,9 +160,8 @@ def _tangent_bases(x):
     return h[..., 1:]
 
 
-def _tangent_hessians(mats, x, theta):
-    """Q^T A Q - theta I for stacks of matrices, points and values, Q the tangent basis."""
-    q = _tangent_bases(x)
+def _tangent_hessians(mats, q, theta):
+    """Riemannian Hessians Q^T A Q - theta I for stacks of matrices, tangent bases Q and values theta."""
     h = q.swapaxes(-1, -2) @ mats @ q
     diag = np.arange(h.shape[-1])
     h[..., diag, diag] -= theta[..., None]
@@ -188,27 +188,25 @@ def hess_phi(a, x) -> np.ndarray:
 
     Equal to Q^T A Q - (Ax, x) I with Q the tangent basis; at the north pole
     this is exactly the trailing block of A minus a_00 times the identity.
-    The finder's Morse indices come from the same code.
+    The finder's Newton steps and Morse indices come from the same code.
     """
     af = _as_full(a)
     xv = _as_unit(x)
-    h = _tangent_hessians(af, xv, _gradients(af, xv)[1])
+    h = _tangent_hessians(af, _tangent_bases(xv), _gradients(af, xv)[1])
     return 0.5 * (h + h.T)
 
 
 def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: float):
-    """Damped Newton with sphere retraction from one start point per matrix.
+    """Damped Riemannian Newton with sphere retraction from one start point per matrix.
 
     ``mats_flat`` is (B, d, d) and ``x`` is (B, d), one start per matrix.  The
-    Newton step solves the stationarity equation projected to the tangent
-    space through a bordered system; steps are capped at length 1/2 and an
-    iterate falls back to a plain projected-gradient step if its linear solve
-    degenerates; at most 80 rounds.
+    step is Q eta, Q the tangent basis and eta the solve of Hess f[eta] =
+    -Q^T grad f with the tangent Hessian that the Morse indices read; steps
+    are capped at length 1/2 and an iterate falls back to a plain
+    projected-gradient step if its linear solve degenerates; at most 80 rounds.
     Returns the final points, gradient norms, and values of twice the field.
     """
-    B, d = x.shape
-    active = np.arange(B)
-    diag = np.arange(d)
+    active = np.arange(len(x))
     for _ in range(80):
         xa = x[active]
         aa = mats_flat[active]
@@ -223,20 +221,16 @@ def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: float):
         aa = aa[live]
         theta = theta[live]
         grad = grad[live]
-        nb = xa.shape[0]
-        system = np.zeros((nb, d + 1, d + 1))
-        system[:, :d, :d] = aa
-        system[:, diag, diag] -= theta[:, None]
-        system[:, :d, d] = xa
-        system[:, d, :d] = xa
-        rhs = np.zeros((nb, d + 1, 1))
-        rhs[:, :d, 0] = -grad
+        q = _tangent_bases(xa)
+        hess = _tangent_hessians(aa, q, theta)
+        rhs = -q.swapaxes(1, 2) @ grad[:, :, None]
         try:
-            step = np.linalg.solve(system, rhs)[:, :d, 0]
+            eta = np.linalg.solve(hess, rhs)
         except np.linalg.LinAlgError:
             # exactly singular member: nudge every diagonal and retry once
-            system[:, diag, diag] += 1e-12
-            step = np.linalg.solve(system, rhs)[:, :d, 0]
+            hess += 1e-12 * np.eye(hess.shape[-1])
+            eta = np.linalg.solve(hess, rhs)
+        step = (q @ eta)[:, :, 0]
         bad = ~np.isfinite(step).all(axis=1)
         if bad.any():
             step[bad] = -0.1 * grad[bad]
@@ -335,7 +329,7 @@ def find_critical_points_batch(
 def _morse_indices(mats, points, values):
     """Negative-eigenvalue counts of the tangent Hessian at each point."""
     # one point per matrix at a time: all of them at once hold (n, c, d, d) bases
-    return np.stack([batched_count_below(_tangent_hessians(mats, points[:, k], values[:, k]), [0.0])[0]
+    return np.stack([batched_count_below(_tangent_hessians(mats, _tangent_bases(points[:, k]), values[:, k]), [0.0])[0]
                      for k in range(points.shape[1])], axis=1)
 
 

@@ -118,7 +118,7 @@ def test_07_critical_point_exact_count():
         if dev > 1e-8:
             failures += 1
         want = np.repeat(np.arange(d), 2)[None, :]
-        if not (np.sort(batch.morse_indices, axis=1) == want).all():
+        if not (batch.morse_indices == want).all():
             failures += 1
     ok = failures == 0
     report(7, ok, f"critical point exactness, worst value dev = {worst_dev:.1e}", t0, 180.0)

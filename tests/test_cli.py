@@ -704,6 +704,21 @@ class TestReportAndRender:
         assert {r["detail"]["error"] for r in rows} == {
             "matrix 37 has eigenvalue gap 1.000e-12, below degeneracy tolerance 1.000e-08"}
 
+    def test_finder_row_reads_morse_indices_in_value_order(self, monkeypatch):
+        # a finder that counts eigenvalues above each value, not below, reports every index once per pair:
+        # the right multiset in the wrong places, which the row must not pass
+        real = spherefield.find_critical_points_batch
+
+        def reversed_morse(mats, rng):
+            batch = real(mats, rng=rng)
+            batch.morse_indices = batch.morse_indices[:, ::-1].copy()
+            return batch
+
+        assert cli._finder_check(4, estimation.substream(5), 256).morse_ok
+        monkeypatch.setattr(spherefield, "find_critical_points_batch", reversed_morse)
+        check = cli._finder_check(4, estimation.substream(5), 256)
+        assert check.max_value_deviation <= 1e-8 and not check.morse_ok
+
     def test_render_pass_and_fail(self, tmp_path, capsys):
         report = {
             "criteria": [

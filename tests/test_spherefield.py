@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mehtalab import spherefield
 from mehtalab.estimation import substream
 from mehtalab.spectral import batched_eigvals, default_degeneracy_tol, eigenvalues, spectral_measure
 from mehtalab.spherefield import (
@@ -176,6 +177,27 @@ class TestFinder:
         with pytest.raises(IncompleteSearchError) as info:
             find_critical_points_batch(np.array([[1.0, 0.0], [0.0, np.nan]]), rng=414)
         assert info.value.found == 0
+
+    def test_singular_newton_solve_is_nudged_and_retried(self, monkeypatch):
+        # at (1, 0, 1)/sqrt(2) on diag(-1, 0, 1) the value is 0 and the tangent Hessian is exactly 0: the
+        # first solve raises, the nudged retry steps on, and the iterate converges to the pair of e1
+        outcomes, solve = [], np.linalg.solve
+
+        def spy(a, b):
+            try:
+                out = solve(a, b)
+            except np.linalg.LinAlgError:
+                outcomes.append("singular")
+                raise
+            outcomes.append("solved")
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        x0 = np.array([[1.0, 0.0, 1.0]]) / math.sqrt(2.0)
+        x, gn, theta = spherefield._newton_polish(np.diag([-1.0, 0.0, 1.0])[None], x0, 1e-10)
+        assert outcomes[:2] == ["singular", "solved"]
+        assert gn[0] <= 1e-10 and abs(theta[0] + 1.0) <= 1e-12
+        assert np.allclose(np.abs(x[0]), [1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
 
     def test_orthogonal_equivariance(self):
         rng = substream(415)
