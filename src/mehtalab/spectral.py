@@ -94,9 +94,8 @@ def batched_det(mats: np.ndarray) -> np.ndarray:
     return np.linalg.det(a)
 
 
-# sqrt(eps) balances a raised pivot's change to A against the growth it allows; the crossovers were measured on 1 MiB
-# slabs (in d x distinct finite shifts) and on stacks of 1 to 1024 matrices (in matrices per distinct finite shift)
-_PIVOT_FLOOR, _ELIMINATION_MAX, _ELIMINATION_MIN_N = 2.0**-26, 64, 64
+# sqrt(eps) balances a raised pivot's change to A against the growth it allows; the crossover is on 1 MiB slabs
+_PIVOT_FLOOR, _ELIMINATION_MAX = 2.0**-26, 64
 
 
 def batched_count_below(mats: np.ndarray, shifts) -> np.ndarray:
@@ -105,12 +104,11 @@ def batched_count_below(mats: np.ndarray, shifts) -> np.ndarray:
     Sylvester's law of inertia: the negative pivots of the unpivoted LDL^T of 2^-e (A - s I), e the frexp exponent of
     A's largest entry and s's exponent clipped past every eigenvalue's, on the lower triangles of a step-major copy;
     a pivot below _PIVOT_FLOOR is raised to it, so an eigenvalue at s is not below s.  Finite shifts but the last
-    overwrite ``mats``; an infinite one reads 0 or d.  Past d x (distinct finite shifts) = _ELIMINATION_MAX, or below
-    _ELIMINATION_MIN_N matrices per distinct finite shift, eigvalsh.
+    overwrite ``mats``; an infinite one reads 0 or d.  Past d x (distinct finite shifts) = _ELIMINATION_MAX, eigvalsh.
     """
     a, shifts = np.asarray(mats, dtype=float), np.asarray(shifts, dtype=float).reshape(-1)
     (n, d), ends = a.shape[::2], np.unique(shifts[np.isfinite(shifts)])
-    if d * ends.size > _ELIMINATION_MAX or n < _ELIMINATION_MIN_N * ends.size:
+    if d * ends.size > _ELIMINATION_MAX:
         return (batched_eigvals(a) < shifts[:, None, None]).sum(axis=2)
     e, lim = np.frexp(np.abs(a).max(axis=(1, 2)))[1], math.frexp(2.0 * d)[1]  # 2^lim > 2d > every scaled |lambda|
     steps = np.ldexp(a.transpose(1, 2, 0), -e, out=np.empty((d, d, n)))

@@ -208,17 +208,16 @@ class TestCountBelow:
     def test_shift_at_an_eigenvalue_is_not_below_it(self, scale, monkeypatch):
         # exact zero pivots: #(lambda < s) leaves out an eigenvalue at s, in a diagonal matrix and in one whose
         # zero pivots have nonzero columns (its eigenvalues -1, -1, 2; at s = 0 the first pivot is 0, at s = -1
-        # the second and at s = 2 the last); each stack is long enough to be eliminated, not sent to the eigensolver
+        # the second and at s = 2 the last); one matrix and a long stack of it, neither sent to the eigensolver
         monkeypatch.setattr(spectral, "batched_eigvals", None)
-        n = 5 * spectral._ELIMINATION_MIN_N
         diag = np.diag([-1.0, 2.0, 3.0]) * scale
-        assert np.array_equal(batched_count_below(np.repeat(diag[None], n, axis=0),
-                                                  np.array([-1.0, 2.0, 3.0, 2.5]) * scale),
-                              np.repeat([[0], [1], [2], [2]], n, axis=1))
+        assert np.array_equal(batched_count_below(diag[None].copy(), np.array([-1.0, 2.0, 3.0, 2.5]) * scale),
+                              [[0], [1], [2], [2]])
         ones = (np.ones((3, 3)) - np.eye(3)) * scale
-        assert np.array_equal(batched_count_below(np.repeat(ones[None], n, axis=0),
-                                                  np.array([0.0, -0.5, 1.0, -1.0, 2.0]) * scale),
-                              np.repeat([[2], [2], [2], [0], [2]], n, axis=1))
+        assert np.array_equal(batched_count_below(ones[None].copy(), np.array([0.0, -0.5, 1.0, -1.0, 2.0]) * scale),
+                              [[2], [2], [2], [0], [2]])
+        assert np.array_equal(batched_count_below(np.repeat(ones[None], 300, axis=0), np.array([-1.0, 2.0]) * scale),
+                              np.repeat([[0], [2]], 300, axis=1))
 
     def test_both_methods_at_one_d(self, monkeypatch):
         # at d = _ELIMINATION_MAX // 2 + 1 one finite shift is eliminated and two go to the eigensolver;
@@ -238,26 +237,6 @@ class TestCountBelow:
         two = batched_count_below(mats.copy(), [0.5, -0.5])
         assert calls == [200]
         assert np.array_equal(one[0], two[0]) and np.array_equal(two, eigvalsh_counts(mats, [0.5, -0.5]))
-
-    def test_short_stacks_go_to_the_eigensolver(self, monkeypatch):
-        # elimination makes the same O(d^2) numpy calls per shift for one matrix as for many, so a stack of
-        # fewer than _ELIMINATION_MIN_N matrices per distinct finite shift goes to the eigensolver; one matrix
-        # at a time (the finder's single-matrix callers) counts the integers that its eliminated stack does
-        calls = []
-
-        def counting(mats):
-            calls.append(len(mats))
-            return batched_eigvals(mats)
-
-        monkeypatch.setattr(spectral, "batched_eigvals", counting)
-        n = spectral._ELIMINATION_MIN_N
-        mats = sample_goe_batch(4, 1.0, 3 * n, substream(210))
-        stack = batched_count_below(mats.copy(), [0.5, -0.5, 0.0])
-        assert calls == []
-        assert np.array_equal(batched_count_below(mats[1:].copy(), [0.5, -0.5, 0.0]), stack[:, 1:])
-        assert calls == [3 * n - 1]
-        singles = np.concatenate([batched_count_below(a[None].copy(), [0.5]) for a in mats[:n]], axis=1)
-        assert calls[1:] == [1] * n and np.array_equal(singles, stack[:1, :n])
 
 
 class TestPointMeasure:
