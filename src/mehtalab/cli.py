@@ -135,6 +135,8 @@ def cmd_check_covariance(args) -> dict:
 
 def cmd_eig(args) -> dict:
     lam = spectral.eigenvalues(symspace.read_matrix(args.matrix))
+    if not np.isfinite(lam).all():
+        raise OverflowError("an eigenvalue is outside the float range")
     return {"op": "eig", "eigenvalues": lam.tolist()}
 
 

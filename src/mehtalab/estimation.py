@@ -3,11 +3,12 @@
 ``mc_estimate`` turns per-draw weights into results: one weight per draw
 gives one result, K weight columns give K results from the same draws.  Under
 it, and under the passes that reduce their own results, ``map_chunks`` cuts
-n draws into blocks of ``BLOCK`` draws, or of a caller's ``block``.  Block b
-of stream s draws from its own counter-based Philox substream, a pure
-function of (seed, s, b) (Salmon et al., SC'11), and reduces to its count,
-mean and M2 or co-moment matrix (or a record with its own ``merge``); blocks
-merge in block order (Chan, Golub & LeVeque 1983).  So variances do not
+n draws into blocks of ``BLOCK`` draws, or of a caller's ``block``.  Every
+generator is counter-based Philox, ``philox(seed, word, block)`` (Salmon et
+al., SC'11): ``substream(seed)`` is word 0, block 0, and block b of stream s
+is word s + 1, block b.  Each block reduces to its count, mean and M2 or
+co-moment matrix (or a record with its own ``merge``); blocks merge in block
+order (Chan, Golub & LeVeque 1983).  So variances do not
 cancel when |mean| >> sd, and the bits do not depend on the worker count.
 ``workers`` defaults to, and is capped at, the CPUs the process may run on,
 and memory is about ``workers`` blocks in flight for any n; one worker
@@ -59,9 +60,14 @@ def _worker_count(workers: int | None = None) -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def substream(seed: int, worker: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, worker); streams never collide."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(worker))
+def philox(seed: int, word: int, block: int) -> np.random.Generator:
+    """The generator of Philox key (seed, word) at counter word ``block``: the package's one stream rule."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64), counter=[0, 0, block, 0]))
+
+
+def substream(seed: int) -> np.random.Generator:
+    """The generator of ``seed``: Philox key (seed, 0) at block 0, a stream no ``map_chunks`` block draws from."""
+    return philox(seed, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -123,8 +129,8 @@ class Moments:
 def map_chunks(fn, n: int, seed: int, workers: int | None = None, stream: int = 0, block: int = BLOCK):
     """Merge in block order the results that fn(rng, size) returns for every block of n draws.
 
-    Block b holds draws [b * block, (b + 1) * block) and draws from Philox key
-    (seed, stream + 1), which no ``substream`` uses, at counter word b; results
+    Block b holds draws [b * block, (b + 1) * block) and draws from
+    ``philox(seed, stream + 1, b)``, which no ``substream`` uses; results
     merge by their own ``merge``, as ``Moments`` do.  One worker runs the blocks
     on the calling thread; more make a pool of min(workers, usable CPUs)
     threads, which pull blocks at most two per thread ahead of the merge.  So
@@ -136,12 +142,10 @@ def map_chunks(fn, n: int, seed: int, workers: int | None = None, stream: int = 
         raise ValueError(f"workers must be at least 1, got {workers}")
     if n < 2:
         raise ValueError("n_samples must be at least 2: one draw has no standard error")
-    n, key = int(n), np.array([seed, stream + 1], dtype=np.uint64)
-    blocks = range(-(-n // block))
+    n, blocks = int(n), range(-(-n // block))
 
     def run(b):
-        rng = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, b, 0]))
-        return fn(rng, min(block, n - b * block))
+        return fn(philox(seed, stream + 1, b), min(block, n - b * block))
 
     def in_order(pool):
         ahead = deque()

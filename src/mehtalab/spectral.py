@@ -102,19 +102,19 @@ def batched_count_below(mats: np.ndarray, shifts) -> np.ndarray:
     """#(lambda < s) of each symmetric matrix of a (n, d, d) stack at each shift s, shape (len(shifts), n).
 
     Sylvester's law of inertia: the negative pivots of the unpivoted LDL^T of 2^-e (A - s I), e the frexp exponent of
-    A's largest entry and s's exponent clipped past every eigenvalue's, on the lower triangles of a step-major copy;
-    a pivot below _PIVOT_FLOOR is raised to it, so an eigenvalue at s is not below s.  Finite shifts but the last
-    overwrite ``mats``; an infinite one reads 0 or d.  Past d x (distinct finite shifts) = _ELIMINATION_MAX, eigvalsh.
+    A's largest entry and s's exponent clipped past every eigenvalue's, on a step-major copy of its own; a pivot below
+    _PIVOT_FLOOR is raised to it, so an eigenvalue at s is not below s.  Past d x (distinct finite shifts) =
+    _ELIMINATION_MAX, eigvalsh counts lambda < s - 2^e _PIVOT_FLOOR, the same rule; an infinite shift reads 0 or d.
     """
     a, shifts = np.asarray(mats, dtype=float), np.asarray(shifts, dtype=float).reshape(-1)
     (n, d), ends = a.shape[::2], np.unique(shifts[np.isfinite(shifts)])
+    e = np.frexp(np.abs(a).max(axis=(1, 2)))[1]
     if d * ends.size > _ELIMINATION_MAX:
-        return (batched_eigvals(a) < shifts[:, None, None]).sum(axis=2)
-    e, lim = np.frexp(np.abs(a).max(axis=(1, 2)))[1], math.frexp(2.0 * d)[1]  # 2^lim > 2d > every scaled |lambda|
-    steps = np.ldexp(a.transpose(1, 2, 0), -e, out=np.empty((d, d, n)))
+        return (batched_eigvals(a) < shifts[:, None, None] - np.ldexp(_PIVOT_FLOOR, e)[:, None]).sum(axis=2)
+    lim, work = math.frexp(2.0 * d)[1], np.empty((d, d, n))  # 2^lim > 2d > every scaled |lambda|
     counts = np.where(shifts == math.inf, d, 0)[:, None].repeat(n, axis=1)
-    for s, work in zip(ends, [a.reshape(d, d, n)] * (ends.size - 1) + [steps]):  # the last shift in place
-        np.copyto(work, steps)
+    for s in ends:
+        np.ldexp(a.transpose(1, 2, 0), -e, out=work)
         work[range(d), range(d)] -= np.ldexp(math.frexp(s)[0], np.minimum(math.frexp(s)[1] - e, lim))
         for k in range(d):
             np.copyto(work[k, k], _PIVOT_FLOOR, where=np.abs(work[k, k]) < _PIVOT_FLOOR)

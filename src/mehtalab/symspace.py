@@ -93,7 +93,9 @@ class SymMatrix:
             if gap > symmetry_tol:
                 raise ValueError(f"matrix is not symmetric: max |a_ij - a_ji| = {gap:.3e}")
         m = a.shape[0]
-        sym = 0.5 * (a + a.T)
+        with np.errstate(over="ignore"):  # where a + a^T overflows, halving each triangle first is exact
+            sym = 0.5 * (a + a.T)
+        sym = np.where(np.isfinite(sym), sym, 0.5 * a + 0.5 * a.T)
         ii, jj = _pair_arrays(m)
         return cls(m, sym[ii, jj])
 
@@ -299,18 +301,19 @@ def covariance_reference(params: EnsembleParams) -> np.ndarray:
 
 @dataclass
 class CovarianceAudit:
-    """Result of checking every empirical second moment against its target."""
+    """Every distinct empirical second moment against its target: ``z``, ``second_moments`` and ``reference`` hold
+    the K = p (p + 1) / 2 products x_a x_b, b >= a, of the p flat coordinates, in ``np.triu_indices(p)`` order."""
 
     params: EnsembleParams
     n_samples: int
     seed: int
-    z_matrix: np.ndarray
+    z: np.ndarray
     second_moments: np.ndarray
     reference: np.ndarray
 
     @property
     def max_abs_z(self) -> float:
-        return float(np.max(np.abs(self.z_matrix)))
+        return float(np.max(np.abs(self.z)))
 
     @property
     def passed(self) -> bool:
@@ -324,7 +327,7 @@ class CovarianceAudit:
             "n_samples": self.n_samples,
             "seed": self.seed,
             "max_abs_z": self.max_abs_z,
-            "n_moments": len(self.z_matrix) * (len(self.z_matrix) + 1) // 2,  # the distinct pairs
+            "n_moments": self.z.size,
             "pass": self.passed,
         }
 
@@ -332,7 +335,7 @@ class CovarianceAudit:
 def covariance_audit(
     params: EnsembleParams, n_samples: int, seed: int = 0, workers: int | None = None
 ) -> CovarianceAudit:
-    """Audit the p (p + 1) / 2 distinct second moments of the flat coordinates at 4 SE each, mirrored to (p, p)."""
+    """Audit the K = p (p + 1) / 2 distinct second moments of the flat coordinates at 4 SE each."""
 
     def block(rng, size):
         coords = ell_coords_batch(sample_suv_batch(params, size, rng))
@@ -341,18 +344,8 @@ def covariance_audit(
         return Moments(size, np.concatenate([r.mean for r in rows]), np.concatenate([r.m2 for r in rows]))
 
     mom = map_chunks(block, n_samples, seed, _worker_count(workers))
-    ref = covariance_reference(params)
-    pair = np.zeros(ref.shape, dtype=np.intp)  # pair[a, b]: the column of x_a x_b, mirrored below the diagonal
-    pair[np.triu_indices(len(ref))] = np.arange(mom.mean.size)
-    pair = np.maximum(pair, pair.T)
-    return CovarianceAudit(
-        params=params,
-        n_samples=n_samples,
-        seed=seed,
-        z_matrix=z_scores(mom.mean[pair], ref, mom.std_error[pair]),
-        second_moments=mom.mean[pair],
-        reference=ref,
-    )
+    ref = covariance_reference(params)[_pair_arrays(sym_dim(params.m))]
+    return CovarianceAudit(params, n_samples, seed, z_scores(mom.mean, ref, mom.std_error), mom.mean, ref)
 
 
 @contextlib.contextmanager

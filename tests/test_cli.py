@@ -299,6 +299,18 @@ class TestExitCodes:
             assert len(err.splitlines()) == 1
             assert err.startswith("error: parameter out of range")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("off", ["1e308", "-1e308"])
+    def test_eigenvalue_outside_the_float_range(self, tmp_path, capsys, off):
+        # a valid file whose top eigenvalue, 2e308, is past the float range: one line and exit 2, no NaN or Infinity
+        path = tmp_path / "big.txt"
+        path.write_text(f"2\n1e308 {off}\n{off} 1e308\n")
+        rc = main(["eig", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: parameter out of range, the result overflows a float "
+                                    "(an eigenvalue is outside the float range)"]
+
     def test_overflowing_detmoment_reference(self, monkeypatch, capsys):
         # the reference (2v)^((m+1)/2) ratio(m) is computed before any draw
         def no_draw(*args, **kwargs):

@@ -218,6 +218,15 @@ def test_map_chunks_merges_any_record_in_block_order(workers):
     assert log.blocks == ((1000, firsts[0]), (1000, firsts[1]), (500, firsts[2]))
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_substream_is_block_zero_of_key_word_zero(seed):
+    # one Philox rule: philox(seed, 0, w) is key seed alone jumped w times, and substream(seed) is w = 0
+    for w in range(4):
+        want = np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(w)).random(5)
+        assert np.array_equal(estimation.philox(seed, 0, w).random(5), want)
+    assert np.array_equal(estimation.substream(seed).random(5), estimation.philox(seed, 0, 0).random(5))
+
+
 class TestPool:
     @pytest.fixture
     def pools(self, monkeypatch):

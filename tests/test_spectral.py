@@ -12,7 +12,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 import mehtalab
 from mehtalab import spectral
 from mehtalab.cli import main
-from mehtalab.estimation import Moments, map_chunks, substream
+from mehtalab.estimation import Moments, map_chunks, philox, substream
 from mehtalab.mehta import _continuant, _sturm_counts
 from mehtalab.spectral import (
     PointMeasure,
@@ -178,10 +178,10 @@ class TestTridiagonalPivots:
         # the bulk, past the Kac-Rice box, at +-1e300 and infinite
         r = math.sqrt(v)
         ends = np.array([(-r, r), (0.0, math.inf), (-math.inf, math.inf), (0.3 * r, 1e8 * r), (-1e300, 1e300)])
-        diag, off_sq = sample_goe_tridiagonal(d, v, n, substream(207, d))
+        diag, off_sq = sample_goe_tridiagonal(d, v, n, philox(207, 0, d))
         lam = np.array([eigvalsh_tridiagonal(a, np.sqrt(b_sq)) for a, b_sq in zip(diag.T, off_sq.T)])
         inside = ((lam[:, None] >= ends[:, 0, None]) & (lam[:, None] < ends[:, 1, None])).sum(axis=2)
-        assert np.array_equal(_sturm_counts(d - 1, v, ends, substream(207, d), n), 2.0 * inside)
+        assert np.array_equal(_sturm_counts(d - 1, v, ends, philox(207, 0, d), n), 2.0 * inside)
 
 
 def eigvalsh_counts(mats, shifts):
@@ -237,6 +237,26 @@ class TestCountBelow:
         two = batched_count_below(mats.copy(), [0.5, -0.5])
         assert calls == [200]
         assert np.array_equal(one[0], two[0]) and np.array_equal(two, eigvalsh_counts(mats, [0.5, -0.5]))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("d", [22, 33, 64])
+    def test_eigensolver_leaves_out_an_eigenvalue_at_the_shift(self, d, scale):
+        # J - I has eigenvalues -1 (d - 1 times) and d - 1: three shifts in one call go to the eigensolver and read
+        # what each alone reads by elimination, an eigenvalue at s not below s
+        mats, shifts = (np.ones((1, d, d)) - np.eye(d)) * scale, np.array([-1.0, d - 1.0, 0.0]) * scale
+        alone = [batched_count_below(mats, [s])[0, 0] for s in shifts]
+        assert alone == [0, d - 1, d - 1]
+        assert batched_count_below(mats, shifts)[:, 0].tolist() == alone
+
+    @pytest.mark.parametrize("shifts", [[0.5], [-1.0, 1.0], [-1.0, 0.0, 1.0]])
+    def test_stack_is_left_as_it_is(self, shifts):
+        # with every number of finite shifts the stack reads the same after a call, so a second call agrees
+        mats = sample_goe_batch(3, 1.0, 5, substream(210))
+        before = mats.copy()
+        first = batched_count_below(mats, shifts)
+        assert np.array_equal(mats, before)
+        assert np.array_equal(batched_count_below(mats, shifts), first)
+        assert np.array_equal(first, eigvalsh_counts(before, shifts))
 
 
 class TestPointMeasure:

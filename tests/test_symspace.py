@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from mehtalab import estimation, mehta, regression, spectral, symspace
-from mehtalab.estimation import substream
+from mehtalab.estimation import philox, substream
 from mehtalab.symspace import (
     EnsembleParams,
     SymMatrix,
@@ -204,10 +204,10 @@ class TestGoeSampler:
         assert a[0, 1] == a[1, 0]
 
     def test_stream_reproducibility(self):
-        a = sample_goe_batch(3, 1.0, 5, substream(107, 2))
-        b = sample_goe_batch(3, 1.0, 5, substream(107, 2))
+        a = sample_goe_batch(3, 1.0, 5, philox(107, 0, 2))
+        b = sample_goe_batch(3, 1.0, 5, philox(107, 0, 2))
         assert np.array_equal(a, b)
-        c = sample_goe_batch(3, 1.0, 5, substream(107, 3))
+        c = sample_goe_batch(3, 1.0, 5, philox(107, 0, 3))
         assert not np.array_equal(a, c)
 
 
@@ -292,7 +292,7 @@ class TestTridiagonalSampler:
         # draws from an independent stream
         m, v, n = 4, 0.5, 100000
         lam_t = np.linalg.eigvalsh(assemble_tridiagonal(*sample_goe_tridiagonal(m, v, n, substream(111))))
-        lam_d = np.linalg.eigvalsh(sample_goe_batch(m, v, n, substream(111, 1)))
+        lam_d = np.linalg.eigvalsh(sample_goe_batch(m, v, n, philox(111, 0, 1)))
         for stat in (lambda lam: (lam**4).sum(axis=1), lambda lam: lam[:, -1]):
             x, y = stat(lam_t), stat(lam_d)
             se = math.hypot(x.std(ddof=1), y.std(ddof=1)) / math.sqrt(n)
@@ -378,7 +378,7 @@ class TestCovarianceAudit:
         # false alarm (that entry reads z = 1.02 here); the band stays 4 SE
         audit = covariance_audit(EnsembleParams(4, 0.0, 0.5), 1_000_000, seed=115)
         assert audit.passed, f"max |z| = {audit.max_abs_z:.2f}"
-        assert audit.z_matrix.shape == (10, 10)
+        assert audit.z.shape == (55,)
 
     def test_suv_audit_passes(self):
         audit = covariance_audit(EnsembleParams(3, 1.0, 1.0), 100000, seed=116)
@@ -400,7 +400,7 @@ class TestCovarianceAudit:
         a1 = covariance_audit(EnsembleParams(3, 0.0, 1.0), 40000, seed=117, workers=4)
         for workers in (1, 2, 4):
             a2 = covariance_audit(EnsembleParams(3, 0.0, 1.0), 40000, seed=117, workers=workers)
-            assert np.array_equal(a1.z_matrix, a2.z_matrix)
+            assert np.array_equal(a1.z, a2.z)
             assert np.array_equal(a1.second_moments, a2.second_moments)
 
 
@@ -444,6 +444,14 @@ class TestMatrixFiles:
         # a NaN gap never exceeds the tolerance, and an inf gap warns before it does
         with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
             SymMatrix.from_full(np.array([[1.0, entry], [entry, 2.0]]), symmetry_tol=symmetry_tol)
+
+    @pytest.mark.filterwarnings("error")
+    def test_from_full_averages_without_overflow(self):
+        # where a + a^T overflows each triangle is halved first; elsewhere, subnormals too, the average is 0.5 (a + a^T)
+        tiny = 5e-324
+        a = np.array([[1e308, 1.5e308, tiny], [1.7e308, 0.0, -1e308], [tiny, -1e308, 1.0]])
+        s = SymMatrix.from_full(a)
+        assert (s[0, 1], s[1, 2], s[0, 2], s[0, 0]) == (0.5 * 1.5e308 + 0.5 * 1.7e308, -1e308, tiny, 1e308)
 
     def test_accepts_tiny_asymmetry(self):
         text = "2\n1.0 2.0\n2.0000000001 1.0\n"
