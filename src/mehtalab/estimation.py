@@ -25,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 Z_THRESHOLD = 4.0
 BLOCK = 2**14
@@ -62,7 +63,7 @@ def _worker_count(workers: int | None = None) -> int:
 
 def philox(seed: int, word: int, block: int) -> np.random.Generator:
     """The generator of Philox key (seed, word) at counter word ``block``: the package's one stream rule."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64), counter=[0, 0, block, 0]))
+    return Generator(Philox(key=np.array([seed, word], dtype=np.uint64), counter=[0, 0, block, 0]))
 
 
 def substream(seed: int) -> np.random.Generator:

@@ -8,24 +8,22 @@ in one place; the eigenvector factorizations in ``regression`` call numpy's ``ei
 eigenvalues below a shift are pivot signs (:func:`batched_count_below`).  The critical-point finder in
 ``spherefield`` locates its points with neither, so it stays an independent check on the eigenvalues.
 
-The quadrature side of the Weyl formula is de Bruijn's Pfaffian of Hermite-function
-integrals on one-dimensional Gauss-Legendre panels, for every m; it uses no gamma
-function and no sampling, so it stays an independent check on the closed form.
+The quadrature side of the Weyl formula is de Bruijn's Pfaffian of Hermite-function integrals on one-dimensional
+Gauss-Legendre panels (``_legendre``, Newton on P_n), for every m; it uses no gamma function, no sampling and nothing
+past numpy and the standard library, so it stays an independent check on the closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy import sparse
-from scipy.special import ndtr, roots_legendre
 
 from mehtalab.estimation import EstimatorResult, Moments, _worker_count, map_chunks, mc_estimate
-from mehtalab.symspace import EnsembleParams, SymMatrix, map_goe_slabs
+from mehtalab.symspace import SLAB_BYTES, EnsembleParams, SymMatrix, map_goe_slabs
 
 __all__ = [
     "PointMeasure",
@@ -171,10 +169,13 @@ class PointMeasure:
 
 
 def default_degeneracy_tol(a: SymMatrix | np.ndarray) -> float | np.ndarray:
-    """1e-8 (1 + ||A||_F) of a SymMatrix or of each matrix of a (..., d, d) stack, the norm by hypot, which squares
-    no entry.  Eigenvalues no more than this apart are one atom of the spectral measure and make the finder refuse A."""
+    """1e-8 (1 + ||A||_F) of a SymMatrix or of each matrix of a (..., d, d) stack, ||A||_F by hypot, which squares no
+    entry, on A / 2^e (e >= 0 the frexp exponent of its largest entry), so it is finite wherever the tolerance is.
+    Eigenvalues no more than this apart are one atom of the spectral measure and make the finder refuse A."""
     mats = a.to_full() if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
-    return 1e-8 * (1.0 + np.hypot.reduce(mats.reshape(*mats.shape[:-2], -1), axis=-1))
+    flat = mats.reshape(*mats.shape[:-2], -1)
+    e = np.maximum(np.frexp(np.abs(flat).max(axis=-1))[1], 0)
+    return np.ldexp(1e-8 * (np.ldexp(1.0, -e) + np.hypot.reduce(np.ldexp(flat, -e[..., None]), axis=-1)), e)
 
 
 def spectral_measure(a: SymMatrix, degeneracy_tol: float | None = None) -> PointMeasure:
@@ -236,9 +237,23 @@ def _hermite_functions(y, count: int):
             exponent += _rescale(phi_prev, phi)
 
 
-# one rule per node count, made on first use from the banded Jacobi matrix's eigenvalues and one Newton step;
-# numpy's leggauss takes a dense eigen-solve, which OpenBLAS threads: 0.5 s at 256 nodes on two threads
-_legendre = lru_cache(maxsize=8)(roots_legendre)
+@lru_cache(maxsize=8)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes, ascending, and weights 2 / ((1 - x^2) P_n'(x)^2), cached: Newton on P_n from
+    Tricomi's guesses, P_n and P_n' by the three-term recurrence, P_n' once more at the nodes; 4.5 ms at n = 256."""
+    x, step = -np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5)), 1.0
+    for _ in range(100):
+        p_prev, p = np.ones(n), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        if np.abs(step).max() <= 1e-15:
+            break
+        step = p / dp
+        x = x - step
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 _PANEL_RTOL, _MAX_PANELS = 1e-14, 1024
 
 
@@ -373,8 +388,7 @@ def one_point_correlation(
         grid = 0.5 * (edges[:-1] + edges[1:])
 
         def place(lam):
-            cells = np.floor(lam / width).astype(np.int64)[..., None] + half
-            return cells, np.ones(cells.shape)
+            return np.floor(lam / width).astype(np.int64)[..., None] + half, None
     else:
         # a Gaussian cut off at 8h, past which a term is below 1e-14 / h: each
         # eigenvalue weighs on the grid points within 8h of it; int32 cells
@@ -393,18 +407,12 @@ def one_point_correlation(
         reach_u = reach * (step / width)
 
         def place(lam):
-            # u and the weights share one array, built and transformed in place
             first = np.ceil((lam - 8.0 * width) / step).astype(np.int32)
             u = ((step * first - lam) / width)[..., None] + reach_u
-            u *= u
-            u *= -0.5
-            np.exp(u, out=u)
-            u *= 1.0 / math.sqrt(2.0 * math.pi)
-            return first[..., None] + (reach + half), u
+            return first[..., None] + (reach + half), np.exp(-0.5 * u * u) * (1.0 / math.sqrt(2.0 * math.pi))
 
     def block(rng, size):
-        lam = map_goe_slabs(batched_eigvals, m, v, size, rng)
-        return _cell_moments(lam, *place(lam), grid.size)
+        return _cell_moments(map_goe_slabs(batched_eigvals, m, v, size, rng), place, grid.size)
 
     mom = map_chunks(block, n_samples, seed, _worker_count(workers))
     se = mom.std_error
@@ -417,32 +425,35 @@ def one_point_correlation(
                            width, estimator, n_samples, meta)
 
 
-def _cell_moments(lam, cells, weights, ncells):
-    """Block moments of the per-matrix weight sums on ``ncells`` grid cells.
+def _cell_moments(lam, place, ncells):
+    """Block moments of the per-matrix weight sums on ``ncells`` grid cells, then of lam^2's row mean and escapes.
+    ``place`` maps eigenvalue rows (s, m) to ascending cells (s, m, k), nondecreasing in lam, and their weights (None
+    for 1), so the block's extreme eigenvalues bound the cells it reaches.  It runs one slab of rows at a time, about
+    SLAB_BYTES of cells and of sums dense on those cells, each slab's per-matrix sums reduced by ``Moments.of``."""
+    (size, m), escaped = lam.shape, np.empty(lam.shape[0])  # eigenvalues with no cell on the grid
+    ends = np.clip(place(np.array([[lam.min(), lam.max()]]))[0], -1, ncells)  # off-grid cells go to a spare cell
+    lo, width = ends[0, 0, 0], ends[0, 1, -1] + 1 - ends[0, 0, 0]
+    slab = max(1, SLAB_BYTES // (8 * (width + m * ends.shape[-1])))
+    sums = np.empty((min(slab, size), width))  # refilled: a new array per slab page-faults where malloc trims it
 
-    Eigenvalue lam[i, j] puts weights[i, j, :] on the ascending cells[i, j, :],
-    which are overwritten.  Squares are taken after the per-matrix sums,
-    so cluster standard errors are exact.  The mean of lam^2 (a gemv, 3x as fast
-    as ``mean``) and the count of eigenvalues with no cell on the grid follow.
-    """
-    size, span = lam.shape[0], ncells + 2
-    escaped = ((cells[..., -1] < 0) | (cells[..., 0] >= ncells)).sum(axis=1)
-    tail = Moments.of(np.column_stack([(lam * lam) @ np.full(lam.shape[1], 1.0 / lam.shape[1]), escaped]))
-    # off-grid cells go to a spare cell at either end of their matrix's row
-    np.clip(cells, -1, ncells, out=cells)
-    cells += 1
-    indptr = np.arange(0, cells.size + 1, cells[0].size)  # each matrix fills its row with as many entries
-    # scipy adds up a row's entries on one cell in the order its (unstable) index
-    # sort leaves them: fixed for a fixed block, not always the input order
-    c = sparse.csr_array((weights.reshape(-1), cells.reshape(-1), indptr), shape=(size, span))
-    c.sum_duplicates()
-    mean = np.bincount(c.indices, c.data, minlength=span) / size
-    # two-pass M2: a cell's stored sums deviate from its mean, each matrix with no entry there by -mean
-    dev = mean[c.indices]
-    dev -= c.data
-    m2 = np.bincount(c.indices, np.square(dev, out=dev), minlength=span)
-    m2 += (size - np.bincount(c.indices, minlength=span)) * mean * mean
-    return Moments(size, np.append(mean[1:-1], tail.mean), np.append(m2[1:-1], tail.m2))
+    def slab_moments(start):
+        cells, weights = place(lam[start:start + slab])
+        escaped[start:start + len(cells)] = ((cells[..., -1] < 0) | (cells[..., 0] >= ncells)).sum(axis=1)
+        np.clip(cells, -1, ncells, out=cells)
+        cells += np.arange(-lo, len(cells) * width - lo, width)[:, None, None]  # each matrix's own row of sums
+        sums.fill(0.0)
+        np.add.at(sums.reshape(-1), cells.reshape(-1), 1.0 if weights is None else weights.reshape(-1))
+        return Moments.of(sums[:len(cells)])
+
+    cell = reduce(Moments.merge, map(slab_moments, range(0, size, slab)))
+    mean, m2 = (np.pad(a, (lo + 1, ncells + 1 - lo - width))[1:-1] for a in (cell.mean, cell.m2))
+    tail = Moments.of(np.column_stack([(lam * lam) @ np.full(m, 1.0 / m), escaped]))  # a gemv, 3x as fast as mean
+    return Moments(size, np.append(mean, tail.mean), np.append(m2, tail.m2))
+
+
+def _ndtr(y):
+    """P(Z <= y), Z standard normal, as erfc(-y / sqrt 2) / 2 by libm's erfc, which cancels in neither tail."""
+    return 0.5 * np.asarray(np.frompyfunc(math.erfc, 1, 1)(-y / math.sqrt(2.0)), dtype=float)
 
 
 def goe_density(m: int, v: float, x):
@@ -453,7 +464,7 @@ def goe_density(m: int, v: float, x):
     rho_m = sum_{k<m} phi_k^2 + sqrt(m/2) phi_{m-1} (I_m - J_m / 2), plus
     phi_{m-1} / J_{m-1} at odd m, with phi_k the Hermite functions, I_k(y)
     the integral of phi_k up to y and J_k = I_k(inf), 0 at odd k.  phi_k and
-    I_k run forward by three-term recurrences from phi_0 and I_0 (``ndtr``);
+    I_k run forward by three-term recurrences from phi_0 and I_0 (``_ndtr``);
     phi_k's rescaled one (``_hermite_functions``) does not underflow, so every
     m >= 1 has its exact density (mass 1 to about 1e-14 at m = 1500).  Returns
     rho_m(y) / (m sqrt(2v)), shaped like x: 0 far from the spectrum.
@@ -464,7 +475,7 @@ def goe_density(m: int, v: float, x):
         # past |y| = 1e4 every phi_k, k < 4e7, is 0, so the clip changes no value; it keeps phi_0's exponent an int32
         y = np.clip(np.asarray(x, dtype=float) / scale, -1e4, 1e4)
     j0 = math.pi ** -0.25 * math.sqrt(2.0 * math.pi)
-    i_prev, i_cur, total = 0.0, j0 * ndtr(y), 0.0
+    i_prev, i_cur, total = 0.0, j0 * _ndtr(y), 0.0
     for k, phi in enumerate(_hermite_functions(y, m)):  # leaves phi = phi_{m-1} and i_cur = I_m
         total = total + phi * phi
         i_prev, i_cur = i_cur, math.sqrt(k / (k + 1)) * i_prev - math.sqrt(2.0 / (k + 1)) * phi

@@ -255,10 +255,13 @@ class CriticalPointBatch:
     morse_indices: np.ndarray
 
 
-def _check_simple(mats: np.ndarray):
-    lam = batched_eigvals(mats)
-    scale = default_degeneracy_tol(mats)
-    gaps = np.diff(lam, axis=1).min(axis=1)
+def _check_simple(mats: np.ndarray, scale: np.ndarray):
+    with np.errstate(over="ignore", invalid="ignore"):  # an eigenvalue or a gap past the float range is named below
+        steps = np.diff(batched_eigvals(mats), axis=1, prepend=0.0)  # the first eigenvalue, then the gaps
+    past = np.isinf(steps).any(axis=1)  # a NaN matrix goes on, and no point of it is certified
+    if past.any():
+        raise OverflowError(f"matrix {past.argmax()} has an eigenvalue or an eigenvalue gap outside the float range")
+    gaps = steps[:, 1:].min(axis=1)
     bad = np.nonzero(gaps <= scale)[0]
     if bad.size:
         raise DegenerateMatrixError(gaps[bad[0]], scale[bad[0]], int(bad[0]))
@@ -266,7 +269,7 @@ def _check_simple(mats: np.ndarray):
 
 def find_critical_points_batch(
     mats: np.ndarray,
-    tol: float | None = 1e-10,
+    tol: float | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> CriticalPointBatch:
     """Find all 2d critical points for every matrix in a (n, d, d) stack.
@@ -277,8 +280,8 @@ def find_critical_points_batch(
     antipode -x completes the pair.  The count 2d is certified after every
     solve: a point whose gradient norm exceeds ``tol`` or whose overlap with
     an earlier point exceeds 1/2 raises IncompleteSearchError.  ``tol`` bounds
-    the gradient norm at a reported point; None picks 1e-10 scaled by the
-    largest matrix norm, so badly scaled inputs stay solvable.
+    the gradient norm at a reported point; None, the default, picks 1e-10 (1 +
+    the largest ||A||_F), so scaling a matrix by c scales its values by c.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim == 2:
@@ -286,15 +289,15 @@ def find_critical_points_batch(
     n, d = mats.shape[0], mats.shape[1]
     if d < 2:
         raise ValueError("need at least a 2 x 2 matrix (a sphere of dimension >= 1)")
-    if tol is None:
-        tol = 1e-10 * (1.0 + float(np.hypot.reduce(mats.reshape(n, -1), axis=1).max()))
+    scale = default_degeneracy_tol(mats)  # 1e-8 (1 + ||A||_F), which does not overflow where ||A||_F does
+    tol = 1e-2 * float(np.max(scale, initial=1e-8, where=~np.isnan(scale))) if tol is None else tol
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if rng is None:
         rng = substream(0)
     elif isinstance(rng, (int, np.integer)):
         rng = substream(int(rng))
-    _check_simple(mats)
+    _check_simple(mats, scale)
 
     found = np.empty((n, d, d))
     vals = np.empty((n, d))
@@ -335,7 +338,7 @@ def _morse_indices(mats, points, values):
 
 def find_critical_points(
     a: SymMatrix,
-    tol: float | None = 1e-10,
+    tol: float | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> list[CriticalPoint]:
     """All critical points of the field of one matrix, sorted by value.
@@ -359,7 +362,7 @@ def discriminant_measure(
     a: SymMatrix,
     method: str = "analytic",
     degeneracy_tol: float | None = None,
-    tol: float | None = 1e-10,
+    tol: float | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> PointMeasure:
     """Counting measure of critical values of twice the field, total mass 2(m+1).

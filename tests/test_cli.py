@@ -311,6 +311,20 @@ class TestExitCodes:
         assert err.splitlines() == ["error: parameter out of range, the result overflows a float "
                                     "(an eigenvalue is outside the float range)"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", [["1e308 1e308", "1e308 1e308"],
+                                      ["1.7e308 0 0", "0 -1.7e308 0", "0 0 1e307"]])
+    def test_critpoints_outside_the_float_range(self, tmp_path, capsys, rows):
+        # an eigenvalue (2e308), or a gap (1.8e308) between finite eigenvalues, past the float range: the norm in
+        # the degeneracy tolerance does not overflow first, and no warning comes before the one line
+        path = tmp_path / "big.txt"
+        path.write_text("\n".join([str(len(rows)), *rows]) + "\n")
+        rc = main(["critpoints", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: parameter out of range, the result overflows a float "
+                                    "(matrix 0 has an eigenvalue or an eigenvalue gap outside the float range)"]
+
     def test_overflowing_detmoment_reference(self, monkeypatch, capsys):
         # the reference (2v)^((m+1)/2) ratio(m) is computed before any draw
         def no_draw(*args, **kwargs):
@@ -520,19 +534,18 @@ class TestExitCodes:
         assert names in err and "float range" in err
 
 
-def test_import_leaves_out_scipy_integrate():
-    # the Pfaffian quadrature runs on numpy alone: neither the import nor the quadrature loads
-    # scipy.integrate. Regression and every solve run on numpy's LAPACK, so the import leaves out
-    # scipy.linalg too; only the import is checked for it, because scipy's own roots_legendre loads
-    # scipy.linalg for its banded eigen-solve on the first rule it builds
+def test_lab_loads_no_scipy():
+    # numpy is the lab's one runtime dependency: importing the CLI, the Pfaffian quadrature, the exact density and
+    # both density estimators load no scipy module, so none of them can lean on one; the tests use scipy as a reference
     src = str(Path(spectral.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, numpy as np, mehtalab.cli; from mehtalab import mehta, spectral; "
-            "print('scipy.linalg' in sys.modules); "
             "mehta.mehta_quadrature(3); spectral.weyl_rhs_quadrature(lambda l: np.abs(np.prod(l - 1.0, axis=1)), 2, 1.0); "
-            "print('scipy.integrate' in sys.modules)")
+            "spectral.goe_density(3, 1.0, np.linspace(-40.0, 40.0, 9)); "
+            "[spectral.one_point_correlation(2, 0.5, 2000, estimator=e, workers=1) for e in ('histogram', 'kernel')]; "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout == "False\nFalse\n"
+    assert run.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("module", ["estimation", "symspace", "spectral", "regression", "spherefield", "mehta"])

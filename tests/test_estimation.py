@@ -72,7 +72,7 @@ def test_map_chunks_callers_and_no_dense_legendre_rule():
         "reproduce_zm": "needs the ratios' co-moment matrix",
         "cmd_regress_demo": "needs the co-moment matrix's cross block",
         "covariance_audit": "hand-built moments, one product row at a time, so a block stays (size, p)",
-        "one_point_correlation": "hand-built moments of sparse per-matrix cell sums",
+        "one_point_correlation": "per-matrix cell sums reduce slab by slab, beside the whole block's tail",
         "_criteria": "the finder rows reduce a max and an all, not moments",
     }
     callers, leggauss = set(), []

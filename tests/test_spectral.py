@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.special import ndtr
 
 import mehtalab
 from mehtalab import spectral
@@ -359,6 +360,14 @@ class TestWeylExpectation:
 
 
 class TestWeylQuadrature:
+    @pytest.mark.parametrize("n", [1, 2, 20, 64, 256])
+    def test_legendre_rule_is_exact(self, n):
+        # n nodes integrate x^(2k) over [-1, 1] exactly for every k < n; scipy's roots_legendre reads 1.0e-11 at n = 256
+        nodes, wts = spectral._legendre(n)
+        assert nodes.shape == wts.shape == (n,) and (np.diff(nodes) > 0.0).all()
+        k = np.arange(n)
+        np.testing.assert_allclose(nodes[None, :] ** (2 * k[:, None]) @ wts, 2.0 / (2 * k + 1), rtol=1e-13, atol=0.0)
+
     def test_normalized_density(self):
         for m, v in ((1, 1.0), (2, 0.5), (3, 2.0)):
             val = weyl_rhs_quadrature(lambda lam: np.ones(lam.shape[0]), m, v)
@@ -462,34 +471,45 @@ class TestOnePointCorrelation:
             assert np.max(np.abs(vals - est.values[idx])) <= 1e-12
             np.testing.assert_allclose(ses, est.stderr[idx], rtol=1e-10, atol=0.0)
 
-    def test_cell_moments_against_loop(self):
-        # windows that start off the grid, straddle either end or miss it
+    def test_cell_moments_against_loop(self, monkeypatch):
+        # windows that start off the grid, straddle either end or miss it; in one slab, then in 6-row slabs
         rng = np.random.default_rng(221)
-        size, m, k, ncells = 300, 3, 5, 20
-        lam = rng.normal(size=(size, m))
-        cells = np.sort(rng.integers(-8, ncells + 3, size=(size, m)), axis=1)[..., None] + np.arange(k)
-        weights = rng.random(cells.shape)
+        size, m, k, ncells = 301, 3, 5, 20
+        lam = np.sort(rng.uniform(-8.0, ncells + 3.0, size=(size, m)), axis=1)
+
+        def place(rows):  # nondecreasing cells, with weights that vary by eigenvalue and cell
+            return np.floor(rows).astype(int)[..., None] + np.arange(k), np.sin(rows[..., None] + np.arange(k)) ** 2
+
+        cells, weights = place(lam)
         sums, escaped = np.zeros((size, ncells)), np.zeros(size)
         for i, j in np.ndindex(size, m):
             on = (cells[i, j] >= 0) & (cells[i, j] < ncells)
             np.add.at(sums[i], cells[i, j][on], weights[i, j][on])
             escaped[i] += not on.any()
-        mom = _cell_moments(lam, cells.copy(), weights.copy(), ncells)
         ref = np.column_stack([sums, (lam * lam).mean(axis=1), escaped])
-        assert mom.count == size and escaped.sum() > 0
-        np.testing.assert_allclose(mom.mean, ref.mean(axis=0), rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(mom.m2, ((ref - ref.mean(axis=0)) ** 2).sum(axis=0), rtol=1e-12, atol=1e-12)
+        assert escaped.sum() > 0
+        for slab_bytes in (spectral.SLAB_BYTES, 4096):
+            monkeypatch.setattr(spectral, "SLAB_BYTES", slab_bytes)
+            mom = _cell_moments(lam, place, ncells)
+            assert mom.count == size
+            np.testing.assert_allclose(mom.mean, ref.mean(axis=0), rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(mom.m2, ((ref - ref.mean(axis=0)) ** 2).sum(axis=0), rtol=1e-12, atol=1e-12)
 
     def test_cell_moments_do_not_cancel(self):
         # every matrix puts 1 + O(1e-7) on cells 0..4, so a cell's mean is about 5e6 of its sd
         rng = np.random.default_rng(222)
         size, ncells = 500, 5
-        cells = np.array([[0, 1, 2], [2, 3, 4]]) + np.zeros((size, 1, 1), dtype=int)
-        weights = 1.0 + 1e-7 * rng.random(cells.shape)
+        lam = np.sort(rng.random((size, 2)), axis=1)
+
+        def place(rows):
+            return np.array([[0, 1, 2], [2, 3, 4]]) + np.zeros((len(rows), 1, 1), dtype=int), \
+                1.0 + 1e-7 * rows[..., None] * np.array([1.0, 2.0, 3.0])
+
+        cells, weights = place(lam)
         sums = np.zeros((size, ncells))
         for i, j in np.ndindex(size, 2):
             sums[i, cells[i, j]] += weights[i, j]
-        mom = _cell_moments(rng.normal(size=(size, 2)), cells.copy(), weights, ncells)
+        mom = _cell_moments(lam, place, ncells)
         np.testing.assert_allclose(mom.m2[:ncells], Moments.of(sums).m2, rtol=1e-10)
 
     def test_huge_bandwidth_has_finite_errors(self, capsys):
@@ -577,6 +597,14 @@ def legendre_on(lo, hi, count):
 
 
 class TestGoeDensity:
+    def test_normal_cdf_against_scipy(self):
+        # I_0's erfc(-y / sqrt 2) / 2 against scipy's ndtr; rounding y / sqrt 2 alone moves either by about
+        # y^2 eps relative (both are within 2.2e-13 of the exact value at |y| <= 37), hence the (1 + y^2)
+        y = np.linspace(-37.0, 37.0, 20001)
+        ref = ndtr(y)
+        assert (np.abs(spectral._ndtr(y) - ref) <= 1e-15 * (1.0 + y * y) * ref).all()
+        assert spectral._ndtr(0.0) == 0.5 and spectral._ndtr(-1e4) == 0.0 and spectral._ndtr(1e4) == 1.0
+
     def test_zero_far_from_the_spectrum(self):
         # y * y overflows there; the density is 0 with no warning
         with warnings.catch_warnings():

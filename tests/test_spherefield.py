@@ -274,6 +274,17 @@ class TestFinder:
         cps = find_critical_points(SymMatrix.from_diagonal([1e200, -1e200]), tol=None, rng=436)
         assert sorted(c.value for c in cps) == [-1e200] * 2 + [1e200] * 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e9])
+    def test_scaled_matrix_scales_its_values(self, scale):
+        # the default tolerance is relative: an absolute 1e-10 found 0 of 6 points at 1e6 and 2 of 6 at 1e9
+        full = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 4.0]])
+        base = find_critical_points(SymMatrix.from_full(full), rng=440)
+        cps = find_critical_points(SymMatrix.from_full(scale * full), rng=440)
+        assert len(cps) == 6
+        np.testing.assert_allclose([c.value for c in cps], [scale * c.value for c in base], rtol=1e-14, atol=0.0)
+        assert [c.morse_index for c in cps] == [c.morse_index for c in base] == [0, 0, 1, 1, 2, 2]
+
 
 class TestDiscriminantMeasure:
     def test_total_mass(self):
