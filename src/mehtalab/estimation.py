@@ -78,7 +78,8 @@ class Moments:
     An M2 with one axis more than the mean is the co-moment matrix of one
     column per variable, sum (y - mean)(y - mean)^T.  The sample's values are
     exp(``shift``) times the stored ones; importance weights keep their
-    largest log weight there so that they cannot overflow.
+    largest log weight there so that they cannot overflow.  An M2 past the
+    float range, whose infinite standard errors read every z as 0, raises OverflowError.
     """
 
     count: int
@@ -86,14 +87,19 @@ class Moments:
     m2: np.ndarray
     shift: float = 0.0
 
+    def __post_init__(self):
+        if np.isinf(self.m2).any():
+            raise OverflowError("a sum of squared deviations leaves the float range")
+
     @classmethod
     def of(cls, y, shift: float = 0.0, cross: bool = False) -> Moments:
         """Two-pass moments over the first axis of y (one row per draw); ``cross`` asks for the co-moment matrix."""
         y = np.asarray(y, dtype=float)
-        mean = y.mean(axis=0)
-        dev = y - mean
-        co = dev.T @ dev if cross else None
-        m2 = np.square(dev, out=dev).sum(axis=0)
+        with np.errstate(over="ignore"):  # an M2 past the float range is named on construction
+            mean = y.mean(axis=0)
+            dev = y - mean
+            co = dev.T @ dev if cross else None
+            m2 = np.square(dev, out=dev).sum(axis=0)
         if cross:
             np.fill_diagonal(co, m2)  # the diagonal keeps the elementwise bits
             m2 = co
@@ -109,10 +115,11 @@ class Moments:
         shift = max(self.shift, other.shift)
         fa, fb = math.exp(self.shift - shift), math.exp(other.shift - shift)
         count = self.count + other.count
-        delta = fb * other.mean - fa * self.mean
-        mean = fa * self.mean + delta * (other.count / count)
-        outer = np.outer(delta, delta) if self.cross else delta * delta
-        m2 = fa * fa * self.m2 + fb * fb * other.m2 + outer * (self.count * other.count / count)
+        with np.errstate(over="ignore"):  # an M2 past the float range is named on construction
+            delta = fb * other.mean - fa * self.mean
+            mean = fa * self.mean + delta * (other.count / count)
+            outer = np.outer(delta, delta) if self.cross else delta * delta
+            m2 = fa * fa * self.m2 + fb * fb * other.m2 + outer * (self.count * other.count / count)
         return Moments(count, mean, m2, shift)
 
     @property

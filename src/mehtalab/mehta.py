@@ -219,7 +219,7 @@ def exp_det_pointwise_check(m: int, v: float, c: float, n_samples: int, seed: in
     """Pointwise determinant-moment identity at shift c.
 
     Estimate: Monte Carlo E|det(A - c I)| over GOE(m, v) (``exp_abs_det_mc``),
-    with its standard error, also in ``meta["left_se"]``.  Reference:
+    with its standard error.  Reference:
     exp(c^2/4v) (2v)^((m+1)/2) ratio(m) times the exact (m+1)-dimensional
     one-point density at c (``goe_density``), a closed form independent of the
     sampled side.  It is computed first, so a reference that leaves the float
@@ -233,9 +233,7 @@ def exp_det_pointwise_check(m: int, v: float, c: float, n_samples: int, seed: in
         reference = math.inf
     if not math.isfinite(reference):
         raise OverflowError(f"the pointwise reference at m={m}, v={v:g}, c={c:g} leaves the float range")
-    res = mc_estimate(weights, n_samples, seed, workers, reference=reference)
-    res.meta["left_se"] = res.std_error
-    return res
+    return mc_estimate(weights, n_samples, seed, workers, reference=reference)
 
 
 def _kacrice_prefactor(m: int, v: float) -> float:

@@ -169,13 +169,13 @@ class PointMeasure:
 
 
 def default_degeneracy_tol(a: SymMatrix | np.ndarray) -> float | np.ndarray:
-    """1e-8 (1 + ||A||_F) of a SymMatrix or of each matrix of a (..., d, d) stack, ||A||_F by hypot, which squares no
-    entry, on A / 2^e (e >= 0 the frexp exponent of its largest entry), so it is finite wherever the tolerance is.
+    """1e-8 ||A||_F of a SymMatrix or of each (d, d) matrix of a stack, by hypot (which squares no entry) on A / 2^e,
+    e the frexp exponent of A's largest entry: finite wherever the tolerance is, and exactly 2^k times as big at 2^k A.
     Eigenvalues no more than this apart are one atom of the spectral measure and make the finder refuse A."""
     mats = a.to_full() if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
     flat = mats.reshape(*mats.shape[:-2], -1)
-    e = np.maximum(np.frexp(np.abs(flat).max(axis=-1))[1], 0)
-    return np.ldexp(1e-8 * (np.ldexp(1.0, -e) + np.hypot.reduce(np.ldexp(flat, -e[..., None]), axis=-1)), e)
+    e = np.frexp(np.abs(flat).max(axis=-1))[1]
+    return np.ldexp(1e-8 * np.hypot.reduce(np.ldexp(flat, -e[..., None]), axis=-1), e)
 
 
 def spectral_measure(a: SymMatrix, degeneracy_tol: float | None = None) -> PointMeasure:
@@ -383,6 +383,8 @@ def one_point_correlation(
         width = default_bin_width(m, v) if bin_width is None else float(bin_width)
         if not (width > 0.0 and math.isfinite(width)):
             raise ValueError("bin_width must be a positive finite number")
+        if not R / width < 2.0**53:  # past 2^53 bins a float bin index no longer tells neighbours apart
+            raise ValueError(f"bin_width {width:g} is below the grid step {R / 2.0**53:g} at v={v:g}")
         half = int(math.ceil(R / width))
         edges = width * np.arange(-half, half + 1)
         grid = 0.5 * (edges[:-1] + edges[1:])

@@ -196,10 +196,10 @@ def hess_phi(a, x) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: float):
+def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: np.ndarray):
     """Damped Riemannian Newton with sphere retraction from one start point per matrix.
 
-    ``mats_flat`` is (B, d, d) and ``x`` is (B, d), one start per matrix.  The
+    ``mats_flat`` is (B, d, d), ``x`` (B, d) one start per matrix and ``tol`` (B,) the gradient norms to reach.  The
     step is Q eta, Q the tangent basis and eta the solve of Hess f[eta] =
     -Q^T grad f with the tangent Hessian that the Morse indices read; steps
     are capped at length 1/2 and an iterate falls back to a plain
@@ -211,9 +211,8 @@ def _newton_polish(mats_flat: np.ndarray, x: np.ndarray, tol: float):
         xa = x[active]
         aa = mats_flat[active]
         grad, theta = _gradients(aa, xa)
-        # hypot squares no component, so gradients near 1e200 do not overflow
         gn = np.hypot.reduce(grad, axis=1)
-        live = gn > tol
+        live = gn > tol[active]
         active = active[live]
         if active.size == 0:
             break
@@ -255,33 +254,19 @@ class CriticalPointBatch:
     morse_indices: np.ndarray
 
 
-def _check_simple(mats: np.ndarray, scale: np.ndarray):
-    with np.errstate(over="ignore", invalid="ignore"):  # an eigenvalue or a gap past the float range is named below
-        steps = np.diff(batched_eigvals(mats), axis=1, prepend=0.0)  # the first eigenvalue, then the gaps
-    past = np.isinf(steps).any(axis=1)  # a NaN matrix goes on, and no point of it is certified
-    if past.any():
-        raise OverflowError(f"matrix {past.argmax()} has an eigenvalue or an eigenvalue gap outside the float range")
-    gaps = steps[:, 1:].min(axis=1)
-    bad = np.nonzero(gaps <= scale)[0]
-    if bad.size:
-        raise DegenerateMatrixError(gaps[bad[0]], scale[bad[0]], int(bad[0]))
-
-
 def find_critical_points_batch(
     mats: np.ndarray,
-    tol: float | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> CriticalPointBatch:
     """Find all 2d critical points for every matrix in a (n, d, d) stack.
 
-    Each matrix must be simple.  Solve k draws one Gaussian start per matrix,
-    projects it onto the orthogonal complement of the k points already found
-    (an A-invariant subspace, so Newton stays inside it) and polishes it; the
-    antipode -x completes the pair.  The count 2d is certified after every
-    solve: a point whose gradient norm exceeds ``tol`` or whose overlap with
-    an earlier point exceeds 1/2 raises IncompleteSearchError.  ``tol`` bounds
-    the gradient norm at a reported point; None, the default, picks 1e-10 (1 +
-    the largest ||A||_F), so scaling a matrix by c scales its values by c.
+    Each matrix must be simple, and is searched at its own scale, as A / 2^e with e the frexp exponent of its largest
+    |entry|: that scaling is exact, so the points and Morse indices do not depend on A's scale by powers of two and
+    the values and gradient norms scale with it.  Solve k draws one Gaussian start per matrix, projects it onto the
+    orthogonal complement of the k points already found (an A-invariant subspace, so Newton stays inside it) and
+    polishes it; the antipode -x completes the pair.  The count 2d is certified after every solve: a point whose
+    gradient norm exceeds 1e-2 of the degeneracy tolerance, 1e-10 ||A||_F, or whose overlap with an earlier point
+    exceeds 1/2 raises IncompleteSearchError.  A value past the float range raises OverflowError.
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim == 2:
@@ -289,15 +274,18 @@ def find_critical_points_batch(
     n, d = mats.shape[0], mats.shape[1]
     if d < 2:
         raise ValueError("need at least a 2 x 2 matrix (a sphere of dimension >= 1)")
-    scale = default_degeneracy_tol(mats)  # 1e-8 (1 + ||A||_F), which does not overflow where ||A||_F does
-    tol = 1e-2 * float(np.max(scale, initial=1e-8, where=~np.isnan(scale))) if tol is None else tol
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     if rng is None:
         rng = substream(0)
     elif isinstance(rng, (int, np.integer)):
         rng = substream(int(rng))
-    _check_simple(mats, scale)
+    e = np.frexp(np.abs(mats).max(axis=(1, 2)))[1]
+    mats = np.ldexp(mats, -e[:, None, None])  # every eigenvalue now lies in [-d, d]
+    tau = default_degeneracy_tol(mats)
+    tol = 1e-2 * tau
+    gaps = np.diff(batched_eigvals(mats), axis=1).min(axis=1)
+    bad = np.nonzero(gaps <= tau)[0]  # a NaN gap refuses nothing, and the search certifies no point of its matrix
+    if bad.size:
+        raise DegenerateMatrixError(*np.ldexp([gaps[bad[0]], tau[bad[0]]], e[bad[0]]), int(bad[0]))
 
     found = np.empty((n, d, d))
     vals = np.empty((n, d))
@@ -323,9 +311,14 @@ def find_critical_points_batch(
     points[:, 0::2] = pairs
     points[:, 1::2] = -pairs
     vals = np.take_along_axis(vals, order, axis=1)
-    gradnorms = np.repeat(np.take_along_axis(gns, order, axis=1), 2, axis=1)
     # x and -x have the same tangent Hessian spectrum, so one of each pair does
     morse = np.repeat(_morse_indices(mats, pairs, vals), 2, axis=1)
+    with np.errstate(over="ignore"):  # a value past the float range is named below
+        vals = np.ldexp(vals, e[:, None])
+    past = np.isinf(vals).any(axis=1)
+    if past.any():
+        raise OverflowError(f"matrix {past.argmax()} has a critical value outside the float range")
+    gradnorms = np.repeat(np.ldexp(np.take_along_axis(gns, order, axis=1), e[:, None]), 2, axis=1)
     return CriticalPointBatch(points, np.repeat(vals, 2, axis=1), gradnorms, morse)
 
 
@@ -338,15 +331,14 @@ def _morse_indices(mats, points, values):
 
 def find_critical_points(
     a: SymMatrix,
-    tol: float | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> list[CriticalPoint]:
     """All critical points of the field of one matrix, sorted by value.
 
     Returns exactly 2(m+1) points for a simple (m+1) x (m+1) matrix, with x
-    and -x listed separately; every returned gradient norm is below tol.
+    and -x listed separately; every returned gradient norm is at most 1e-10 ||A||_F.
     """
-    batch = find_critical_points_batch(_as_full(a)[None], tol=tol, rng=rng)
+    batch = find_critical_points_batch(_as_full(a)[None], rng=rng)
     return [
         CriticalPoint(
             point=batch.points[0, i].copy(),
@@ -362,7 +354,6 @@ def discriminant_measure(
     a: SymMatrix,
     method: str = "analytic",
     degeneracy_tol: float | None = None,
-    tol: float | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> PointMeasure:
     """Counting measure of critical values of twice the field, total mass 2(m+1).
@@ -376,7 +367,7 @@ def discriminant_measure(
     if method == "analytic":
         return spectral_measure(a, degeneracy_tol=degeneracy_tol).scaled(2.0)
     if method == "search":
-        cps = find_critical_points(a, tol=tol, rng=rng)
+        cps = find_critical_points(a, rng=rng)
         locs = np.array([c.value for c in cps])
         merge_tol = (degeneracy_tol if degeneracy_tol is not None else default_degeneracy_tol(a))
         return PointMeasure(locs, np.ones(locs.size)).merged(merge_tol)

@@ -81,7 +81,7 @@ class SymMatrix:
     def from_full(cls, a, symmetry_tol: float | None = None) -> "SymMatrix":
         """Build from a full (m, m) array, averaging the two triangles.
 
-        Rejects non-finite entries and, with ``symmetry_tol`` set, asymmetry above it.
+        Rejects non-finite entries and, with ``symmetry_tol`` set, asymmetry above it times the largest |entry|.
         """
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -89,9 +89,9 @@ class SymMatrix:
         if not np.isfinite(a).all():
             raise ValueError("matrix has a non-finite entry")
         if symmetry_tol is not None:
-            gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-            if gap > symmetry_tol:
-                raise ValueError(f"matrix is not symmetric: max |a_ij - a_ji| = {gap:.3e}")
+            gap, top = (float(np.max(np.abs(a - a.T))), float(np.max(np.abs(a)))) if a.size else (0.0, 0.0)
+            if gap > symmetry_tol * top:
+                raise ValueError(f"matrix is not symmetric: max |a_ij - a_ji| = {gap:.3e}, largest |entry| {top:.3e}")
         m = a.shape[0]
         with np.errstate(over="ignore"):  # where a + a^T overflows, halving each triangle first is exact
             sym = 0.5 * (a + a.T)
@@ -392,7 +392,7 @@ def _read_one(lines, pos) -> tuple[SymMatrix, int]:
 
 
 def read_matrix(path_or_file) -> SymMatrix:
-    """Read one matrix in the interchange format; rejects asymmetry above 1e-9."""
+    """Read one matrix in the interchange format; rejects asymmetry above 1e-9 times the largest |entry|."""
     with _opened(path_or_file) as fh:
         text = fh.read()
     mat, _ = _read_one(text.splitlines(), 0)

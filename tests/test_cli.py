@@ -315,15 +315,42 @@ class TestExitCodes:
     @pytest.mark.parametrize("rows", [["1e308 1e308", "1e308 1e308"],
                                       ["1.7e308 0 0", "0 -1.7e308 0", "0 0 1e307"]])
     def test_critpoints_outside_the_float_range(self, tmp_path, capsys, rows):
-        # an eigenvalue (2e308), or a gap (1.8e308) between finite eigenvalues, past the float range: the norm in
-        # the degeneracy tolerance does not overflow first, and no warning comes before the one line
+        # critpoints agrees with eig: an eigenvalue (2e308) past the float range is one line and exit 2, with no
+        # warning before it; a gap (1.8e308) past it, between finite eigenvalues, is not, as the finder searches at
+        # the matrix's own scale
         path = tmp_path / "big.txt"
         path.write_text("\n".join([str(len(rows)), *rows]) + "\n")
+        rc_eig = main(["eig", str(path)])
+        eig_out = capsys.readouterr().out
         rc = main(["critpoints", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == rc_eig
+        if rc:
+            assert out == ""
+            assert err.splitlines() == ["error: parameter out of range, the result overflows a float "
+                                        "(matrix 0 has a critical value outside the float range)"]
+        else:
+            values = [p["value"] for p in json.loads(out)["critical_points"]]
+            np.testing.assert_allclose(values, np.repeat(json.loads(eig_out)["eigenvalues"], 2), rtol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [["check-covariance", "--m", "2", "--v", "1e200", "--n", "2000"],
+                                      ["regress-demo", "--m", "2", "--v", "1e200", "--n", "2000"],
+                                      ["correlation", "--estimator", "kernel", "--v", "1e300", "--n", "1000"]])
+    def test_spread_outside_the_float_range(self, capsys, argv):
+        # infinite standard errors read every z-score as 0, a pass: one line and exit 2, with no warning before it
+        rc = main(argv)
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert err.splitlines() == ["error: parameter out of range, the result overflows a float "
-                                    "(matrix 0 has an eigenvalue or an eigenvalue gap outside the float range)"]
+                                    "(a sum of squared deviations leaves the float range)"]
+
+    def test_histogram_grid_outside_the_float_index_range(self, capsys):
+        # 0.2-wide bins over a spectrum of width 1e150 are past any float index, not an allocation to attempt
+        rc = main(["correlation", "--v", "1e300", "--n", "1000"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: bin_width 0.2 is below the grid step 1.38614e+135 at v=1e+300"]
 
     def test_overflowing_detmoment_reference(self, monkeypatch, capsys):
         # the reference (2v)^((m+1)/2) ratio(m) is computed before any draw

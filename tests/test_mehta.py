@@ -326,7 +326,7 @@ class TestDetmomentIntegrated:
 class TestDetmomentPointwise:
     def test_m1_center_has_analytic_left_side(self):
         res = exp_det_pointwise_check(1, 0.5, 0.0, 150000, seed=520)
-        assert abs(res.estimate - math.sqrt(2.0 / math.pi)) <= 4.0 * res.meta["left_se"]
+        assert abs(res.estimate - math.sqrt(2.0 / math.pi)) <= 4.0 * res.std_error
         assert res.passed, f"z = {res.z_score:.2f}"
 
     @pytest.mark.parametrize("m,v,c,seed", [(1, 0.5, 1.0, 521), (2, 0.5, 0.0, 522)])
@@ -341,7 +341,7 @@ class TestDetmomentPointwise:
         left = exp_abs_det_mc(3, 1.0, 0.7, 20000, seed=524)
         assert (res.estimate, res.std_error) == (left.estimate, left.std_error)
         assert res.reference == math.exp(0.7**2 / 4.0) * 2.0**2 * mehta_ratio(3) * float(goe_density(4, 1.0, 0.7))
-        assert res.meta == {"left_se": res.std_error}
+        assert res.meta == {}
 
     def test_reference_past_float_range_raises_before_any_draw(self, monkeypatch):
         # c^2 overflows, exp(inf) is inf and the density is 0: their product would be a NaN reference

@@ -317,7 +317,7 @@ class TestSpectralMeasure:
 
     def test_default_tolerance_scales(self):
         a = SymMatrix.from_diagonal([1.0, 1.0, 1.0])
-        assert default_degeneracy_tol(a) == pytest.approx(1e-8 * (1.0 + math.sqrt(3.0)))
+        assert default_degeneracy_tol(a) == pytest.approx(1e-8 * math.sqrt(3.0))
 
     def test_default_tolerance_of_a_stack(self):
         mats = sample_goe_batch(4, 1.0, 6, substream(208)).reshape(2, 3, 4, 4)

@@ -6,7 +6,8 @@ import pytest
 
 from mehtalab import spherefield
 from mehtalab.estimation import substream
-from mehtalab.spectral import batched_eigvals, default_degeneracy_tol, eigenvalues, spectral_measure
+from mehtalab.spectral import (batched_count_below, batched_eigvals, default_degeneracy_tol, eigenvalues,
+                               spectral_measure)
 from mehtalab.spherefield import (
     DegenerateMatrixError,
     IncompleteSearchError,
@@ -167,11 +168,19 @@ class TestFinder:
         with pytest.raises(DegenerateMatrixError):
             find_critical_points(SymMatrix.from_diagonal([1.0, 1.0, 2.0]), rng=412)
 
-    def test_incomplete_search_reports_count(self):
-        a = random_sym(3, substream(413))
+    def test_incomplete_search_reports_count(self, monkeypatch):
+        # the third solve is made to end with an infinite gradient norm: the four points before it are counted
+        calls, polish = [], spherefield._newton_polish
+
+        def stalls_third(mats, x, tol):
+            calls.append(None)
+            x, gn, theta = polish(mats, x, tol)
+            return x, np.full_like(gn, np.inf) if len(calls) == 3 else gn, theta
+
+        monkeypatch.setattr(spherefield, "_newton_polish", stalls_third)
         with pytest.raises(IncompleteSearchError) as info:
-            find_critical_points(a, tol=1e-300, rng=414)
-        assert info.value.found < info.value.expected == 6
+            find_critical_points(random_sym(3, substream(413)), rng=414)
+        assert (info.value.found, info.value.expected, info.value.sample_index) == (4, 6, 0)
 
     def test_nan_points_never_certified(self):
         with pytest.raises(IncompleteSearchError) as info:
@@ -192,7 +201,7 @@ class TestFinder:
 
         monkeypatch.setattr(np.linalg, "solve", spy)
         x0 = np.array([[1.0, 0.0, 1.0]]) / math.sqrt(2.0)
-        x, gn, theta = spherefield._newton_polish(np.diag([-1.0, 0.0, 1.0])[None], x0, 1e-10)
+        x, gn, theta = spherefield._newton_polish(np.diag([-1.0, 0.0, 1.0])[None], x0, np.array([1e-10]))
         assert len(calls) >= 2 and np.array_equal(calls[1], calls[0] + 1e-12 * np.eye(2))
         assert gn[0] <= 1e-10 and abs(theta[0] + 1.0) <= 1e-12
         assert np.allclose(np.abs(x[0]), [1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
@@ -244,14 +253,16 @@ class TestFinder:
         assert np.array_equal(batch.morse_indices, np.broadcast_to(np.repeat(np.arange(6), 2), (5000, 12)))
 
     def test_input_validation(self):
-        a = random_sym(3, substream(420))
-        with pytest.raises(ValueError):
-            find_critical_points(a, tol=0.0)
+        with pytest.raises(ValueError, match="need at least a 2 x 2 matrix"):
+            find_critical_points(SymMatrix.from_diagonal([1.0]))
 
     def test_nan_tolerance_rejected(self):
-        mats = sample_goe_batch(3, 1.0, 4, substream(420))
-        with pytest.raises(ValueError, match="tol must be positive"):
-            find_critical_points_batch(mats, tol=math.nan, rng=420)
+        # a NaN matrix has a NaN gradient tolerance: no point of it is certified, and it is the one named
+        mats = sample_goe_batch(2, 1.0, 4, substream(420))
+        mats[2, 0, 0] = math.nan
+        with pytest.raises(IncompleteSearchError) as info:
+            find_critical_points_batch(mats, rng=420)
+        assert (info.value.found, info.value.sample_index) == (0, 2)
 
     def test_near_coincident_values_stay_separate(self):
         # gap above the degeneracy tolerance but inside the value-cluster
@@ -268,22 +279,81 @@ class TestFinder:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_badly_scaled_matrix_with_default_tolerance(self):
         a = SymMatrix.from_diagonal([1e8, 2e8, -3e8])
-        cps = find_critical_points(a, tol=None, rng=435)
+        cps = find_critical_points(a, rng=435)
         assert sorted(round(c.value) for c in cps) == [-300000000] * 2 + [100000000] * 2 + [200000000] * 2
         # entries whose squares overflow a float
-        cps = find_critical_points(SymMatrix.from_diagonal([1e200, -1e200]), tol=None, rng=436)
+        cps = find_critical_points(SymMatrix.from_diagonal([1e200, -1e200]), rng=436)
         assert sorted(c.value for c in cps) == [-1e200] * 2 + [1e200] * 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e9])
+    @pytest.mark.parametrize("scale", [1e-9, 1e4, 1e6, 1e9])
     def test_scaled_matrix_scales_its_values(self, scale):
-        # the default tolerance is relative: an absolute 1e-10 found 0 of 6 points at 1e6 and 2 of 6 at 1e9
+        # the tolerances are relative: an absolute 1e-10 found 0 of 6 points at 1e6 and 2 of 6 at 1e9, and an
+        # absolute floor of 1e-8 on the degeneracy tolerance refused the matrix at 1e-9
         full = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 4.0]])
         base = find_critical_points(SymMatrix.from_full(full), rng=440)
         cps = find_critical_points(SymMatrix.from_full(scale * full), rng=440)
         assert len(cps) == 6
         np.testing.assert_allclose([c.value for c in cps], [scale * c.value for c in base], rtol=1e-14, atol=0.0)
         assert [c.morse_index for c in cps] == [c.morse_index for c in base] == [0, 0, 1, 1, 2, 2]
+
+
+# scaling by 2^k is exact in floating point, so at each k every matrix route reads the k = 0 result times 2^k
+POWERS = (-1000, -500, -40, 0, 40, 500, 1000)
+# eigvalsh is exact only where LAPACK does not rescale: dsyevd rescales a matrix whose largest |entry| is outside
+# [2^-485, 2^485], and dsterf a tridiagonal form near the ends of the float range, by factors that are not powers of
+# two; on the draws below it is exact for k in [-402, 483], so eig is checked at the ends of [-400, 480] too
+LAPACK_POWERS = (-400, -40, 0, 40, 480)
+
+
+def _power_of_two_stack(d):
+    """Three GOE(d, 1) draws and J - I, which is simple at d = 2 and has the eigenvalue -1 d - 1 times past it."""
+    return np.concatenate([sample_goe_batch(d, 1.0, 3, substream(450 + d)), (np.ones((d, d)) - np.eye(d))[None]])
+
+
+class TestPowerOfTwoScaling:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_finder_points_values_and_indices(self, d):
+        simple = _power_of_two_stack(d)[:4 if d == 2 else 3]
+        base = [find_critical_points(SymMatrix.from_full(a), rng=451) for a in simple]
+        for k in POWERS:
+            for a, cps0 in zip(simple, base):
+                cps = find_critical_points(SymMatrix.from_full(np.ldexp(a, k)), rng=451)
+                assert np.array_equal([c.point for c in cps], [c.point for c in cps0])
+                assert [c.value for c in cps] == [math.ldexp(c.value, k) for c in cps0]
+                assert [c.morse_index for c in cps] == [c.morse_index for c in cps0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", range(3, 7))
+    def test_finder_refuses_ones_minus_identity(self, d):
+        a = _power_of_two_stack(d)[3]
+        with pytest.raises(DegenerateMatrixError) as base:
+            find_critical_points(SymMatrix.from_full(a), rng=451)
+        for k in POWERS:
+            with pytest.raises(DegenerateMatrixError) as info:
+                find_critical_points(SymMatrix.from_full(np.ldexp(a, k)), rng=451)
+            assert (info.value.gap, info.value.tol) == (math.ldexp(base.value.gap, k), math.ldexp(base.value.tol, k))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_counts_below_scaled_shifts(self, d):
+        mats, shifts = _power_of_two_stack(d), np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, d - 1.0])
+        base = batched_count_below(mats, shifts)
+        for k in POWERS:
+            assert np.array_equal(batched_count_below(np.ldexp(mats, k), np.ldexp(shifts, k)), base)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_eigenvalues_and_spectral_measure(self, d):
+        for a in map(SymMatrix.from_full, _power_of_two_stack(d)):
+            lam, pm = eigenvalues(a), spectral_measure(a)
+            for k in LAPACK_POWERS:
+                scaled = SymMatrix.from_full(np.ldexp(a.to_full(), k))
+                assert np.array_equal(eigenvalues(scaled), np.ldexp(lam, k))
+                pmk = spectral_measure(scaled)
+                assert np.array_equal(pmk.locations, np.ldexp(pm.locations, k))
+                assert np.array_equal(pmk.weights, pm.weights)
 
 
 class TestDiscriminantMeasure:
@@ -349,9 +419,9 @@ class TestDiscriminantMeasure:
             assert merged == (factor < 1.0)
             if merged:
                 with pytest.raises(DegenerateMatrixError):
-                    find_critical_points(a, tol=None, rng=439)
+                    find_critical_points(a, rng=439)
             else:
-                assert len(find_critical_points(a, tol=None, rng=439)) == 2 * d
+                assert len(find_critical_points(a, rng=439)) == 2 * d
 
     def test_nan_tolerance_rejected(self):
         a = SymMatrix.from_diagonal([1.0, 2.0, 3.0])

@@ -457,6 +457,22 @@ class TestMatrixFiles:
         text = "2\n1.0 2.0\n2.0000000001 1.0\n"
         read_matrix(io.StringIO(text))
 
+    @pytest.mark.parametrize("asymmetry", [1.3e-15, 1e-6])
+    def test_symmetry_check_is_relative(self, asymmetry):
+        # the file scaled by 2^-40 or 2^40 is read alike; an absolute 1e-9 refused 1.3e-15 relative asymmetry at 2^40
+        a = random_sym(4, substream(121)).to_full()
+        a[0, 1] += asymmetry * np.abs(a).max()
+        texts = {k: "4\n" + "\n".join(" ".join(map(repr, row)) for row in np.ldexp(a, k).tolist()) + "\n"
+                 for k in (-40, 0, 40)}
+        if asymmetry > 1e-9:
+            for text in texts.values():
+                with pytest.raises(ValueError, match="not symmetric"):
+                    read_matrix(io.StringIO(text))
+        else:
+            base = read_matrix(io.StringIO(texts[0])).packed
+            for k, text in texts.items():
+                assert np.array_equal(read_matrix(io.StringIO(text)).packed, np.ldexp(base, k))
+
     def test_multiple_blocks(self):
         a = random_sym(2, substream(119))
         b = random_sym(3, substream(120))
